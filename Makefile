@@ -4,7 +4,7 @@
 # stay green across the whole module, not just `test`. CI
 # (.github/workflows/ci.yml) runs build + vet + test + race.
 
-.PHONY: build test vet race bench bench-gate bench-baseline wire-compat docs docs-gen trace-smoke crash-smoke cluster-smoke mon-smoke rebalance-smoke verify
+.PHONY: build test vet race bench bench-gate bench-baseline bench-test wire-compat docs docs-gen loc trace-smoke crash-smoke cluster-smoke mon-smoke rebalance-smoke verify
 
 # GATE_BENCH is the benchmark set the regression gate measures: the
 # wire codecs (bytes/report is the headline EXPERIMENTS.md number) and
@@ -50,18 +50,35 @@ wire-compat:
 	go test ./internal/telemetry -run xxx -fuzz FuzzDecodeBatchFrame -fuzztime 30s
 	go test ./internal/telemetry -run xxx -fuzz FuzzDecodeMessage -fuzztime 30s
 
+# bench-test compiles and tests the benchmark harness. bench/ is its
+# own module, so the root `go test ./...` never builds it against a
+# changed internal/cluster or internal/backend; this does.
+bench-test:
+	go -C bench vet ./... && go -C bench test ./...
+
 # docs is the documentation gate: every package in the module must
-# carry exactly one package comment (scripts/checkdocs), and the
-# generated CLI flag reference docs/FLAGS.md must match the flag
-# registrations in cmd/* (scripts/flagdoc -check) — change a flag
-# without running `make docs-gen` and CI fails.
+# carry exactly one package comment (scripts/checkdocs), the generated
+# CLI flag reference docs/FLAGS.md must match the flag registrations in
+# cmd/* (scripts/flagdoc -check), and the generated query-command
+# reference docs/COMMANDS.md must match merakid's command table
+# (TestCommandsDoc) — change a flag or a command without running
+# `make docs-gen` and CI fails.
 docs:
 	go vet ./... && go run ./scripts/checkdocs
 	go run ./scripts/flagdoc -check docs/FLAGS.md
+	go test ./cmd/merakid -run TestCommandsDoc -count=1
 
-# docs-gen regenerates docs/FLAGS.md after a flag change.
+# docs-gen regenerates docs/FLAGS.md and docs/COMMANDS.md after a flag
+# or command change.
 docs-gen:
 	go run ./scripts/flagdoc -out docs/FLAGS.md
+	go test ./cmd/merakid -run TestCommandsDoc -count=1 -update
+
+# loc prints the tracked Go line counts outside bench/ — the non-test
+# number is the one the ROADMAP north star says should go down.
+loc:
+	@printf 'non-test %s\n' "$$(git ls-files '*.go' | grep -v '^bench/' | grep -v '_test\.go$$' | xargs cat | wc -l)"
+	@printf 'test     %s\n' "$$(git ls-files '*.go' | grep -v '^bench/' | grep '_test\.go$$' | xargs cat | wc -l)"
 
 # trace-smoke runs a fully sampled offline harvest and validates the
 # flight-recorder dump: it must parse as JSON and contain at least one
@@ -109,4 +126,4 @@ mon-smoke:
 rebalance-smoke:
 	go run ./scripts/rebalancecheck
 
-verify: build vet test race docs trace-smoke crash-smoke cluster-smoke mon-smoke rebalance-smoke
+verify: build vet test race bench-test docs trace-smoke crash-smoke cluster-smoke mon-smoke rebalance-smoke

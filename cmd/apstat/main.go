@@ -1,5 +1,8 @@
 // Command apstat queries a running merakid over its line-based query
-// port and prints the response.
+// port and prints the response. The commands are listed in
+// docs/COMMANDS.md. It exits 1, with the reason on stderr, when the
+// daemon cannot be reached, the reply is cut short before its
+// terminator, or the daemon answers an ERR line.
 //
 // Usage:
 //
@@ -10,13 +13,15 @@
 package main
 
 import (
-	"bufio"
+	"errors"
 	"flag"
 	"fmt"
-	"net"
+	"io"
 	"os"
 	"strings"
 	"time"
+
+	"wlanscale/internal/queryproto"
 )
 
 func main() {
@@ -27,30 +32,25 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: apstat [-addr host:port] COMMAND [ARGS]")
 		os.Exit(2)
 	}
-	if err := run(*addr, strings.Join(flag.Args(), " "), *timeout); err != nil {
+	if err := run(os.Stdout, *addr, strings.Join(flag.Args(), " "), *timeout); err != nil {
 		fmt.Fprintf(os.Stderr, "apstat: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, command string, timeout time.Duration) error {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
+// run prints the reply to command on out. A stalled merakid costs one
+// deadline, not a hung CLI; a reply cut short by a dying one, or an ERR
+// answer, is an error.
+func run(out io.Writer, addr, command string, timeout time.Duration) error {
+	lines, err := queryproto.Do(addr, timeout, command)
 	if err != nil {
 		return err
 	}
-	defer conn.Close()
-	// A stalled merakid should cost one deadline, not a hung CLI.
-	conn.SetDeadline(time.Now().Add(timeout))
-	if _, err := fmt.Fprintf(conn, "%s\nquit\n", command); err != nil {
-		return err
+	if queryproto.IsErr(lines) {
+		return errors.New(lines[0])
 	}
-	sc := bufio.NewScanner(conn)
-	for sc.Scan() {
-		line := sc.Text()
-		if line == "" {
-			break
-		}
-		fmt.Println(line)
+	for _, ln := range lines {
+		fmt.Fprintln(out, ln)
 	}
-	return sc.Err()
+	return nil
 }

@@ -3,11 +3,8 @@
 // a fixed cadence, ingests them into the datastore, and answers
 // line-based queries on -query (see cmd/apstat). The store can be
 // snapshotted to disk with -snapshot on shutdown (SIGINT) or via the
-// "save" query. Queries: status, clients, top-apps N, util, crashes,
-// anomalies, metrics, prom, series [METRIC [N]], alerts, watch,
-// digest, checkpoint, snapshot, fanout CMD, save PATH, networks,
-// extract IDS, part IDS, unpart IDS, drop IDS, absorb TOKEN IDS,
-// rebalance PEERS [TOKEN], quit; an
+// "save" query. The query commands are defined once, in commands.go,
+// and listed in docs/COMMANDS.md; an
 // unrecognized command gets an "ERR unknown command" line back (every
 // error line starts with "ERR"). The status response includes the
 // harvest health counters (reconnects, MAC failures, corrupt frames,
@@ -81,6 +78,7 @@ package main
 import (
 	"bufio"
 	"encoding/hex"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -90,20 +88,19 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"syscall"
 	"time"
 
-	"wlanscale/internal/anomaly"
 	"wlanscale/internal/backend"
 	"wlanscale/internal/cluster"
 	"wlanscale/internal/obs"
 	"wlanscale/internal/obs/health"
 	"wlanscale/internal/obs/series"
 	"wlanscale/internal/obs/trace"
+	"wlanscale/internal/queryproto"
 	"wlanscale/internal/telemetry"
 	"wlanscale/internal/wal"
 )
@@ -325,6 +322,9 @@ type daemon struct {
 	series *series.Recorder
 	alerts *health.Engine
 
+	// cmds is the query command table (commands.go), built once.
+	cmds []queryproto.Command
+
 	mu       sync.Mutex
 	devices  map[string]bool
 	seenEver map[string]bool
@@ -371,6 +371,7 @@ func newDaemon(key []byte, pollEvery time.Duration, batch int, timeout time.Dura
 	// The standard process-level fleet signals: uptime, goroutines,
 	// heap in use, GC pause p99.
 	obs.RegisterProcessMetrics(d.obs, time.Now())
+	d.cmds = d.commands()
 	return d
 }
 
@@ -650,165 +651,15 @@ func (d *daemon) serveDevice(conn net.Conn) {
 	}
 }
 
+// acceptQueries serves the line protocol of internal/queryproto on
+// every accepted connection, dispatching from the command table.
 func (d *daemon) acceptQueries(ln net.Listener) {
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
 			return
 		}
-		go d.serveQuery(conn)
-	}
-}
-
-// serveQuery speaks a line protocol: one command per line, response
-// terminated by a blank line. Commands: status, clients, top-apps N,
-// util, crashes, anomalies, metrics, prom, series [METRIC [N]],
-// alerts, watch, trace ID|last, save PATH, quit.
-// Error responses are single lines prefixed "ERR"; in particular an
-// unknown command answers "ERR unknown command" instead of closing
-// silently, so a client typo gets a diagnosis rather than a dead
-// socket.
-func (d *daemon) serveQuery(conn net.Conn) {
-	defer conn.Close()
-	sc := bufio.NewScanner(conn)
-	// Migration commands carry long ID lists and absorb payload lines
-	// wider than the 64 KiB scanner default.
-	sc.Buffer(make([]byte, 64<<10), 1<<20)
-	w := bufio.NewWriter(conn)
-	for sc.Scan() {
-		fields := strings.Fields(sc.Text())
-		if len(fields) == 0 {
-			continue
-		}
-		switch fields[0] {
-		case "status":
-			ing, dup := d.store.Stats()
-			d.mu.Lock()
-			nDev := len(d.devices)
-			d.mu.Unlock()
-			if d.shards > 1 {
-				fmt.Fprintf(w, "shard %d/%d\n", d.shardID, d.shards)
-			}
-			if d.shards > 1 || d.mapEpoch > 0 {
-				fmt.Fprintf(w, "map_epoch=%d\n", d.mapEpoch)
-			}
-			if parted, absorbed := len(d.store.PartedIDs()), d.store.AbsorbedCount(); parted > 0 || absorbed > 0 {
-				fmt.Fprintf(w, "rebalance parted=%d absorbed=%d\n", parted, absorbed)
-			}
-			fmt.Fprintf(w, "devices=%d ingested=%d duplicates=%d clients=%d\n",
-				nDev, ing, dup, d.store.NumClients())
-			fmt.Fprintf(w, "%s dedup_hits=%d\n", d.health.Snapshot(), dup)
-			if d.durable != nil {
-				fmt.Fprintf(w, "wal next_lsn=%d checkpoint_lsn=%d segments=%d degraded=%t\n",
-					d.durable.WAL().NextLSN(), d.durable.CheckpointLSN(),
-					d.durable.WAL().Segments(), d.durable.Degraded())
-			}
-			if d.alerts != nil {
-				firing := d.alerts.Firing()
-				names := make([]string, 0, len(firing))
-				for _, a := range firing {
-					names = append(names, a.Rule.Name)
-				}
-				fmt.Fprintf(w, "alerts firing=%d %s\n", len(firing), joinOrDash(names))
-			}
-		case "clients":
-			fmt.Fprintf(w, "%d\n", d.store.NumClients())
-		case "top-apps":
-			n := 10
-			if len(fields) > 1 {
-				fmt.Sscanf(fields[1], "%d", &n)
-			}
-			for _, row := range topApps(d.store, n) {
-				fmt.Fprintf(w, "%s\t%d bytes\t%d clients\n", row.name, row.bytes, row.clients)
-			}
-		case "util":
-			for _, serial := range d.store.RadioSerials() {
-				for _, s := range d.store.RadioSeries(serial) {
-					fmt.Fprintf(w, "%s band=%s ch=%d busy=%.3f decodable=%.3f\n",
-						serial, s.Band, s.Channel, s.Busy, s.Decodable)
-				}
-			}
-		case "crashes":
-			for _, serial := range d.store.CrashSerials() {
-				for _, c := range d.store.Crashes(serial) {
-					fmt.Fprintf(w, "%s t=%d kind=%d fw=%s pc=%#x neighbors=%d\n",
-						serial, c.Timestamp, c.Kind, c.Firmware, c.PC, c.NeighborCount)
-				}
-			}
-		case "anomalies":
-			det := anomaly.NewDetector()
-			det.FeedCrashes(d.store)
-			det.FeedNeighborCounts(d.store)
-			for _, serial := range det.RebootLoops(3) {
-				fmt.Fprintf(w, "reboot-loop %s\n", serial)
-			}
-			for _, o := range det.NeighborOutliers(8) {
-				fmt.Fprintf(w, "neighbor-outlier %s count=%d sigma=%.0f\n", o.Serial, o.Count, o.Sigma)
-			}
-		case "metrics":
-			d.obs.WriteText(w)
-		case "prom":
-			// The Prometheus exposition over the query protocol — the
-			// per-shard payload /debug/federate scatter-gathers.
-			d.obs.WriteProm(w)
-		case "series":
-			d.querySeries(w, fields)
-		case "alerts":
-			if d.alerts == nil {
-				fmt.Fprintln(w, "ERR health rules disabled (-health, -series-every)")
-			} else {
-				d.alerts.WriteText(w)
-			}
-		case "watch":
-			d.queryWatch(w)
-		case "digest":
-			fmt.Fprintln(w, d.store.Digest())
-		case "checkpoint":
-			if d.durable == nil {
-				fmt.Fprintln(w, "ERR not running durable (-wal-dir)")
-			} else if err := d.durable.Checkpoint(); err != nil {
-				fmt.Fprintf(w, "ERR %v\n", err)
-			} else {
-				fmt.Fprintf(w, "checkpointed lsn=%d\n", d.durable.CheckpointLSN())
-			}
-		case "snapshot":
-			// The store's gob snapshot as base64 lines — what the
-			// scatter-gather router merges cluster-wide views from.
-			if err := cluster.WriteSnapshotLines(w, d.store); err != nil {
-				fmt.Fprintf(w, "ERR %v\n", err)
-			}
-		case "fanout":
-			d.queryFanout(w, fields)
-		case "networks":
-			d.queryNetworks(w)
-		case "extract":
-			d.queryExtract(w, fields)
-		case "part", "unpart":
-			d.queryPart(w, fields)
-		case "drop":
-			d.queryDrop(w, fields)
-		case "absorb":
-			d.queryAbsorb(w, sc, fields)
-		case "rebalance":
-			d.queryRebalance(w, fields)
-		case "trace":
-			d.queryTrace(w, fields)
-		case "save":
-			if len(fields) < 2 {
-				fmt.Fprintln(w, "ERR save needs a path")
-			} else if err := d.store.SaveFile(fields[1]); err != nil {
-				fmt.Fprintf(w, "ERR %v\n", err)
-			} else {
-				fmt.Fprintln(w, "saved")
-			}
-		case "quit":
-			w.Flush()
-			return
-		default:
-			fmt.Fprintf(w, "ERR unknown command %q\n", fields[0])
-		}
-		fmt.Fprintln(w)
-		w.Flush()
+		go queryproto.Serve(conn, d.cmds)
 	}
 }
 
@@ -820,32 +671,24 @@ func (d *daemon) serveQuery(conn net.Conn) {
 // response under a "[shard N addr]" header; a dead shard contributes
 // an ERR line instead of sinking the whole query, so operators get
 // partial answers during an outage rather than none.
-func (d *daemon) queryFanout(w io.Writer, fields []string) {
+func (d *daemon) queryFanout(w *bufio.Writer, args, _ []string) error {
 	if d.router == nil {
-		fmt.Fprintln(w, "ERR no cluster peers configured (-peers)")
-		return
+		return errNoPeers
 	}
-	if len(fields) < 2 {
-		fmt.Fprintln(w, "ERR fanout needs a command, e.g. fanout status")
-		return
+	if args[0] == "fanout" {
+		return errors.New("fanout does not nest")
 	}
-	cmd := strings.Join(fields[1:], " ")
-	if fields[1] == "fanout" {
-		fmt.Fprintln(w, "ERR fanout does not nest")
-		return
-	}
-	if fields[1] == "digest" {
+	if args[0] == "digest" {
 		dig, err := d.router.MergedDigest()
 		if err != nil {
-			fmt.Fprintf(w, "ERR %v (down: %v)\n", err, dig.Down)
-			return
+			return fmt.Errorf("%v (down: %v)", err, dig.Down)
 		}
 		fmt.Fprintln(w, dig.Digest)
 		fmt.Fprintf(w, "shards=%d up=%d down=%v degraded=%t\n",
 			dig.Shards, dig.Shards-len(dig.Down), dig.Down, dig.Degraded)
-		return
+		return nil
 	}
-	for _, rep := range d.router.Fanout(cmd) {
+	for _, rep := range d.router.Fanout(strings.Join(args, " ")) {
 		fmt.Fprintf(w, "[shard %d %s]\n", rep.Shard, rep.Addr)
 		if rep.Err != nil {
 			fmt.Fprintf(w, "ERR shard down: %v\n", rep.Err)
@@ -855,42 +698,42 @@ func (d *daemon) queryFanout(w io.Writer, fields []string) {
 			fmt.Fprintln(w, ln)
 		}
 	}
+	return nil
 }
+
+// errNoPeers answers the cluster commands on a standalone daemon.
+var errNoPeers = errors.New("no cluster peers configured (-peers)")
 
 // querySeries answers "series" (the recorded metric names, one per
 // line) and "series <metric> [n]" (the metric's last n points, default
 // 10, oldest first; counters render rates, histograms append
 // count/sum/p50/p95/p99).
-func (d *daemon) querySeries(w io.Writer, fields []string) {
+func (d *daemon) querySeries(w *bufio.Writer, args, _ []string) error {
 	if d.series == nil {
-		fmt.Fprintln(w, "ERR series recording disabled (-series-every 0)")
-		return
+		return errors.New("series recording disabled (-series-every 0)")
 	}
-	if len(fields) < 2 {
+	if len(args) == 0 {
 		for _, n := range d.series.Names() {
 			fmt.Fprintln(w, n)
 		}
-		return
+		return nil
 	}
 	n := 10
-	if len(fields) > 2 {
-		v, err := strconv.Atoi(fields[2])
+	if len(args) > 1 {
+		v, err := strconv.Atoi(args[1])
 		if err != nil || v <= 0 {
-			fmt.Fprintf(w, "ERR bad point count %q\n", fields[2])
-			return
+			return fmt.Errorf("bad point count %q", args[1])
 		}
 		n = v
 	}
-	if err := d.series.WriteText(w, fields[1], n); err != nil {
-		fmt.Fprintf(w, "ERR %v\n", err)
-	}
+	return d.series.WriteText(w, args[0], n)
 }
 
 // queryWatch answers "watch": one machine-readable key=value line of
 // the per-shard dashboard signals merakireport -watch renders — device
 // pool, ingest totals and rate, WAL flush latency, degraded latch, and
 // the currently firing alerts.
-func (d *daemon) queryWatch(w io.Writer) {
+func (d *daemon) queryWatch(w *bufio.Writer, _, _ []string) error {
 	ing, dup := d.store.Stats()
 	d.mu.Lock()
 	nDev := len(d.devices)
@@ -907,6 +750,7 @@ func (d *daemon) queryWatch(w io.Writer) {
 	}
 	fmt.Fprintf(w, "shard=%d/%d devices=%d ingested=%d dupes=%d rate=%.1f wal_p99_us=%d degraded=%t firing=%s\n",
 		d.shardID, d.shards, nDev, ing, dup, rate, p99, degraded, joinOrDash(names))
+	return nil
 }
 
 // seriesRate derives a per-second rate from the last two points of a
@@ -939,33 +783,26 @@ func joinOrDash(names []string) string {
 // by depth so the parent links read as a tree. Durations and start
 // offsets are microseconds; retries, fault-injection profile, and
 // errors appear only when set.
-func (d *daemon) queryTrace(w io.Writer, fields []string) {
-	if len(fields) < 2 {
-		fmt.Fprintln(w, `ERR trace needs an id or "last"`)
-		return
-	}
+func (d *daemon) queryTrace(w *bufio.Writer, args, _ []string) error {
 	var (
 		id  trace.ID
 		evs []trace.Event
 	)
-	if fields[1] == "last" {
+	if args[0] == "last" {
 		var ok bool
 		id, evs, ok = d.trec.LastTrace()
 		if !ok {
-			fmt.Fprintln(w, "ERR flight recorder is empty")
-			return
+			return errors.New("flight recorder is empty")
 		}
 	} else {
-		v, err := trace.ParseID(fields[1])
+		v, err := trace.ParseID(args[0])
 		if err != nil {
-			fmt.Fprintf(w, "ERR %v\n", err)
-			return
+			return err
 		}
 		id = v
 		evs = d.trec.Trace(id)
 		if len(evs) == 0 {
-			fmt.Fprintf(w, "ERR no such trace %s\n", id)
-			return
+			return fmt.Errorf("no such trace %s", id)
 		}
 	}
 	fmt.Fprintf(w, "trace %s spans=%d\n", id, len(evs))
@@ -992,34 +829,5 @@ func (d *daemon) queryTrace(w io.Writer, fields []string) {
 		}
 		fmt.Fprintln(w)
 	}
-}
-
-type appRow struct {
-	name    string
-	bytes   uint64
-	clients int
-}
-
-func topApps(store *backend.Store, n int) []appRow {
-	agg := make(map[string]*appRow)
-	for _, c := range store.Clients() {
-		for name, rec := range c.Apps {
-			row, ok := agg[name]
-			if !ok {
-				row = &appRow{name: name}
-				agg[name] = row
-			}
-			row.bytes += rec.UpBytes + rec.DownBytes
-			row.clients++
-		}
-	}
-	rows := make([]appRow, 0, len(agg))
-	for _, r := range agg {
-		rows = append(rows, *r)
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].bytes > rows[j].bytes })
-	if len(rows) > n {
-		rows = rows[:n]
-	}
-	return rows
+	return nil
 }

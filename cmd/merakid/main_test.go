@@ -1,16 +1,22 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
+	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
 
+	"wlanscale/internal/backend"
+	"wlanscale/internal/cluster"
 	"wlanscale/internal/dot11"
+	"wlanscale/internal/fleettest"
+	"wlanscale/internal/queryproto"
 	"wlanscale/internal/telemetry"
 )
 
@@ -28,64 +34,187 @@ func startQueryServer(t *testing.T) (*daemon, string) {
 	return d, ln.Addr().String()
 }
 
-// query sends one command and returns the response lines up to the
-// blank terminator.
+// query sends one command and returns the response lines; a transport
+// failure or a truncated reply fails the test.
 func query(t *testing.T, addr, command string) []string {
 	t.Helper()
-	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+	lines, err := queryproto.Do(addr, 10*time.Second, command)
 	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	if _, err := fmt.Fprintf(conn, "%s\nquit\n", command); err != nil {
-		t.Fatal(err)
-	}
-	var lines []string
-	sc := bufio.NewScanner(conn)
-	for sc.Scan() {
-		if sc.Text() == "" {
-			break
-		}
-		lines = append(lines, sc.Text())
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: %v", command, err)
 	}
 	return lines
 }
 
-// TestQueryUnknownCommand pins the error contract: an unrecognized
-// command must answer with an "ERR unknown command" line — not a
-// silent close — and the connection must stay usable afterwards.
-func TestQueryUnknownCommand(t *testing.T) {
-	_, addr := startQueryServer(t)
-	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+// TestMain removes the merakid binary the subprocess harnesses built.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	fleettest.Cleanup()
+	os.Exit(code)
+}
+
+// TestTopAppsBadCount is the regression test for the remote crash: a
+// negative count used to reach rows[:n] and panic the whole daemon from
+// the unauthenticated query port. Bad counts answer ERR and the daemon
+// keeps serving; byte-count ties break by name so the reply is
+// deterministic.
+func TestTopAppsBadCount(t *testing.T) {
+	d, addr := startQueryServer(t)
+	for i, app := range []string{"Zulu", "Alpha", "Mike"} {
+		d.store.Ingest(&telemetry.Report{
+			Serial: "Q2AA-TOP", SeqNo: uint64(i + 1),
+			Clients: []telemetry.ClientRecord{{
+				MAC:  dot11.MAC{0xac, 1, 2, 3, 4, byte(i)},
+				Band: dot11.Band5,
+				Apps: []telemetry.AppUsageRecord{{App: app, UpBytes: 10, DownBytes: 90}},
+			}},
+		})
+	}
+	for _, bad := range []string{"-1", "0", "many"} {
+		got := query(t, addr, "top-apps "+bad)
+		if want := fmt.Sprintf("ERR bad count %q", bad); len(got) != 1 || got[0] != want {
+			t.Errorf("top-apps %s = %q, want %q", bad, got, want)
+		}
+	}
+	want := []string{"Alpha\t100 bytes\t1 clients", "Mike\t100 bytes\t1 clients"}
+	for i := 0; i < 5; i++ {
+		if got := query(t, addr, "top-apps 2"); len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+			t.Fatalf("top-apps 2 = %q, want %q", got, want)
+		}
+	}
+	if got := query(t, addr, "top-apps"); len(got) != 3 {
+		t.Fatalf("bare top-apps = %q, want all 3 rows", got)
+	}
+}
+
+// TestAbsorbRefusesBadPayload: an absorb whose payload is cut off
+// before its blank terminator, or exceeds queryproto.MaxPayload, is
+// refused by the Serve loop before the handler runs — the store digest
+// and the WAL position do not move — while the same slice pushed whole
+// is applied.
+func TestAbsorbRefusesBadPayload(t *testing.T) {
+	d, addr := startQueryServer(t)
+	if _, err := d.attachDurable(t.TempDir(), backend.DurableOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	defer d.durable.Close()
+	src := backend.NewStore()
+	src.Ingest(&telemetry.Report{
+		Serial: "Q2AA-007-1", SeqNo: 1,
+		Clients: []telemetry.ClientRecord{{MAC: dot11.MAC{0xac, 7, 7, 7, 7, 7}, Band: dot11.Band5}},
+	})
+	var b strings.Builder
+	if err := cluster.WriteSnapshotLines(&b, src); err != nil {
+		t.Fatal(err)
+	}
+	slice := strings.Fields(b.String())
+	digest, lsn := d.store.Digest(), d.durable.WAL().NextLSN()
+	unchanged := func(when string) {
+		t.Helper()
+		if got := d.store.Digest(); got != digest {
+			t.Fatalf("%s changed the store digest", when)
+		}
+		if got := d.durable.WAL().NextLSN(); got != lsn {
+			t.Fatalf("%s moved the WAL from LSN %d to %d", when, lsn, got)
+		}
+	}
+
+	// Truncated: header and payload, then a half-close instead of the
+	// blank terminator.
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	if _, err := fmt.Fprintf(conn, "bogus-command\nclients\nquit\n"); err != nil {
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	fmt.Fprintf(conn, "absorb tok 7\n%s\n", strings.Join(slice, "\n"))
+	conn.(*net.TCPConn).CloseWrite()
+	reply, err := io.ReadAll(conn)
+	if err != nil {
 		t.Fatal(err)
 	}
-	sc := bufio.NewScanner(conn)
-	if !sc.Scan() {
-		t.Fatalf("connection closed without a response: %v", sc.Err())
+	if string(reply) != "ERR truncated payload\n\n" {
+		t.Fatalf("truncated absorb answered %q", reply)
 	}
-	if got := sc.Text(); !strings.HasPrefix(got, `ERR unknown command "bogus-command"`) {
-		t.Fatalf("unknown command answered %q, want ERR unknown command line", got)
+	unchanged("truncated absorb")
+
+	// Over the cap: well-formed but too large, so refused unread.
+	big := make([]string, queryproto.MaxPayload/4096+1)
+	for i := range big {
+		big[i] = strings.Repeat("A", 4096)
 	}
-	if !sc.Scan() || sc.Text() != "" {
-		t.Fatalf("missing blank terminator after ERR line")
+	if got := push(t, addr, "absorb tok 7", big); len(got) != 1 || !strings.HasPrefix(got[0], "ERR payload exceeds") {
+		t.Fatalf("over-cap absorb answered %q", got)
 	}
-	// The session survives the error: the next command still answers.
-	if !sc.Scan() {
-		t.Fatalf("connection dead after ERR: %v", sc.Err())
+	unchanged("over-cap absorb")
+
+	if got := push(t, addr, "absorb tok 7", slice); len(got) != 1 || got[0] != "absorbed token=tok networks=1" {
+		t.Fatalf("whole absorb answered %q", got)
 	}
-	if got := sc.Text(); got != "0" {
-		t.Fatalf("clients after ERR = %q, want \"0\"", got)
+	if d.store.Digest() != src.Digest() || d.durable.WAL().NextLSN() == lsn {
+		t.Fatal("whole absorb did not apply and log the slice")
 	}
+}
+
+var updateDocs = flag.Bool("update", false, "rewrite docs/COMMANDS.md from the command table")
+
+// TestCommandsDoc keeps docs/COMMANDS.md generated from the command
+// table: `go test ./cmd/merakid -run TestCommandsDoc -update` (make
+// docs-gen) regenerates it, and `make docs` fails when it is stale.
+func TestCommandsDoc(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("# merakid query commands\n\n" +
+		"<!-- Generated from the command table in cmd/merakid/commands.go by TestCommandsDoc; do not edit. Regenerate with `make docs-gen`. -->\n\n" +
+		"One command per line on the `-query` port; framing rules are in DESIGN.md §14 (Query protocol). " +
+		"`apstat COMMAND [ARGS]` sends one command and prints the reply.\n")
+	for _, c := range newDaemon(nil, time.Second, 64, time.Second, 0, 16).cmds {
+		usage := c.Name
+		if c.Usage != "" {
+			usage += " " + c.Usage
+		}
+		fmt.Fprintf(&b, "\n## `%s`\n\n%s\n", usage, c.Help)
+		if c.Payload {
+			b.WriteString("\nThe request line is followed by payload lines ended by one blank line.\n")
+		}
+	}
+	const path = "../../docs/COMMANDS.md"
+	if *updateDocs {
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	have, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(have) != b.String() {
+		t.Fatalf("%s is stale; run `make docs-gen`", path)
+	}
+}
+
+// FuzzServeLine: no command line, however malformed, may panic a
+// handler — the query port is unauthenticated and a panic takes the
+// whole daemon down. "save" is skipped because it writes wherever the
+// input says.
+func FuzzServeLine(f *testing.F) {
+	for _, seed := range []string{"top-apps -1", "series x 0", "extract ,", "absorb t", "trace", "fanout fanout", "part 1,,2", "drop t"} {
+		f.Add(seed)
+	}
+	d := newDaemon(nil, time.Second, 64, time.Second, 1.0, 1024)
+	d.attachSeries(8, 1, 1, true)
+	f.Fuzz(func(t *testing.T, line string) {
+		line, _, _ = strings.Cut(line, "\n")
+		if fields := strings.Fields(line); len(fields) > 0 && fields[0] == "save" {
+			t.Skip()
+		}
+		client, server := net.Pipe()
+		go queryproto.Serve(server, d.cmds)
+		client.SetDeadline(time.Now().Add(10 * time.Second))
+		// The blank line ends the payload of a payload-carrying command.
+		go fmt.Fprintf(client, "%s\n\nquit\n", line)
+		if _, err := io.Copy(io.Discard, client); err != nil {
+			t.Fatalf("%q: %v", line, err)
+		}
+	})
 }
 
 // TestQueryMetrics checks that one "metrics" round trip returns

@@ -13,7 +13,6 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
-	"io"
 	"strings"
 
 	"wlanscale/internal/backend"
@@ -23,122 +22,92 @@ import (
 
 // queryNetworks answers "networks": the network IDs this shard holds,
 // one decimal ID per line — the rebalance coordinator's discovery set.
-func (d *daemon) queryNetworks(w io.Writer) {
+func (d *daemon) queryNetworks(w *bufio.Writer, _, _ []string) error {
 	for _, id := range d.store.Networks(backend.NetworkOfSerial) {
 		fmt.Fprintf(w, "%d\n", id)
 	}
+	return nil
 }
 
 // queryExtract answers "extract IDS": a consistent deep-copied
 // snapshot of just those networks, in the same base64-line encoding as
 // "snapshot" (chunked, so an arbitrarily large slice never exceeds the
 // line-protocol width).
-func (d *daemon) queryExtract(w io.Writer, fields []string) {
-	if len(fields) < 2 {
-		fmt.Fprintln(w, "ERR extract needs a network ID list, e.g. extract 3,17")
-		return
-	}
-	ids, err := cluster.ParseIDList(fields[1])
+func (d *daemon) queryExtract(w *bufio.Writer, args, _ []string) error {
+	ids, err := cluster.ParseIDList(args[0])
 	if err != nil {
-		fmt.Fprintf(w, "ERR %v\n", err)
-		return
+		return err
 	}
 	slice := d.store.ExtractNetworks(backend.IDSet(ids), backend.NetworkOfSerial)
-	if err := cluster.WriteSnapshotLines(w, slice); err != nil {
-		fmt.Fprintf(w, "ERR %v\n", err)
-	}
+	return cluster.WriteSnapshotLines(w, slice)
 }
 
-// queryPart answers "part IDS" and "unpart IDS": mark (or clear) the
-// networks as mid-migration, refusing ingestion so devices requeue.
-func (d *daemon) queryPart(w io.Writer, fields []string) {
-	if len(fields) < 2 {
-		fmt.Fprintf(w, "ERR %s needs a network ID list\n", fields[0])
-		return
-	}
-	ids, err := cluster.ParseIDList(fields[1])
-	if err != nil {
-		fmt.Fprintf(w, "ERR %v\n", err)
-		return
-	}
-	part := fields[0] == "part"
-	if d.durable != nil {
-		if part {
+// queryPart answers "part IDS" (part true) and "unpart IDS": mark or
+// clear the networks as mid-migration, refusing ingestion so devices
+// requeue.
+func (d *daemon) queryPart(part bool) func(w *bufio.Writer, args, _ []string) error {
+	return func(w *bufio.Writer, args, _ []string) error {
+		ids, err := cluster.ParseIDList(args[0])
+		if err != nil {
+			return err
+		}
+		switch {
+		case d.durable != nil && part:
 			err = d.durable.PartNetworks(ids)
-		} else {
+		case d.durable != nil:
 			err = d.durable.UnpartNetworks(ids)
+		case part:
+			d.store.Part(ids)
+		default:
+			d.store.Unpart(ids)
 		}
 		if err != nil {
-			fmt.Fprintf(w, "ERR %v\n", err)
-			return
+			return err
 		}
-	} else if part {
-		d.store.Part(ids)
-	} else {
-		d.store.Unpart(ids)
-	}
-	if part {
-		fmt.Fprintf(w, "parted n=%d\n", len(ids))
-	} else {
-		fmt.Fprintf(w, "unparted n=%d\n", len(ids))
+		if part {
+			fmt.Fprintf(w, "parted n=%d\n", len(ids))
+		} else {
+			fmt.Fprintf(w, "unparted n=%d\n", len(ids))
+		}
+		return nil
 	}
 }
 
 // queryDrop answers "drop TOKEN IDS": delete the networks and forget
 // TOKEN's absorb mark — the cutover on a source, the rollback on a
 // destination.
-func (d *daemon) queryDrop(w io.Writer, fields []string) {
-	if len(fields) < 3 {
-		fmt.Fprintln(w, "ERR drop needs a token and a network ID list")
-		return
-	}
-	ids, err := cluster.ParseIDList(fields[2])
+func (d *daemon) queryDrop(w *bufio.Writer, args, _ []string) error {
+	ids, err := cluster.ParseIDList(args[1])
 	if err != nil {
-		fmt.Fprintf(w, "ERR %v\n", err)
-		return
+		return err
 	}
 	var nets, entries int
 	if d.durable != nil {
-		nets, entries, err = d.durable.DropNetworks(fields[1], ids)
-		if err != nil {
-			fmt.Fprintf(w, "ERR %v\n", err)
-			return
+		if nets, entries, err = d.durable.DropNetworks(args[0], ids); err != nil {
+			return err
 		}
 	} else {
-		nets, entries = d.store.Drop(fields[1], ids, backend.NetworkOfSerial)
+		nets, entries = d.store.Drop(args[0], ids, backend.NetworkOfSerial)
 	}
 	fmt.Fprintf(w, "dropped networks=%d entries=%d\n", nets, entries)
+	return nil
 }
 
-// queryAbsorb answers "absorb TOKEN IDS" followed by the slice as
-// base64 payload lines ended by a blank line (the coordinator's
-// pushShard framing). Absorption is token-deduplicated — re-pushing
-// TOKEN answers "already" without touching the store — which is what
-// makes the coordinator's blind retries and crash re-runs safe.
-func (d *daemon) queryAbsorb(w io.Writer, sc *bufio.Scanner, fields []string) {
-	if len(fields) < 3 {
-		fmt.Fprintln(w, "ERR absorb needs a token and a network ID list")
-		return
-	}
-	token := fields[1]
-	ids, err := cluster.ParseIDList(fields[2])
+// queryAbsorb answers "absorb TOKEN IDS" plus the slice as base64
+// payload lines, which queryproto.Serve has already collected whole —
+// a truncated or oversized payload never reaches here. Absorption is
+// token-deduplicated — re-pushing TOKEN answers "already" without
+// touching the store — which is what makes the coordinator's blind
+// retries and crash re-runs safe.
+func (d *daemon) queryAbsorb(w *bufio.Writer, args, payload []string) error {
+	token := args[0]
+	ids, err := cluster.ParseIDList(args[1])
 	if err != nil {
-		fmt.Fprintf(w, "ERR %v\n", err)
-		return
-	}
-	// The payload rides the same scanner the command line came from.
-	var payload []string
-	for sc.Scan() {
-		ln := sc.Text()
-		if ln == "" {
-			break
-		}
-		payload = append(payload, ln)
+		return err
 	}
 	raw, err := cluster.DecodeSnapshotBytes(payload)
 	if err != nil {
-		fmt.Fprintf(w, "ERR %v\n", err)
-		return
+		return err
 	}
 	var applied bool
 	if d.durable != nil {
@@ -147,14 +116,14 @@ func (d *daemon) queryAbsorb(w io.Writer, sc *bufio.Scanner, fields []string) {
 		applied, err = d.store.Absorb(token, ids, bytes.NewReader(raw), backend.NetworkOfSerial)
 	}
 	if err != nil {
-		fmt.Fprintf(w, "ERR %v\n", err)
-		return
+		return err
 	}
 	if !applied {
 		fmt.Fprintf(w, "already token=%s\n", token)
-		return
+		return nil
 	}
 	fmt.Fprintf(w, "absorbed token=%s networks=%d\n", token, len(ids))
+	return nil
 }
 
 // queryRebalance answers "rebalance NEWADDRS [TOKEN]": run the full
@@ -164,22 +133,17 @@ func (d *daemon) queryAbsorb(w io.Writer, sc *bufio.Scanner, fields []string) {
 // ("rebalanced ..." or "ERR ..."). The default token is deterministic
 // in the map epoch and the shard counts, so a crashed run re-run
 // verbatim converges via absorb dedup instead of double-ingesting.
-func (d *daemon) queryRebalance(w *bufio.Writer, fields []string) {
+func (d *daemon) queryRebalance(w *bufio.Writer, args, _ []string) error {
 	if d.router == nil {
-		fmt.Fprintln(w, "ERR no cluster peers configured (-peers)")
-		return
+		return errNoPeers
 	}
-	if len(fields) < 2 {
-		fmt.Fprintln(w, "ERR rebalance needs the new topology, e.g. rebalance host:7772,host:7782,host:7792")
-		return
-	}
-	newAddrs := strings.Split(fields[1], ",")
+	newAddrs := strings.Split(args[0], ",")
 	for i := range newAddrs {
 		newAddrs[i] = strings.TrimSpace(newAddrs[i])
 	}
 	token := fmt.Sprintf("epoch%d-%dto%d", d.mapEpoch, len(d.router.Shards), len(newAddrs))
-	if len(fields) > 2 {
-		token = fields[2]
+	if len(args) > 1 {
+		token = args[1]
 	}
 	o := cluster.RebalanceOptions{
 		Token:   token,
@@ -191,12 +155,12 @@ func (d *daemon) queryRebalance(w *bufio.Writer, fields []string) {
 	}
 	rep, err := cluster.Rebalance(d.router.Shards, newAddrs, o)
 	if err != nil {
-		fmt.Fprintf(w, "ERR %v\n", err)
-		return
+		return err
 	}
 	fmt.Fprintf(w, "rebalanced token=%s moved=%d transfers=%d old=%d new=%d digest=%s degraded=%t\n",
 		rep.Token, rep.MovedNetworks, len(rep.Transfers), rep.OldShards, rep.NewShards,
 		rep.Full.Digest, rep.Full.Degraded)
+	return nil
 }
 
 // partCheck refuses a poll batch that touches a parted (mid-migration)

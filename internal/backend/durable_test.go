@@ -34,10 +34,10 @@ func durableReports(n int) []*telemetry.Report {
 	return out
 }
 
-// controlDigest ingests reports into a plain in-memory store and
+// volatileDigest ingests reports into a plain in-memory store and
 // returns its canonical digest — the ground truth a recovered durable
 // store must match exactly.
-func controlDigest(reports []*telemetry.Report) string {
+func volatileDigest(reports []*telemetry.Report) string {
 	s := NewStore()
 	for _, r := range reports {
 		s.Ingest(r)
@@ -69,7 +69,7 @@ func TestDurableEmptyWAL(t *testing.T) {
 func TestDurableReplayMatchesControl(t *testing.T) {
 	dir := t.TempDir()
 	reports := durableReports(90)
-	want := controlDigest(reports)
+	want := volatileDigest(reports)
 
 	d, _ := mustOpenDurable(t, dir, DurableOptions{})
 	// Mix single and batched ingests, checkpoint midway so recovery
@@ -140,7 +140,7 @@ func TestDurableTornTailOnly(t *testing.T) {
 	if err := d2.IngestBatch(reports, nil); err != nil {
 		t.Fatal(err)
 	}
-	want := controlDigest(reports)
+	want := volatileDigest(reports)
 	d2.Close()
 	d3, _ := mustOpenDurable(t, dir, DurableOptions{})
 	defer d3.Close()
@@ -155,7 +155,7 @@ func TestDurableTornTailOnly(t *testing.T) {
 func TestDurableCheckpointNewerThanWAL(t *testing.T) {
 	dir := t.TempDir()
 	reports := durableReports(30)
-	want := controlDigest(reports)
+	want := volatileDigest(reports)
 
 	d, _ := mustOpenDurable(t, dir, DurableOptions{KeepCheckpoints: 1})
 	if err := d.IngestBatch(reports, nil); err != nil {
@@ -181,7 +181,7 @@ func TestDurableCheckpointNewerThanWAL(t *testing.T) {
 func TestDurableReplayIdempotent(t *testing.T) {
 	dir := t.TempDir()
 	reports := durableReports(45)
-	want := controlDigest(reports)
+	want := volatileDigest(reports)
 
 	d, _ := mustOpenDurable(t, dir, DurableOptions{})
 	if err := d.IngestBatch(reports[:20], nil); err != nil {
@@ -210,7 +210,7 @@ func TestDurableReplayIdempotent(t *testing.T) {
 func TestDurableCheckpointFallback(t *testing.T) {
 	dir := t.TempDir()
 	reports := durableReports(60)
-	want := controlDigest(reports)
+	want := volatileDigest(reports)
 
 	d, _ := mustOpenDurable(t, dir, DurableOptions{})
 	if err := d.IngestBatch(reports[:20], nil); err != nil {
@@ -255,7 +255,7 @@ func TestDurableCheckpointFallback(t *testing.T) {
 func TestDurableAllCheckpointsCorrupt(t *testing.T) {
 	dir := t.TempDir()
 	reports := durableReports(30)
-	want := controlDigest(reports)
+	want := volatileDigest(reports)
 
 	d, _ := mustOpenDurable(t, dir, DurableOptions{})
 	if err := d.IngestBatch(reports, nil); err != nil {
@@ -320,7 +320,7 @@ func TestDurableCrashPlanSeeds(t *testing.T) {
 
 			d2, _ := mustOpenDurable(t, dir, DurableOptions{})
 			defer d2.Close()
-			if got, want := d2.Digest(), controlDigest(reports[:acked]); got != want {
+			if got, want := d2.Digest(), volatileDigest(reports[:acked]); got != want {
 				t.Fatalf("recovered digest != acked-prefix control (acked=%d)", acked)
 			}
 		})
@@ -352,7 +352,7 @@ func TestDurableIgnoresCheckpointTempHusk(t *testing.T) {
 	if stats.Fallbacks != 0 {
 		t.Fatalf("temp husk caused a fallback: %+v", stats)
 	}
-	if d2.Digest() != controlDigest(reports) {
+	if d2.Digest() != volatileDigest(reports) {
 		t.Fatal("recovery diverged with husk present")
 	}
 	if _, err := os.Stat(husk); !os.IsNotExist(err) {
@@ -405,7 +405,7 @@ func TestSaveFileAtomic(t *testing.T) {
 
 func TestDigestStability(t *testing.T) {
 	reports := durableReports(50)
-	want := controlDigest(reports)
+	want := volatileDigest(reports)
 
 	// Shard-count independence.
 	s := NewStoreShards(16)

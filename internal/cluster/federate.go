@@ -3,6 +3,8 @@ package cluster
 import (
 	"fmt"
 	"strings"
+
+	"wlanscale/internal/queryproto"
 )
 
 // Metrics federation: scatter-gather the per-shard observability
@@ -60,7 +62,7 @@ func MergeProm(replies []Reply) string {
 		if rep.Err != nil {
 			continue
 		}
-		if len(rep.Lines) > 0 && strings.HasPrefix(rep.Lines[0], "ERR") {
+		if queryproto.IsErr(rep.Lines) {
 			continue
 		}
 		cur := ""

@@ -9,45 +9,24 @@ import (
 	"time"
 
 	"wlanscale/internal/obs"
+	"wlanscale/internal/queryproto"
 )
 
 // servePromShard runs a minimal query server over ln answering "prom"
 // and "series" from a registry — the federation subset of merakid's
-// line protocol.
+// commands.
 func servePromShard(ln net.Listener, reg *obs.Registry) {
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(c net.Conn) {
-				defer c.Close()
-				sc := bufio.NewScanner(c)
-				w := bufio.NewWriter(c)
-				for sc.Scan() {
-					fields := strings.Fields(sc.Text())
-					if len(fields) == 0 {
-						continue
-					}
-					switch fields[0] {
-					case "prom":
-						reg.WriteProm(w)
-					case "series":
-						fmt.Fprintln(w, "t=1000 v=1.000")
-						fmt.Fprintln(w, "t=2000 v=2.000")
-					case "quit":
-						w.Flush()
-						return
-					default:
-						fmt.Fprintf(w, "ERR unknown command %q\n", fields[0])
-					}
-					fmt.Fprintln(w)
-					w.Flush()
-				}
-			}(conn)
-		}
-	}()
+	serveTable(ln, []queryproto.Command{
+		{Name: "prom", Run: func(w *bufio.Writer, _, _ []string) error {
+			reg.WriteProm(w)
+			return nil
+		}},
+		{Name: "series", Run: func(w *bufio.Writer, _, _ []string) error {
+			fmt.Fprintln(w, "t=1000 v=1.000")
+			fmt.Fprintln(w, "t=2000 v=2.000")
+			return nil
+		}},
+	})
 }
 
 // startPromShards serves one registry per shard and returns the router

@@ -1,15 +1,14 @@
 package cluster
 
 import (
-	"bufio"
 	"fmt"
-	"net"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
 
 	"wlanscale/internal/backend"
+	"wlanscale/internal/queryproto"
 )
 
 // Live shard rebalancing. Growing a merakid cluster N→M shards moves
@@ -138,7 +137,7 @@ func shardReply(rep Reply) ([]string, error) {
 	if rep.Err != nil {
 		return nil, fmt.Errorf("shard %d (%s): %w", rep.Shard, rep.Addr, rep.Err)
 	}
-	if len(rep.Lines) > 0 && strings.HasPrefix(rep.Lines[0], "ERR") {
+	if queryproto.IsErr(rep.Lines) {
 		return nil, fmt.Errorf("shard %d (%s): %s", rep.Shard, rep.Addr, rep.Lines[0])
 	}
 	return rep.Lines, nil
@@ -281,14 +280,11 @@ func Rebalance(oldAddrs, newAddrs []string, o RebalanceOptions) (*RebalanceRepor
 	}
 	for _, p := range pairs {
 		header := fmt.Sprintf("absorb %s %s", pairToken(p), idList(groups[p]))
-		lines, err := pushShard(newAddrs[p[1]], p[1], header, slices[p], o)
-		if err == nil && len(lines) > 0 && strings.HasPrefix(lines[0], "ERR") {
-			err = fmt.Errorf("%s", lines[0])
-		}
+		lines, err := shardReply(newR.queryShard(p[1], header, slices[p]...))
 		if err != nil {
 			dropAbsorbed()
 			unpartAll()
-			return nil, fmt.Errorf("cluster: absorb on shard %d (%s): %w", p[1], newAddrs[p[1]], err)
+			return nil, fmt.Errorf("cluster: absorb: %w", err)
 		}
 		o.logf("rebalance: shard %d %s", p[1], strings.Join(lines, " "))
 	}
@@ -340,68 +336,4 @@ func Rebalance(oldAddrs, newAddrs []string, o RebalanceOptions) (*RebalanceRepor
 	}
 	o.logf("rebalance: done; new-topology digest %s degraded=%v", full.Digest[:12], full.Degraded)
 	return rep, nil
-}
-
-// pushShard is queryShard's payload-carrying sibling: send a header
-// line plus payload lines ended by a blank line, then read the
-// blank-line-terminated response, with the same retry schedule.
-// Absorption is token-deduplicated daemon-side, so blind retries are
-// safe.
-func pushShard(addr string, shard int, header string, payload []string, o RebalanceOptions) ([]string, error) {
-	base := o.BackoffBase
-	if base <= 0 {
-		base = 50 * time.Millisecond
-	}
-	max := o.BackoffMax
-	if max <= 0 {
-		max = time.Second
-	}
-	r := o.router(nil)
-	attempts := r.attempts()
-	waits := retrySchedule(shard, addr, base, max, attempts)
-	var lastErr error
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			time.Sleep(waits[attempt-1])
-		}
-		lines, err := pushOnce(addr, header, payload, o.timeout())
-		if err == nil {
-			return lines, nil
-		}
-		lastErr = err
-	}
-	return nil, lastErr
-}
-
-func pushOnce(addr, header string, payload []string, timeout time.Duration) ([]string, error) {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(timeout))
-	w := bufio.NewWriter(conn)
-	fmt.Fprintln(w, header)
-	for _, ln := range payload {
-		fmt.Fprintln(w, ln)
-	}
-	fmt.Fprintln(w) // blank line ends the payload
-	fmt.Fprintln(w, "quit")
-	if err := w.Flush(); err != nil {
-		return nil, err
-	}
-	var lines []string
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 64<<10), 1<<20)
-	for sc.Scan() {
-		ln := sc.Text()
-		if ln == "" {
-			return lines, nil
-		}
-		lines = append(lines, ln)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return nil, fmt.Errorf("%w after %d lines from %s", ErrTruncated, len(lines), addr)
 }

@@ -1,16 +1,14 @@
 package cluster
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
-	"net"
-	"strings"
 	"sync"
 	"time"
 
 	"wlanscale/internal/backend"
 	"wlanscale/internal/obs"
+	"wlanscale/internal/queryproto"
 	"wlanscale/internal/rng"
 )
 
@@ -191,10 +189,11 @@ func (r *Router) shardErr(i int) {
 	}
 }
 
-// queryShard runs one shard's retry loop: dial, send cmd, read the
-// blank-line-terminated response, with the jittered capped backoff of
-// retrySchedule between attempts.
-func (r *Router) queryShard(i int, cmd string) Reply {
+// queryShard runs one shard's retry loop: one queryproto exchange per
+// attempt — header, plus payload lines for a push (absorb is
+// token-deduplicated daemon-side, so blind retries are safe) — with the
+// jittered capped backoff of retrySchedule between attempts.
+func (r *Router) queryShard(i int, header string, payload ...string) Reply {
 	rep := Reply{Shard: i, Addr: r.Shards[i]}
 	base := r.BackoffBase
 	if base <= 0 {
@@ -211,55 +210,19 @@ func (r *Router) queryShard(i int, cmd string) Reply {
 			time.Sleep(waits[attempt-1])
 		}
 		rep.Attempts++
-		lines, err := queryOnce(rep.Addr, cmd, r.timeout())
-		if err == nil {
-			rep.Lines, rep.Err = lines, nil
+		rep.Lines, rep.Err = queryproto.Do(rep.Addr, r.timeout(), header, payload...)
+		if rep.Err == nil {
 			return rep
 		}
-		rep.Err = err
 		r.shardErr(i)
 	}
 	return rep
 }
 
-// ErrTruncated marks a shard response whose connection closed before
-// the blank-line terminator arrived: the lines read so far may be a
-// prefix of the real answer, so they must be thrown away and the
-// attempt retried, never merged. (A snapshot missing its tail would
-// otherwise fold into a merged digest as if the shard held less data —
-// the silent-loss mode the rebalance verify gate exists to rule out.)
-var ErrTruncated = errors.New("cluster: truncated response (connection closed before terminator)")
-
-// queryOnce is one attempt of the line protocol merakid's query port
-// speaks: send the command plus "quit", read lines until the blank
-// terminator. The deadline covers the whole exchange. A response
-// without its terminator — clean EOF included — is an error, not a
-// short answer.
-func queryOnce(addr, cmd string, timeout time.Duration) ([]string, error) {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(timeout))
-	if _, err := fmt.Fprintf(conn, "%s\nquit\n", cmd); err != nil {
-		return nil, err
-	}
-	var lines []string
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 64<<10), 1<<20)
-	for sc.Scan() {
-		ln := sc.Text()
-		if ln == "" {
-			return lines, nil
-		}
-		lines = append(lines, ln)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return nil, fmt.Errorf("%w after %d lines from %s", ErrTruncated, len(lines), addr)
-}
+// ErrTruncated is queryproto.ErrTruncated: a shard response whose
+// connection closed before the blank-line terminator is thrown away
+// and the attempt retried, never merged.
+var ErrTruncated = queryproto.ErrTruncated
 
 // errAllDown is returned when no shard answered a merge.
 var errAllDown = errors.New("cluster: every shard is down")
@@ -278,7 +241,7 @@ func (r *Router) MergedStore() (*backend.Store, []Reply, error) {
 		if rep.Err != nil {
 			continue
 		}
-		if len(rep.Lines) > 0 && strings.HasPrefix(rep.Lines[0], "ERR") {
+		if queryproto.IsErr(rep.Lines) {
 			rep.Err = fmt.Errorf("cluster: shard %d: %s", rep.Shard, rep.Lines[0])
 			continue
 		}

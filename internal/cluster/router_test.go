@@ -11,120 +11,99 @@ import (
 	"wlanscale/internal/backend"
 	"wlanscale/internal/faultnet"
 	"wlanscale/internal/obs"
+	"wlanscale/internal/queryproto"
 )
 
-// serveStore runs a minimal shard query server over ln: the subset of
-// merakid's line protocol the router and the rebalance coordinator
-// speak (status, digest, snapshot, the migration commands, quit, ERR
-// for the rest). It stops when ln closes.
-func serveStore(ln net.Listener, shard int, s *backend.Store) {
+// serveTable answers every connection ln accepts with queryproto.Serve
+// over table. It stops when ln closes.
+func serveTable(ln net.Listener, table []queryproto.Command) {
 	go func() {
 		for {
 			conn, err := ln.Accept()
 			if err != nil {
 				return
 			}
-			go func(c net.Conn) {
-				defer c.Close()
-				sc := bufio.NewScanner(c)
-				sc.Buffer(make([]byte, 64<<10), 1<<20)
-				w := bufio.NewWriter(c)
-				for sc.Scan() {
-					fields := strings.Fields(sc.Text())
-					if len(fields) == 0 {
-						continue
-					}
-					switch fields[0] {
-					case "status":
-						ing, dup := s.Stats()
-						fmt.Fprintf(w, "shard %d\n", shard)
-						fmt.Fprintf(w, "ingested=%d duplicates=%d clients=%d\n", ing, dup, s.NumClients())
-					case "digest":
-						fmt.Fprintln(w, s.Digest())
-					case "snapshot":
-						if err := WriteSnapshotLines(w, s); err != nil {
-							fmt.Fprintf(w, "ERR %v\n", err)
-						}
-					case "networks":
-						for _, id := range s.Networks(backend.NetworkOfSerial) {
-							fmt.Fprintf(w, "%d\n", id)
-						}
-					case "extract":
-						ids, err := ParseIDList(fields[1])
-						if err != nil {
-							fmt.Fprintf(w, "ERR %v\n", err)
-							break
-						}
-						slice := s.ExtractNetworks(backend.IDSet(ids), backend.NetworkOfSerial)
-						if err := WriteSnapshotLines(w, slice); err != nil {
-							fmt.Fprintf(w, "ERR %v\n", err)
-						}
-					case "part", "unpart":
-						ids, err := ParseIDList(fields[1])
-						if err != nil {
-							fmt.Fprintf(w, "ERR %v\n", err)
-							break
-						}
-						if fields[0] == "part" {
-							s.Part(ids)
-							fmt.Fprintf(w, "parted n=%d\n", len(ids))
-						} else {
-							s.Unpart(ids)
-							fmt.Fprintf(w, "unparted n=%d\n", len(ids))
-						}
-					case "drop":
-						ids, err := ParseIDList(fields[2])
-						if err != nil {
-							fmt.Fprintf(w, "ERR %v\n", err)
-							break
-						}
-						nets, entries := s.Drop(fields[1], ids, backend.NetworkOfSerial)
-						fmt.Fprintf(w, "dropped networks=%d entries=%d\n", nets, entries)
-					case "absorb":
-						ids, err := ParseIDList(fields[2])
-						if err != nil {
-							fmt.Fprintf(w, "ERR %v\n", err)
-							break
-						}
-						var payload []string
-						for sc.Scan() {
-							ln := sc.Text()
-							if ln == "" {
-								break
-							}
-							payload = append(payload, ln)
-						}
-						raw, err := DecodeSnapshotLines(payload)
-						if err != nil {
-							fmt.Fprintf(w, "ERR %v\n", err)
-							break
-						}
-						applied, err := s.Absorb(fields[1], ids, raw, backend.NetworkOfSerial)
-						switch {
-						case err != nil:
-							fmt.Fprintf(w, "ERR %v\n", err)
-						case !applied:
-							fmt.Fprintf(w, "already token=%s\n", fields[1])
-						default:
-							fmt.Fprintf(w, "absorbed token=%s networks=%d\n", fields[1], len(ids))
-						}
-					case "quit":
-						w.Flush()
-						return
-					default:
-						fmt.Fprintf(w, "ERR unknown command %q\n", fields[0])
-					}
-					fmt.Fprintln(w)
-					w.Flush()
-				}
-			}(conn)
+			go queryproto.Serve(conn, table)
 		}
 	}()
 }
 
-// startShards serves each store on a loopback listener and returns the
+// serveStore runs a minimal shard query server over ln: the subset of
+// merakid's commands the router and the rebalance coordinator speak
+// (status, digest, snapshot, the migration commands), backed by a bare
+// in-memory store.
+func serveStore(ln net.Listener, shard int, s *backend.Store) {
+	type run = func(w *bufio.Writer, args, payload []string) error
+	// withIDs parses operand `at` as the network ID list first.
+	withIDs := func(at int, fn func(w *bufio.Writer, args []string, ids []uint64, payload []string) error) run {
+		return func(w *bufio.Writer, args, payload []string) error {
+			ids, err := ParseIDList(args[at])
+			if err != nil {
+				return err
+			}
+			return fn(w, args, ids, payload)
+		}
+	}
+	serveTable(ln, []queryproto.Command{
+		{Name: "status", Run: func(w *bufio.Writer, _, _ []string) error {
+			ing, dup := s.Stats()
+			fmt.Fprintf(w, "shard %d\n", shard)
+			fmt.Fprintf(w, "ingested=%d duplicates=%d clients=%d\n", ing, dup, s.NumClients())
+			return nil
+		}},
+		{Name: "digest", Run: func(w *bufio.Writer, _, _ []string) error {
+			fmt.Fprintln(w, s.Digest())
+			return nil
+		}},
+		{Name: "snapshot", Run: func(w *bufio.Writer, _, _ []string) error {
+			return WriteSnapshotLines(w, s)
+		}},
+		{Name: "networks", Run: func(w *bufio.Writer, _, _ []string) error {
+			for _, id := range s.Networks(backend.NetworkOfSerial) {
+				fmt.Fprintf(w, "%d\n", id)
+			}
+			return nil
+		}},
+		{Name: "extract", Usage: "IDS", MinArgs: 1, Run: withIDs(0, func(w *bufio.Writer, _ []string, ids []uint64, _ []string) error {
+			return WriteSnapshotLines(w, s.ExtractNetworks(backend.IDSet(ids), backend.NetworkOfSerial))
+		})},
+		{Name: "part", Usage: "IDS", MinArgs: 1, Run: withIDs(0, func(w *bufio.Writer, _ []string, ids []uint64, _ []string) error {
+			s.Part(ids)
+			fmt.Fprintf(w, "parted n=%d\n", len(ids))
+			return nil
+		})},
+		{Name: "unpart", Usage: "IDS", MinArgs: 1, Run: withIDs(0, func(w *bufio.Writer, _ []string, ids []uint64, _ []string) error {
+			s.Unpart(ids)
+			fmt.Fprintf(w, "unparted n=%d\n", len(ids))
+			return nil
+		})},
+		{Name: "drop", Usage: "TOKEN IDS", MinArgs: 2, Run: withIDs(1, func(w *bufio.Writer, args []string, ids []uint64, _ []string) error {
+			nets, entries := s.Drop(args[0], ids, backend.NetworkOfSerial)
+			fmt.Fprintf(w, "dropped networks=%d entries=%d\n", nets, entries)
+			return nil
+		})},
+		{Name: "absorb", Usage: "TOKEN IDS", MinArgs: 2, Payload: true, Run: withIDs(1, func(w *bufio.Writer, args []string, ids []uint64, payload []string) error {
+			raw, err := DecodeSnapshotLines(payload)
+			if err != nil {
+				return err
+			}
+			applied, err := s.Absorb(args[0], ids, raw, backend.NetworkOfSerial)
+			switch {
+			case err != nil:
+				return err
+			case !applied:
+				fmt.Fprintf(w, "already token=%s\n", args[0])
+			default:
+				fmt.Fprintf(w, "absorbed token=%s networks=%d\n", args[0], len(ids))
+			}
+			return nil
+		})},
+	})
+}
+
+// serveShards serves each store on a loopback listener and returns the
 // router plus the listeners (close one to take its shard down).
-func startShards(t *testing.T, stores []*backend.Store) (*Router, []net.Listener) {
+func serveShards(t *testing.T, stores []*backend.Store) (*Router, []net.Listener) {
 	t.Helper()
 	lns := make([]net.Listener, len(stores))
 	addrs := make([]string, len(stores))
@@ -147,7 +126,7 @@ func startShards(t *testing.T, stores []*backend.Store) (*Router, []net.Listener
 
 func TestFanoutDigest(t *testing.T) {
 	stores := shardStores(4, clusterReports(1, 6))
-	r, _ := startShards(t, stores)
+	r, _ := serveShards(t, stores)
 	replies := r.Fanout("digest")
 	if len(replies) != 4 {
 		t.Fatalf("got %d replies", len(replies))
@@ -172,7 +151,7 @@ func TestFanoutDigest(t *testing.T) {
 }
 
 func TestFanoutErrLineIsNotAnError(t *testing.T) {
-	r, _ := startShards(t, shardStores(2, nil))
+	r, _ := serveShards(t, shardStores(2, nil))
 	replies := r.Fanout("no-such-command")
 	for _, rep := range replies {
 		if rep.Err != nil {

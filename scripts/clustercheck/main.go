@@ -17,134 +17,18 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
 
-	"wlanscale/internal/backend"
 	"wlanscale/internal/cluster"
-	"wlanscale/internal/dot11"
-	"wlanscale/internal/telemetry"
+	"wlanscale/internal/fleettest"
+	"wlanscale/internal/queryproto"
 )
 
-const (
-	nNetworks  = 6
-	apsPerNet  = 2
-	nReports   = 60
-	defaultKey = 0x42 // matches merakid's default -key (64 hex '42's)
-)
-
-func reports(netID uint64, ap int) []*telemetry.Report {
-	serial := fmt.Sprintf("Q2CL-%03d-%d", netID, ap)
-	out := make([]*telemetry.Report, 0, nReports)
-	for i := 0; i < nReports; i++ {
-		out = append(out, &telemetry.Report{
-			Serial:    serial,
-			Timestamp: uint64(1700000000 + i),
-			Clients: []telemetry.ClientRecord{{
-				MAC:  dot11.MAC{0x02, 0xc6, byte(netID), byte(ap), byte(i >> 8), byte(i)},
-				Band: dot11.Band5,
-				Apps: []telemetry.AppUsageRecord{{
-					App: "HTTP", UpBytes: uint64(i), DownBytes: uint64(i) * 13, Flows: 1,
-				}},
-			}},
-		})
-	}
-	return out
-}
-
-func controlDigest() string {
-	s := backend.NewStore()
-	for n := 0; n < nNetworks; n++ {
-		for ap := 0; ap < apsPerNet; ap++ {
-			for i, r := range reports(uint64(100+n), ap) {
-				r.SeqNo = uint64(i + 1)
-				s.Ingest(r)
-			}
-		}
-	}
-	return s.Digest()
-}
-
-func freePorts(n int) ([]string, error) {
-	addrs := make([]string, n)
-	lns := make([]net.Listener, n)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		lns[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-	for _, ln := range lns {
-		ln.Close()
-	}
-	return addrs, nil
-}
-
-func startShard(bin, listen, query, walDir string, shard, shards int, peers string) (*exec.Cmd, error) {
-	cmd := exec.Command(bin,
-		"-listen", listen, "-query", query,
-		"-poll", "20ms", "-batch", "8", "-timeout", "2s",
-		"-wal-dir", walDir, "-wal-fsync", "off",
-		"-checkpoint", "75ms", "-trace-sample", "0",
-		"-shard", strconv.Itoa(shard), "-shards", strconv.Itoa(shards),
-		"-peers", peers,
-	)
-	cmd.Stdout = os.Stderr
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		return nil, err
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if conn, err := net.DialTimeout("tcp", query, 200*time.Millisecond); err == nil {
-			conn.Close()
-			return cmd, nil
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	cmd.Process.Kill()
-	cmd.Wait()
-	return nil, fmt.Errorf("shard %d did not open query port %s", shard, query)
-}
-
-func queryLines(addr, command string) ([]string, error) {
-	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	if _, err := fmt.Fprintf(conn, "%s\nquit\n", command); err != nil {
-		return nil, err
-	}
-	var b strings.Builder
-	buf := make([]byte, 4096)
-	for {
-		n, err := conn.Read(buf)
-		b.Write(buf[:n])
-		if err != nil {
-			break
-		}
-	}
-	var lines []string
-	for _, ln := range strings.Split(b.String(), "\n") {
-		if ln == "" {
-			break
-		}
-		lines = append(lines, ln)
-	}
-	if len(lines) == 0 {
-		return nil, fmt.Errorf("empty reply to %q", command)
-	}
-	return lines, nil
-}
+var fleet = fleettest.Fleet{Networks: 6, APs: 2, Reports: 60}
 
 func run(shards int) error {
 	tmp, err := os.MkdirTemp("", "clustercheck-*")
@@ -152,85 +36,40 @@ func run(shards int) error {
 		return err
 	}
 	defer os.RemoveAll(tmp)
+	defer fleettest.Cleanup()
 
-	bin := filepath.Join(tmp, "merakid")
-	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/merakid").CombinedOutput(); err != nil {
-		return fmt.Errorf("go build: %v\n%s", err, out)
-	}
-	ports, err := freePorts(2 * shards)
+	bin, err := fleettest.Build("merakid")
 	if err != nil {
 		return err
 	}
-	listens := make([]string, shards)
-	queries := make([]string, shards)
-	for i := 0; i < shards; i++ {
-		listens[i], queries[i] = ports[2*i], ports[2*i+1]
+	ports, err := fleettest.Ports(2 * shards)
+	if err != nil {
+		return err
 	}
+	listens, queries := ports[:shards], ports[shards:]
 	peers := strings.Join(queries, ",")
-
-	daemons := make([]*exec.Cmd, shards)
-	defer func() {
-		for _, d := range daemons {
-			if d != nil {
-				d.Process.Kill()
-				d.Wait()
-			}
-		}
-	}()
 	for i := 0; i < shards; i++ {
-		walDir := filepath.Join(tmp, fmt.Sprintf("wal-%d", i))
-		if daemons[i], err = startShard(bin, listens[i], queries[i], walDir, i, shards, peers); err != nil {
+		d, err := fleettest.Start(bin, listens[i], queries[i], filepath.Join(tmp, fmt.Sprintf("wal-%d", i)),
+			"-shard", strconv.Itoa(i), "-shards", strconv.Itoa(shards), "-peers", peers)
+		if err != nil {
 			return err
 		}
+		defer d.Kill()
 	}
 
 	// The fleet: agents route to their network's shard via the same map
 	// merakid and merakisim agree on, alternating wire versions so both
 	// codecs cross every shard.
+	agents := fleet.Agents()
+	fleet.Enqueue(agents, 0, fleet.Reports)
 	stop := make(chan struct{})
 	defer close(stop)
-	key := make([]byte, 32)
-	for i := range key {
-		key[i] = defaultKey
-	}
-	m := cluster.NewMap(shards)
-	var agents []*telemetry.Agent
-	ai := 0
-	for n := 0; n < nNetworks; n++ {
-		netID := uint64(100 + n)
-		for ap := 0; ap < apsPerNet; ap++ {
-			a := telemetry.NewAgent(fmt.Sprintf("Q2CL-%03d-%d", netID, ap), key)
-			if ai%2 == 0 {
-				a.Wire = telemetry.WireV2
-			}
-			a.Timeout = 2 * time.Second
-			a.BackoffBase = 20 * time.Millisecond
-			a.BackoffMax = 200 * time.Millisecond
-			for _, r := range reports(netID, ap) {
-				a.Enqueue(r)
-			}
-			agents = append(agents, a)
-			go a.RunWithReconnect(listens[m.Shard(netID)], stop)
-			ai++
-		}
+	fleettest.Run(agents, listens, cluster.NewMap(shards), stop)
+	if err := fleettest.Drain(agents, time.Now().Add(60*time.Second)); err != nil {
+		return err
 	}
 
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		left := 0
-		for _, a := range agents {
-			left += a.QueueLen()
-		}
-		if left == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("fleet did not drain: %d reports still queued", left)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-
-	want := controlDigest()
+	want := fleet.ControlDigest()
 
 	r := &cluster.Router{Shards: queries, Timeout: 5 * time.Second}
 	dig, err := r.MergedDigest()
@@ -244,15 +83,15 @@ func run(shards int) error {
 		return fmt.Errorf("router digest mismatch\n got %s\nwant %s", dig.Digest, want)
 	}
 
-	lines, err := queryLines(queries[0], "fanout digest")
+	lines, err := queryproto.Do(queries[0], 5*time.Second, "fanout digest")
 	if err != nil {
 		return err
 	}
-	if lines[0] != want {
-		return fmt.Errorf("daemon-side fanout digest mismatch\n got %s\nwant %s", lines[0], want)
-	}
 	if len(lines) < 2 || !strings.Contains(lines[1], "degraded=false") {
 		return fmt.Errorf("fanout summary = %q, want degraded=false", lines)
+	}
+	if lines[0] != want {
+		return fmt.Errorf("daemon-side fanout digest mismatch\n got %s\nwant %s", lines[0], want)
 	}
 	return nil
 }

@@ -12,123 +12,17 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net"
 	"os"
-	"os/exec"
 	"path/filepath"
-	"strings"
-	"syscall"
 	"time"
 
-	"wlanscale/internal/backend"
-	"wlanscale/internal/dot11"
+	"wlanscale/internal/cluster"
+	"wlanscale/internal/fleettest"
+	"wlanscale/internal/queryproto"
 	"wlanscale/internal/rng"
-	"wlanscale/internal/telemetry"
 )
 
-const (
-	nAgents    = 3
-	nReports   = 120
-	defaultKey = 0x42 // matches merakid's default -key (64 hex '42's)
-)
-
-func reports(ai int) []*telemetry.Report {
-	serial := fmt.Sprintf("Q2XX-SMOKE-%d", ai)
-	out := make([]*telemetry.Report, 0, nReports)
-	for i := 0; i < nReports; i++ {
-		out = append(out, &telemetry.Report{
-			Serial:    serial,
-			Timestamp: uint64(1700000000 + i),
-			Clients: []telemetry.ClientRecord{{
-				MAC:  dot11.MAC{0x02, 0xc5, byte(ai), 0x00, byte(i >> 8), byte(i)},
-				Band: dot11.Band5,
-				Apps: []telemetry.AppUsageRecord{{
-					App: "Netflix", UpBytes: uint64(i), DownBytes: uint64(i) * 7, Flows: 1,
-				}},
-			}},
-		})
-	}
-	return out
-}
-
-func controlDigest() string {
-	s := backend.NewStore()
-	for ai := 0; ai < nAgents; ai++ {
-		for i, r := range reports(ai) {
-			r.SeqNo = uint64(i + 1)
-			s.Ingest(r)
-		}
-	}
-	return s.Digest()
-}
-
-func freePorts(n int) ([]string, error) {
-	addrs := make([]string, n)
-	lns := make([]net.Listener, n)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		lns[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-	for _, ln := range lns {
-		ln.Close()
-	}
-	return addrs, nil
-}
-
-func startDaemon(bin, listen, query, walDir string) (*exec.Cmd, error) {
-	cmd := exec.Command(bin,
-		"-listen", listen, "-query", query,
-		"-poll", "20ms", "-batch", "8", "-timeout", "2s",
-		"-wal-dir", walDir, "-wal-fsync", "off",
-		"-checkpoint", "75ms", "-trace-sample", "0",
-	)
-	cmd.Stdout = os.Stderr
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		return nil, err
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if conn, err := net.DialTimeout("tcp", query, 200*time.Millisecond); err == nil {
-			conn.Close()
-			return cmd, nil
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	cmd.Process.Kill()
-	cmd.Wait()
-	return nil, fmt.Errorf("daemon did not open query port %s", query)
-}
-
-func queryLine(addr, command string) (string, error) {
-	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
-	if err != nil {
-		return "", err
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	if _, err := fmt.Fprintf(conn, "%s\nquit\n", command); err != nil {
-		return "", err
-	}
-	var b strings.Builder
-	buf := make([]byte, 4096)
-	for {
-		n, err := conn.Read(buf)
-		b.Write(buf[:n])
-		if err != nil {
-			break
-		}
-	}
-	line, _, _ := strings.Cut(b.String(), "\n")
-	if line == "" {
-		return "", fmt.Errorf("empty reply to %q", command)
-	}
-	return line, nil
-}
+var fleet = fleettest.Fleet{Networks: 3, APs: 1, Reports: 120}
 
 func run(seed uint64, cycles int) error {
 	tmp, err := os.MkdirTemp("", "crashcheck-*")
@@ -136,81 +30,48 @@ func run(seed uint64, cycles int) error {
 		return err
 	}
 	defer os.RemoveAll(tmp)
+	defer fleettest.Cleanup()
 
-	bin := filepath.Join(tmp, "merakid")
-	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/merakid").CombinedOutput(); err != nil {
-		return fmt.Errorf("go build: %v\n%s", err, out)
+	bin, err := fleettest.Build("merakid")
+	if err != nil {
+		return err
 	}
-	walDir := filepath.Join(tmp, "wal")
-	addrs, err := freePorts(2)
+	addrs, err := fleettest.Ports(2)
 	if err != nil {
 		return err
 	}
 	listen, query := addrs[0], addrs[1]
 
-	stop := make(chan struct{})
-	defer close(stop)
-	key := make([]byte, 32)
-	for i := range key {
-		key[i] = defaultKey
-	}
-	agents := make([]*telemetry.Agent, nAgents)
-	for ai := 0; ai < nAgents; ai++ {
-		a := telemetry.NewAgent(fmt.Sprintf("Q2XX-SMOKE-%d", ai), key)
-		a.Timeout = 2 * time.Second
-		a.BackoffBase = 20 * time.Millisecond
-		a.BackoffMax = 200 * time.Millisecond
-		for _, r := range reports(ai) {
-			a.Enqueue(r)
-		}
-		agents[ai] = a
-	}
-
-	d, err := startDaemon(bin, listen, query, walDir)
+	agents := fleet.Agents()
+	fleet.Enqueue(agents, 0, fleet.Reports)
+	d, err := fleettest.Start(bin, listen, query, filepath.Join(tmp, "wal"))
 	if err != nil {
 		return err
 	}
-	for _, a := range agents {
-		go a.RunWithReconnect(listen, stop)
-	}
+	defer d.Kill()
+	stop := make(chan struct{})
+	defer close(stop)
+	fleettest.Run(agents, []string{listen}, cluster.NewMap(1), stop)
 
 	killRNG := rng.New(seed).Split("crashcheck-kill")
 	for c := 0; c < cycles; c++ {
 		delay := time.Duration(30+killRNG.IntN(370)) * time.Millisecond
 		time.Sleep(delay)
 		fmt.Fprintf(os.Stderr, "crashcheck: cycle %d: SIGKILL after %v\n", c+1, delay)
-		d.Process.Signal(syscall.SIGKILL)
-		d.Wait()
-		if d, err = startDaemon(bin, listen, query, walDir); err != nil {
+		if err := d.Restart(); err != nil {
 			return err
 		}
 	}
-	defer func() {
-		d.Process.Kill()
-		d.Wait()
-	}()
-
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		left := 0
-		for _, a := range agents {
-			left += a.QueueLen()
-		}
-		if left == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("fleet did not drain: %d reports still queued", left)
-		}
-		time.Sleep(20 * time.Millisecond)
+	if err := fleettest.Drain(agents, time.Now().Add(60*time.Second)); err != nil {
+		return err
 	}
 
-	got, err := queryLine(query, "digest")
+	got, err := queryproto.Do(query, 5*time.Second, "digest")
 	if err != nil {
 		return err
 	}
-	if want := controlDigest(); got != want {
-		status, _ := queryLine(query, "status")
+	if want := fleet.ControlDigest(); len(got) != 1 || got[0] != want {
+		status, _ := queryproto.Do(query, 5*time.Second, "status")
 		return fmt.Errorf("digest mismatch after crash recovery\n got %s\nwant %s\nstatus: %s", got, want, status)
 	}
 	return nil

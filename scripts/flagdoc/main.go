@@ -20,6 +20,7 @@ import (
 	"go/parser"
 	"go/printer"
 	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -119,14 +120,14 @@ func scanCommands(root string) ([]command, error) {
 func scanCommand(dir string) (command, error) {
 	c := command{Name: filepath.Base(dir)}
 	fset := token.NewFileSet()
-	pkgs, err := parser.ParseDir(fset, dir, nil, parser.ParseComments)
+	// Test files register test-binary flags (cmd/merakid's -update), not
+	// flags of the command.
+	notTest := func(fi fs.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }
+	pkgs, err := parser.ParseDir(fset, dir, notTest, parser.ParseComments)
 	if err != nil {
 		return c, err
 	}
-	for name, pkg := range pkgs {
-		if strings.HasSuffix(name, "_test") {
-			continue
-		}
+	for _, pkg := range pkgs {
 		// Filenames in deterministic order so positions sort stably.
 		var files []string
 		for file := range pkg.Files {

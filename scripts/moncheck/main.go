@@ -24,103 +24,24 @@ import (
 	"net/http"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
 
 	"wlanscale/internal/dot11"
 	"wlanscale/internal/faultnet"
+	"wlanscale/internal/fleettest"
+	"wlanscale/internal/queryproto"
 	"wlanscale/internal/telemetry"
 )
 
-const defaultKey = 0x42 // matches merakid's default -key (64 hex '42's)
-
-func freePorts(n int) ([]string, error) {
-	addrs := make([]string, n)
-	lns := make([]net.Listener, n)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		lns[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-	for _, ln := range lns {
-		ln.Close()
-	}
-	return addrs, nil
-}
-
-func startShard(bin, listen, query, debug string, shard, shards int, peers string) (*exec.Cmd, error) {
-	args := []string{
-		"-listen", listen, "-query", query,
-		"-poll", "20ms", "-batch", "8", "-timeout", "500ms",
-		"-trace-sample", "0",
-		"-series-every", "100ms", "-series-cap", "256",
-		"-health-for", "2", "-health-for-ok", "2",
-		"-shard", strconv.Itoa(shard), "-shards", strconv.Itoa(shards),
-		"-peers", peers,
-	}
-	if debug != "" {
-		args = append(args, "-debug", debug)
-	}
-	cmd := exec.Command(bin, args...)
-	cmd.Stdout = os.Stderr
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		return nil, err
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if conn, err := net.DialTimeout("tcp", query, 200*time.Millisecond); err == nil {
-			conn.Close()
-			return cmd, nil
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	cmd.Process.Kill()
-	cmd.Wait()
-	return nil, fmt.Errorf("shard %d did not open query port %s", shard, query)
-}
-
-func queryLines(addr, command string) ([]string, error) {
-	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	if _, err := fmt.Fprintf(conn, "%s\nquit\n", command); err != nil {
-		return nil, err
-	}
-	var b strings.Builder
-	buf := make([]byte, 4096)
-	for {
-		n, err := conn.Read(buf)
-		b.Write(buf[:n])
-		if err != nil {
-			break
-		}
-	}
-	var lines []string
-	for _, ln := range strings.Split(b.String(), "\n") {
-		if ln == "" {
-			break
-		}
-		lines = append(lines, ln)
-	}
-	if len(lines) == 0 {
-		return nil, fmt.Errorf("empty reply to %q", command)
-	}
-	return lines, nil
-}
+// queryTimeout bounds one query exchange against a shard.
+const queryTimeout = 5 * time.Second
 
 // alertState returns one rule's reported state on a shard ("ok",
 // "pending", "firing").
 func alertState(query, rule string) (string, error) {
-	lines, err := queryLines(query, "alerts")
+	lines, err := queryproto.Do(query, queryTimeout, "alerts")
 	if err != nil {
 		return "", err
 	}
@@ -154,7 +75,7 @@ func waitForState(query, rule, want string, deadline time.Duration) error {
 
 // metricValue reads one scalar from a shard's "metrics" reply.
 func metricValue(query, name string) (int64, error) {
-	lines, err := queryLines(query, "metrics")
+	lines, err := queryproto.Do(query, queryTimeout, "metrics")
 	if err != nil {
 		return 0, err
 	}
@@ -186,13 +107,9 @@ func report(serial string, i int) *telemetry.Report {
 // wrapper that corrupts every I/O op — the daemon sees a stream of MAC
 // failures, never a valid session.
 func startAgents(listen string, n int, serialPrefix string, corrupt bool, stop chan struct{}) []*telemetry.Agent {
-	key := make([]byte, 32)
-	for i := range key {
-		key[i] = defaultKey
-	}
 	agents := make([]*telemetry.Agent, n)
 	for i := 0; i < n; i++ {
-		a := telemetry.NewAgent(fmt.Sprintf("%s-%02d", serialPrefix, i), key)
+		a := telemetry.NewAgent(fmt.Sprintf("%s-%02d", serialPrefix, i), fleettest.Key())
 		a.Timeout = 500 * time.Millisecond
 		a.BackoffBase = 10 * time.Millisecond
 		a.BackoffMax = 50 * time.Millisecond
@@ -221,43 +138,35 @@ func startAgents(listen string, n int, serialPrefix string, corrupt bool, stop c
 }
 
 func run() error {
-	tmp, err := os.MkdirTemp("", "moncheck-*")
+	defer fleettest.Cleanup()
+	bin, err := fleettest.Build("merakid")
 	if err != nil {
 		return err
-	}
-	defer os.RemoveAll(tmp)
-
-	bin := filepath.Join(tmp, "merakid")
-	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/merakid").CombinedOutput(); err != nil {
-		return fmt.Errorf("go build: %v\n%s", err, out)
 	}
 	const shards = 2
-	ports, err := freePorts(2*shards + 1)
+	ports, err := fleettest.Ports(2*shards + 1)
 	if err != nil {
 		return err
 	}
-	listens := []string{ports[0], ports[2]}
-	queries := []string{ports[1], ports[3]}
-	debugAddr := ports[4]
+	listens, queries, debugAddr := ports[:2], ports[2:4], ports[4]
 	peers := strings.Join(queries, ",")
-
-	daemons := make([]*exec.Cmd, shards)
-	defer func() {
-		for _, d := range daemons {
-			if d != nil {
-				d.Process.Kill()
-				d.Wait()
-			}
-		}
-	}()
 	for i := 0; i < shards; i++ {
-		dbg := ""
-		if i == 0 {
-			dbg = debugAddr
+		// A fast observability cadence, volatile stores; shard 0 also
+		// serves the debug endpoints.
+		flags := []string{
+			"-timeout", "500ms",
+			"-series-every", "100ms", "-series-cap", "256",
+			"-health-for", "2", "-health-for-ok", "2",
+			"-shard", strconv.Itoa(i), "-shards", strconv.Itoa(shards), "-peers", peers,
 		}
-		if daemons[i], err = startShard(bin, listens[i], queries[i], dbg, i, shards, peers); err != nil {
+		if i == 0 {
+			flags = append(flags, "-debug", debugAddr)
+		}
+		d, err := fleettest.Start(bin, listens[i], queries[i], "", flags...)
+		if err != nil {
 			return err
 		}
+		defer d.Kill()
 	}
 
 	// Phase 1 — healthy baseline: clean agents on both shards, rules ok.
@@ -267,19 +176,8 @@ func run() error {
 	for i := 0; i < shards; i++ {
 		clean = append(clean, startAgents(listens[i], 2, fmt.Sprintf("Q2MN-S%d", i), false, stop)...)
 	}
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		left := 0
-		for _, a := range clean {
-			left += a.QueueLen()
-		}
-		if left == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("clean fleet did not drain: %d reports still queued", left)
-		}
-		time.Sleep(20 * time.Millisecond)
+	if err := fleettest.Drain(clean, time.Now().Add(30*time.Second)); err != nil {
+		return fmt.Errorf("clean fleet: %v", err)
 	}
 	for i := 0; i < shards; i++ {
 		if st, err := alertState(queries[i], "harvest-degradation"); err != nil || st != "ok" {
@@ -297,14 +195,14 @@ func run() error {
 		return fmt.Errorf("degraded shard: %v", err)
 	}
 	// The firing alert surfaces on every operator view of shard 1.
-	status, err := queryLines(queries[1], "status")
+	status, err := queryproto.Do(queries[1], queryTimeout, "status")
 	if err != nil {
 		return err
 	}
 	if !strings.Contains(strings.Join(status, "\n"), "harvest-degradation") {
 		return fmt.Errorf("status does not surface the firing alert: %q", status)
 	}
-	watch, err := queryLines(queries[1], "watch")
+	watch, err := queryproto.Do(queries[1], queryTimeout, "watch")
 	if err != nil {
 		return err
 	}
@@ -361,9 +259,9 @@ func run() error {
 
 	// Phase 5 — the operator dashboard: one merakireport -watch refresh
 	// renders a line per shard from the same fleet.
-	rep := filepath.Join(tmp, "merakireport")
-	if out, err := exec.Command("go", "build", "-o", rep, "./cmd/merakireport").CombinedOutput(); err != nil {
-		return fmt.Errorf("go build merakireport: %v\n%s", err, out)
+	rep, err := fleettest.Build("merakireport")
+	if err != nil {
+		return err
 	}
 	out, err := exec.Command(rep, "-cluster", peers, "-watch", "-watch-count", "1", "-watch-every", "100ms").CombinedOutput()
 	if err != nil {

@@ -16,7 +16,6 @@ package main
 
 import (
 	"fmt"
-	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -24,141 +23,15 @@ import (
 	"strings"
 	"time"
 
-	"wlanscale/internal/backend"
 	"wlanscale/internal/cluster"
-	"wlanscale/internal/dot11"
-	"wlanscale/internal/telemetry"
+	"wlanscale/internal/fleettest"
+	"wlanscale/internal/queryproto"
 )
 
-const (
-	nNetworks  = 6
-	apsPerNet  = 2
-	nReports   = 60 // per AP, split into two waves around the rebalance
-	waveSplit  = 30
-	defaultKey = 0x42 // matches merakid's default -key (64 hex '42's)
-)
+// Each AP's stream is delivered in two waves around the rebalance.
+var fleet = fleettest.Fleet{Networks: 6, APs: 2, Reports: 60}
 
-func reports(netID uint64, ap int) []*telemetry.Report {
-	serial := fmt.Sprintf("Q2CL-%03d-%d", netID, ap)
-	out := make([]*telemetry.Report, 0, nReports)
-	for i := 0; i < nReports; i++ {
-		out = append(out, &telemetry.Report{
-			Serial:    serial,
-			Timestamp: uint64(1700000000 + i),
-			Clients: []telemetry.ClientRecord{{
-				MAC:  dot11.MAC{0x02, 0xc8, byte(netID), byte(ap), byte(i >> 8), byte(i)},
-				Band: dot11.Band5,
-				Apps: []telemetry.AppUsageRecord{{
-					App: "HTTP", UpBytes: uint64(i), DownBytes: uint64(i) * 17, Flows: 1,
-				}},
-			}},
-		})
-	}
-	return out
-}
-
-func controlDigest() string {
-	s := backend.NewStore()
-	for n := 0; n < nNetworks; n++ {
-		for ap := 0; ap < apsPerNet; ap++ {
-			for i, r := range reports(uint64(100+n), ap) {
-				r.SeqNo = uint64(i + 1)
-				s.Ingest(r)
-			}
-		}
-	}
-	return s.Digest()
-}
-
-func freePorts(n int) ([]string, error) {
-	addrs := make([]string, n)
-	lns := make([]net.Listener, n)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		lns[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-	for _, ln := range lns {
-		ln.Close()
-	}
-	return addrs, nil
-}
-
-func startShard(bin, listen, query, walDir string, shard, shards, epoch int, peers string) (*exec.Cmd, error) {
-	cmd := exec.Command(bin,
-		"-listen", listen, "-query", query,
-		"-poll", "20ms", "-batch", "8", "-timeout", "2s",
-		"-wal-dir", walDir, "-wal-fsync", "off",
-		"-checkpoint", "75ms", "-trace-sample", "0",
-		"-shard", strconv.Itoa(shard), "-shards", strconv.Itoa(shards),
-		"-map-epoch", strconv.Itoa(epoch), "-peers", peers,
-	)
-	cmd.Stdout = os.Stderr
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		return nil, err
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if conn, err := net.DialTimeout("tcp", query, 200*time.Millisecond); err == nil {
-			conn.Close()
-			return cmd, nil
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	cmd.Process.Kill()
-	cmd.Wait()
-	return nil, fmt.Errorf("shard %d did not open query port %s", shard, query)
-}
-
-func queryLines(addr, command string) ([]string, error) {
-	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	if _, err := fmt.Fprintf(conn, "%s\nquit\n", command); err != nil {
-		return nil, err
-	}
-	var b strings.Builder
-	buf := make([]byte, 4096)
-	for {
-		n, err := conn.Read(buf)
-		b.Write(buf[:n])
-		if err != nil {
-			break
-		}
-	}
-	var lines []string
-	for _, ln := range strings.Split(b.String(), "\n") {
-		if ln == "" {
-			break
-		}
-		lines = append(lines, ln)
-	}
-	return lines, nil
-}
-
-func drain(agents []*telemetry.Agent) error {
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		left := 0
-		for _, a := range agents {
-			left += a.QueueLen()
-		}
-		if left == 0 {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("fleet did not drain: %d reports still queued", left)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-}
+const waveSplit = 30
 
 func run() error {
 	tmp, err := os.MkdirTemp("", "rebalancecheck-*")
@@ -166,82 +39,55 @@ func run() error {
 		return err
 	}
 	defer os.RemoveAll(tmp)
+	defer fleettest.Cleanup()
 
-	merakid := filepath.Join(tmp, "merakid")
-	if out, err := exec.Command("go", "build", "-o", merakid, "./cmd/merakid").CombinedOutput(); err != nil {
-		return fmt.Errorf("go build merakid: %v\n%s", err, out)
-	}
-	merakireport := filepath.Join(tmp, "merakireport")
-	if out, err := exec.Command("go", "build", "-o", merakireport, "./cmd/merakireport").CombinedOutput(); err != nil {
-		return fmt.Errorf("go build merakireport: %v\n%s", err, out)
-	}
-
-	ports, err := freePorts(6)
+	merakid, err := fleettest.Build("merakid")
 	if err != nil {
 		return err
 	}
-	listens := []string{ports[0], ports[2], ports[4]}
-	queries := []string{ports[1], ports[3], ports[5]}
+	merakireport, err := fleettest.Build("merakireport")
+	if err != nil {
+		return err
+	}
+	ports, err := fleettest.Ports(6)
+	if err != nil {
+		return err
+	}
+	listens, queries := ports[:3], ports[3:]
 	oldPeers := strings.Join(queries[:2], ",")
 	newPeers := strings.Join(queries, ",")
-
-	daemons := make([]*exec.Cmd, 3)
-	defer func() {
-		for _, d := range daemons {
-			if d != nil {
-				d.Process.Kill()
-				d.Wait()
-			}
-		}
-	}()
+	spawn := func(i, shards, epoch int, peers string) (*fleettest.Daemon, error) {
+		return fleettest.Start(merakid, listens[i], queries[i], filepath.Join(tmp, fmt.Sprintf("wal-%d", i)),
+			"-shard", strconv.Itoa(i), "-shards", strconv.Itoa(shards),
+			"-map-epoch", strconv.Itoa(epoch), "-peers", peers)
+	}
 	for i := 0; i < 2; i++ {
-		walDir := filepath.Join(tmp, fmt.Sprintf("wal-%d", i))
-		if daemons[i], err = startShard(merakid, listens[i], queries[i], walDir, i, 2, 1, oldPeers); err != nil {
+		d, err := spawn(i, 2, 1, oldPeers)
+		if err != nil {
 			return err
 		}
+		defer d.Kill()
 	}
 
 	// Wave one: harvest the first half of every AP's stream into the
 	// 2-shard cluster, routed by the old map.
 	oldMap, newMap := cluster.NewMap(2), cluster.NewMap(3)
-	key := make([]byte, 32)
-	for i := range key {
-		key[i] = defaultKey
-	}
+	agents := fleet.Agents()
+	fleet.Enqueue(agents, 0, waveSplit)
 	stopOld := make(chan struct{})
-	var agents []*telemetry.Agent
-	var streams [][]*telemetry.Report
-	ai := 0
-	for n := 0; n < nNetworks; n++ {
-		netID := uint64(100 + n)
-		for ap := 0; ap < apsPerNet; ap++ {
-			a := telemetry.NewAgent(fmt.Sprintf("Q2CL-%03d-%d", netID, ap), key)
-			if ai%2 == 0 {
-				a.Wire = telemetry.WireV2
-			}
-			a.Timeout = 2 * time.Second
-			a.BackoffBase = 20 * time.Millisecond
-			a.BackoffMax = 200 * time.Millisecond
-			rs := reports(netID, ap)
-			for _, r := range rs[:waveSplit] {
-				a.Enqueue(r)
-			}
-			agents = append(agents, a)
-			streams = append(streams, rs)
-			go a.RunWithReconnect(listens[oldMap.Shard(netID)], stopOld)
-			ai++
-		}
-	}
-	if err := drain(agents); err != nil {
+	fleettest.Run(agents, listens, oldMap, stopOld)
+	if err := fleettest.Drain(agents, time.Now().Add(60*time.Second)); err != nil {
 		return err
 	}
 	close(stopOld) // wave one delivered; agents re-home for wave two
 
 	// The new shard joins empty, then the operator command grows the
 	// cluster: part, extract, absorb, digest-verify, cut over.
-	if daemons[2], err = startShard(merakid, listens[2], queries[2], filepath.Join(tmp, "wal-2"), 2, 3, 2, newPeers); err != nil {
+	d, err := spawn(2, 3, 2, newPeers)
+	if err != nil {
 		return err
 	}
+	defer d.Kill()
 	out, err := exec.Command(merakireport, "-cluster", oldPeers, "-rebalance", newPeers).CombinedOutput()
 	if err != nil {
 		return fmt.Errorf("merakireport -rebalance: %v\n%s", err, out)
@@ -264,7 +110,7 @@ func run() error {
 	// Moved networks must have left their sources and arrived whole on
 	// the new shard.
 	onShard := func(q string) (map[uint64]bool, error) {
-		lines, err := queryLines(q, "networks")
+		lines, err := queryproto.Do(q, 5*time.Second, "networks")
 		if err != nil {
 			return nil, err
 		}
@@ -282,8 +128,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	for n := 0; n < nNetworks; n++ {
-		id := uint64(100 + n)
+	for _, id := range fleet.NetworkIDs() {
 		if oldMap.Shard(id) == newMap.Shard(id) {
 			continue
 		}
@@ -303,18 +148,13 @@ func run() error {
 	// the new topology — moved networks now land on the new shard.
 	stopNew := make(chan struct{})
 	defer close(stopNew)
-	for i, a := range agents {
-		for _, r := range streams[i][waveSplit:] {
-			a.Enqueue(r)
-		}
-		netID := uint64(100 + i/apsPerNet)
-		go a.RunWithReconnect(listens[newMap.Shard(netID)], stopNew)
-	}
-	if err := drain(agents); err != nil {
+	fleet.Enqueue(agents, waveSplit, fleet.Reports)
+	fleettest.Run(agents, listens, newMap, stopNew)
+	if err := fleettest.Drain(agents, time.Now().Add(60*time.Second)); err != nil {
 		return err
 	}
 
-	want := controlDigest()
+	want := fleet.ControlDigest()
 	r := &cluster.Router{Shards: queries, Timeout: 5 * time.Second}
 	dig, err := r.MergedDigest()
 	if err != nil {
