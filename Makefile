@@ -7,11 +7,13 @@
 .PHONY: build test vet race bench bench-gate bench-baseline bench-test wire-compat docs docs-gen loc trace-smoke crash-smoke cluster-smoke mon-smoke rebalance-smoke verify
 
 # GATE_BENCH is the benchmark set the regression gate measures: the
-# wire codecs (bytes/report is the headline EXPERIMENTS.md number) and
-# the in-memory harvest pipeline for both wire versions. Fixed -50x
-# iteration counts keep the run fast and the allocation counts exact;
-# WAL arms are excluded because fsync timing is the disk's, not ours.
-GATE_BENCH = BenchmarkWireEncode|BenchmarkHarvestPipeline/wire-v./volatile
+# wire codecs (bytes/report is the headline EXPERIMENTS.md number), the
+# in-memory harvest pipeline for both wire versions, and the three
+# costs of a store snapshot (hold is the ingest stall: only the
+# exclusive section of a capture). Fixed -50x iteration counts keep the
+# run fast and the allocation counts exact; WAL arms are excluded
+# because fsync timing is the disk's, not ours.
+GATE_BENCH = BenchmarkWireEncode|BenchmarkHarvestPipeline/wire-v./volatile|BenchmarkStoreSnapshot
 
 build:
 	go build ./...

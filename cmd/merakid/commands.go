@@ -213,7 +213,8 @@ type appRow struct {
 func topApps(store *backend.Store, n int) []appRow {
 	agg := make(map[string]*appRow)
 	for _, c := range store.Clients() {
-		for name, rec := range c.Apps {
+		for _, rec := range c.Apps {
+			name := rec.App
 			row, ok := agg[name]
 			if !ok {
 				row = &appRow{name: name}

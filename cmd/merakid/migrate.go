@@ -29,10 +29,10 @@ func (d *daemon) queryNetworks(w *bufio.Writer, _, _ []string) error {
 	return nil
 }
 
-// queryExtract answers "extract IDS": a consistent deep-copied
-// snapshot of just those networks, in the same base64-line encoding as
-// "snapshot" (chunked, so an arbitrarily large slice never exceeds the
-// line-protocol width).
+// queryExtract answers "extract IDS": a consistent snapshot of just
+// those networks (a capture filtered by network, encoded with no lock
+// held), in the same base64-line encoding as "snapshot" (chunked, so an
+// arbitrarily large slice never exceeds the line-protocol width).
 func (d *daemon) queryExtract(w *bufio.Writer, args, _ []string) error {
 	ids, err := cluster.ParseIDList(args[0])
 	if err != nil {

@@ -65,9 +65,9 @@ func (r RecoveryStats) String() string {
 // harvest path acknowledges them, and periodic checkpoints bound
 // replay time. Recovery (OpenDurable) loads the newest valid
 // checkpoint — falling back one generation on corruption — and
-// replays the WAL above it through the ordinary Ingest path, so
-// (serial, seqno) dedup absorbs the overlap between a checkpoint and
-// the records that raced into it.
+// replays the WAL above it through the ordinary Ingest path. A
+// checkpoint is exactly the state at its LSN (see Checkpoint), so
+// replay applies each record above it once and none below it.
 //
 // When the WAL write path fails (disk full, I/O error) the store goes
 // degraded: IngestBatch refuses further writes, so pollers stop
@@ -82,11 +82,11 @@ type DurableStore struct {
 	keep  int
 	netOf NetworkFunc
 
-	// flight serializes checkpoint LSN capture against in-flight
-	// batches: IngestBatch holds the read side across append+ingest, so
-	// when Checkpoint briefly takes the write side, every record below
-	// the captured LSN is already in the in-memory store (and therefore
-	// in the snapshot about to be written).
+	// flight makes "in the WAL" and "in the store" one step as far as
+	// Checkpoint can tell: IngestBatch and the migration operations hold
+	// the read side across append+apply, and Checkpoint takes the write
+	// side to read the next LSN and capture the store together, so the
+	// snapshot holds every record below that LSN and none at or above it.
 	flight sync.RWMutex
 
 	mu       sync.Mutex // serializes Checkpoint; guards ckptLSN
@@ -316,13 +316,12 @@ func (d *DurableStore) IngestBatchFrame(reports []*telemetry.Report, payload []b
 	return nil
 }
 
-// Checkpoint writes an atomic snapshot covering every WAL record below
-// the captured LSN, prunes checkpoint generations beyond the retention
-// count, and truncates WAL segments wholly below the oldest kept
-// generation. Safe to call concurrently with ingestion; calls are
-// serialized. Harvested reports carry nonzero seqnos, so the records
-// that race into the snapshot from above the captured LSN are absorbed
-// by dedup when replayed.
+// Checkpoint writes an atomic snapshot of exactly the state at the
+// captured LSN — every WAL record below it, none at or above it —
+// prunes checkpoint generations beyond the retention count, and
+// truncates WAL segments wholly below the oldest kept generation. Safe
+// to call concurrently with ingestion, which waits only for the
+// capture, not for the encode and fsync; calls are serialized.
 func (d *DurableStore) Checkpoint() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -330,13 +329,15 @@ func (d *DurableStore) Checkpoint() error {
 	defer sp.End()
 
 	// With the flight write lock held, no batch sits between "in the
-	// WAL" and "in the store": everything below lsn is in memory.
+	// WAL" and "in the store", and none can start: the capture is the
+	// state at lsn.
 	d.flight.Lock()
 	lsn := d.log.NextLSN()
+	snap := d.Store.capture()
 	d.flight.Unlock()
 
 	path := filepath.Join(d.dir, checkpointName(lsn))
-	if err := d.Store.SaveFile(path); err != nil {
+	if err := d.Store.saveFile(path, snap); err != nil {
 		d.ckptFails.Inc()
 		return fmt.Errorf("backend: checkpoint: %w", err)
 	}

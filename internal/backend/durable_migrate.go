@@ -74,10 +74,11 @@ func decodeMigrationRecord(b []byte) (kind byte, token string, ids []uint64, pay
 	return kind, token, ids, rest, nil
 }
 
-// appendMigration writes one migration record through the WAL with the
-// flight lock held — the same durability path as report batches, so
-// Checkpoint's captured LSN never splits a migration step in half.
-func (d *DurableStore) appendMigration(kind byte, token string, ids []uint64, payload []byte) error {
+// logged appends one migration record to the WAL and then runs apply,
+// both under the flight lock — the same durability path as report
+// batches, so a checkpoint's cut never falls between a migration step's
+// record and its effect.
+func (d *DurableStore) logged(kind byte, token string, ids []uint64, payload []byte, apply func()) error {
 	if d.degraded.Load() {
 		return ErrDegraded
 	}
@@ -88,48 +89,43 @@ func (d *DurableStore) appendMigration(kind byte, token string, ids []uint64, pa
 		d.walFails.Inc()
 		return fmt.Errorf("backend: wal append: %w", err)
 	}
+	apply()
 	return nil
 }
 
 // AbsorbSnapshot durably applies a migration slice: the whole slice
 // rides one WAL record, then Store.Absorb folds it in. Returns false
 // when the token was already absorbed (the slice is not re-logged).
-func (d *DurableStore) AbsorbSnapshot(token string, ids []uint64, slice []byte) (bool, error) {
+func (d *DurableStore) AbsorbSnapshot(token string, ids []uint64, slice []byte) (applied bool, err error) {
 	if d.Store.HasAbsorbed(token) {
 		return false, nil
 	}
-	if err := d.appendMigration(recAbsorb, token, ids, slice); err != nil {
+	var applyErr error
+	if err := d.logged(recAbsorb, token, ids, slice, func() {
+		applied, applyErr = d.Store.Absorb(token, ids, bytes.NewReader(slice), d.netOf)
+	}); err != nil {
 		return false, err
 	}
-	return d.Store.Absorb(token, ids, bytes.NewReader(slice), d.netOf)
+	return applied, applyErr
 }
 
 // DropNetworks durably removes migrated networks (and forgets the
 // token, Store.Drop's contract).
 func (d *DurableStore) DropNetworks(token string, ids []uint64) (networks, entries int, err error) {
-	if err := d.appendMigration(recDrop, token, ids, nil); err != nil {
-		return 0, 0, err
-	}
-	networks, entries = d.Store.Drop(token, ids, d.netOf)
-	return networks, entries, nil
+	err = d.logged(recDrop, token, ids, nil, func() {
+		networks, entries = d.Store.Drop(token, ids, d.netOf)
+	})
+	return networks, entries, err
 }
 
 // PartNetworks durably marks networks as refusing ingestion.
 func (d *DurableStore) PartNetworks(ids []uint64) error {
-	if err := d.appendMigration(recPart, "", ids, nil); err != nil {
-		return err
-	}
-	d.Store.Part(ids)
-	return nil
+	return d.logged(recPart, "", ids, nil, func() { d.Store.Part(ids) })
 }
 
 // UnpartNetworks durably clears the parted mark.
 func (d *DurableStore) UnpartNetworks(ids []uint64) error {
-	if err := d.appendMigration(recUnpart, "", ids, nil); err != nil {
-		return err
-	}
-	d.Store.Unpart(ids)
-	return nil
+	return d.logged(recUnpart, "", ids, nil, func() { d.Store.Unpart(ids) })
 }
 
 // replayMigration re-applies one migration record during recovery.

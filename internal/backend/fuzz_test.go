@@ -2,6 +2,7 @@ package backend
 
 import (
 	"bytes"
+	"os"
 	"testing"
 )
 
@@ -33,6 +34,12 @@ func FuzzStoreLoad(f *testing.F) {
 	flipped[len(flipped)/3] ^= 0xff // bit-flipped mid-stream
 	f.Add(flipped)
 	f.Add([]byte("not a gob stream at all"))
+	// A snapshot in the pre-ClientList format (per-client maps).
+	legacy, err := os.ReadFile("testdata/snapshot-pr12.gob")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(legacy)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := NewStore()

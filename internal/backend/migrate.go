@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-
-	"wlanscale/internal/dot11"
-	"wlanscale/internal/telemetry"
 )
 
 // This file is the store half of live shard rebalancing: extracting a
@@ -68,95 +65,57 @@ func (s *Store) Networks(netOf NetworkFunc) []uint64 {
 	return out
 }
 
-// ExtractNetworks deep-copies everything the store holds for the given
-// networks into a fresh store — the migration slice a source shard
-// exports. Every stripe lock is held for the walk (same contract as
-// Save), so the slice is a consistent point-in-time view even on a
-// live daemon, and the copies share no memory with the live store: the
-// caller can encode the slice after the locks drop while ingestion
-// resumes. Migration bookkeeping is data, not payload — the slice
-// carries none of it.
+// ExtractNetworks returns a fresh store holding everything the store
+// has for the given networks — the migration slice a source shard
+// exports. It is a capture filtered by network, so the slice is a
+// consistent view between two reports even on a live daemon, ingest
+// waits only for the capture, and the caller encodes the slice with no
+// lock held. The slice shares the append-only series with the live
+// store under capture's cap-clamp rule. Migration bookkeeping is data,
+// not payload — the slice carries none of it.
 func (s *Store) ExtractNetworks(ids map[uint64]bool, netOf NetworkFunc) *Store {
-	out := NewStoreShards(s.NumShards())
 	in := func(serial string) bool {
 		id, ok := netOf(serial)
 		return ok && ids[id]
 	}
-	defer s.lockAll()()
-	for _, ds := range s.deviceShards {
-		for serial, seq := range ds.seen {
-			if in(serial) {
-				out.deviceShardFor(serial).seen[serial] = seq
-			}
-		}
-		for serial, v := range ds.radio {
-			if in(serial) {
-				out.deviceShardFor(serial).radio[serial] = append([]RadioSample(nil), v...)
-			}
-		}
-		for serial, v := range ds.scans {
-			if in(serial) {
-				out.deviceShardFor(serial).scans[serial] = append([]ScanPoint(nil), v...)
-			}
-		}
-		for serial, v := range ds.crashes {
-			if in(serial) {
-				out.deviceShardFor(serial).crashes[serial] = append([]telemetry.CrashRecord(nil), v...)
-			}
-		}
-		for serial, m := range ds.neighbors {
-			if in(serial) {
-				cp := make(map[dot11.BSSID]NeighborEntry, len(m))
-				for b, e := range m {
-					cp[b] = e
-				}
-				out.deviceShardFor(serial).neighbors[serial] = cp
-			}
-		}
-		for k, l := range ds.links {
-			if in(k.From) {
-				out.deviceShardFor(k.From).links[k] = &LinkSeries{
-					Key:     k,
-					Sent:    append([]uint32(nil), l.Sent...),
-					Deliver: append([]uint32(nil), l.Deliver...),
-				}
-			}
+	snap := s.capture()
+	keepSerials(snap.Seen, in)
+	keepSerials(snap.Radio, in)
+	keepSerials(snap.Scans, in)
+	keepSerials(snap.Crashes, in)
+	keepSerials(snap.Neighbors, in)
+	for k := range snap.Links {
+		if !in(k.From) {
+			delete(snap.Links, k)
 		}
 	}
-	for _, cs := range s.clientShards {
-		for mac, c := range cs.clients {
-			if id, ok := networkOfClient(c, netOf); ok && ids[id] {
-				out.clientShardFor(mac).clients[mac] = copyClient(c)
-			}
+	kept := snap.ClientList[:0]
+	for i := range snap.ClientList {
+		if id, ok := networkOfClient(&snap.ClientList[i], netOf); ok && ids[id] {
+			kept = append(kept, snap.ClientList[i])
 		}
 	}
+	snap.ClientList = kept
+	snap.Absorbed, snap.Parted = nil, nil
+	out := NewStoreShards(s.NumShards())
+	out.install(snap)
 	return out
 }
 
-// copyClient deep-copies one aggregate for ExtractNetworks.
-func copyClient(c *ClientAggregate) *ClientAggregate {
-	cp := &ClientAggregate{
-		MAC: c.MAC, Band: c.Band, RSSIdB: c.RSSIdB, Caps: c.Caps,
-		Apps:       make(map[string]*telemetry.AppUsageRecord, len(c.Apps)),
-		UserAgents: append([]string(nil), c.UserAgents...),
-		APs:        make(map[string]bool, len(c.APs)),
+// keepSerials deletes the entries of a serial-keyed map that in rejects.
+func keepSerials[V any](m map[string]V, in func(string) bool) {
+	for serial := range m {
+		if !in(serial) {
+			delete(m, serial)
+		}
 	}
-	for name, a := range c.Apps {
-		dup := *a
-		cp.Apps[name] = &dup
-	}
-	for _, fp := range c.DHCPFingerprints {
-		cp.DHCPFingerprints = append(cp.DHCPFingerprints, append([]byte(nil), fp...))
-	}
-	for serial := range c.APs {
-		cp.APs[serial] = true
-	}
-	return cp
 }
 
 // DeleteNetworks removes everything the store holds for the given
-// networks, under the full stripe lock set, and reports how many
-// networks actually had data and how many keyed entries went away.
+// networks and reports how many networks actually had data and how many
+// keyed entries went away. It holds the gate exclusively, so no report
+// is half-applied around it and no capture sees it half-done; stripe
+// locks are still taken one at a time for the per-stripe readers.
 // Dedup high-water marks are deleted too: after a cutover the network
 // lives elsewhere, and if it ever migrates back its slice carries the
 // watermark with it.
@@ -166,8 +125,10 @@ func (s *Store) DeleteNetworks(ids map[uint64]bool, netOf NetworkFunc) (networks
 		id, ok := netOf(serial)
 		return id, ok && ids[id]
 	}
-	defer s.lockAll()()
+	s.gate.Lock()
+	defer s.gate.Unlock()
 	for _, ds := range s.deviceShards {
+		ds.mu.Lock()
 		for serial := range ds.seen {
 			if id, ok := in(serial); ok {
 				delete(ds.seen, serial)
@@ -210,8 +171,10 @@ func (s *Store) DeleteNetworks(ids map[uint64]bool, netOf NetworkFunc) (networks
 				entries++
 			}
 		}
+		ds.mu.Unlock()
 	}
 	for _, cs := range s.clientShards {
+		cs.mu.Lock()
 		for mac, c := range cs.clients {
 			if id, ok := networkOfClient(c, netOf); ok && ids[id] {
 				delete(cs.clients, mac)
@@ -219,6 +182,7 @@ func (s *Store) DeleteNetworks(ids map[uint64]bool, netOf NetworkFunc) (networks
 				entries++
 			}
 		}
+		cs.mu.Unlock()
 	}
 	return len(removed), entries
 }

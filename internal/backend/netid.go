@@ -1,7 +1,6 @@
 package backend
 
 import (
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -35,15 +34,10 @@ func NetworkOfSerial(serial string) (uint64, bool) {
 // networkOfClient attributes a client aggregate to a network via the
 // APs that reported it. Client populations are disjoint per network
 // (a MAC associates within one customer network), so any reporting AP
-// decides; the lowest parseable serial is used so attribution is
-// deterministic regardless of map order.
+// decides; the lowest parseable serial is used (APs is sorted) so
+// attribution is deterministic.
 func networkOfClient(c *ClientAggregate, netOf NetworkFunc) (uint64, bool) {
-	serials := make([]string, 0, len(c.APs))
-	for s := range c.APs {
-		serials = append(serials, s)
-	}
-	sort.Strings(serials)
-	for _, s := range serials {
+	for _, s := range c.APs {
 		if id, ok := netOf(s); ok {
 			return id, true
 		}

@@ -277,8 +277,8 @@ func TestMergeOverlappingClients(t *testing.T) {
 		t.Fatalf("clients = %d, want 1", s.NumClients())
 	}
 	c := s.Clients()[0]
-	if c.Total() != 110 || c.Apps["YouTube"].Flows != 2 {
-		t.Errorf("merged usage = %+v", c.Apps["YouTube"])
+	if c.Total() != 110 || appOf(c, "YouTube").Flows != 2 {
+		t.Errorf("merged usage = %+v", appOf(c, "YouTube"))
 	}
 	if len(c.APs) != 2 {
 		t.Errorf("AP set = %v, want 2 entries", c.APs)

@@ -7,7 +7,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -27,13 +29,21 @@ type ClientAggregate struct {
 	// RSSIdB is the most recent signal report.
 	RSSIdB int32
 	Caps   dot11.Capabilities
-	// Apps maps application name to byte totals.
-	Apps map[string]*telemetry.AppUsageRecord
-	// UserAgents and DHCPFingerprints feed OS inference.
+	// Apps holds the per-application byte totals, sorted by name with
+	// no name repeated. Totals are updated in place, unless appsShared.
+	Apps []telemetry.AppUsageRecord
+	// appsShared means a snapshot holds the array behind Apps: capture
+	// sets it on the live aggregate and on its copy, and the next
+	// foldApps on either replaces the array before writing.
+	appsShared bool
+	// UserAgents and DHCPFingerprints feed OS inference. Both are
+	// append-only sets.
 	UserAgents       []string
 	DHCPFingerprints [][]byte
-	// APs counts how many distinct devices reported this client.
-	APs map[string]bool
+	// APs is the sorted set of device serials that reported this
+	// client. An insert installs a new slice and never shifts the old
+	// one, so a captured header stays valid with no copy.
+	APs []string
 }
 
 // Total returns the client's total bytes.
@@ -43,6 +53,60 @@ func (c *ClientAggregate) Total() uint64 {
 		t += a.UpBytes + a.DownBytes
 	}
 	return t
+}
+
+// findApp returns the index name has, or would be inserted at, in the
+// sorted Apps, and whether it is present.
+func (c *ClientAggregate) findApp(name string) (int, bool) {
+	return slices.BinarySearchFunc(c.Apps, name, func(r telemetry.AppUsageRecord, name string) int {
+		return strings.Compare(r.App, name)
+	})
+}
+
+// foldApps adds in's totals to c.Apps. APs report their records sorted
+// by name (ap.sortAppRecords) and aggregates are stored sorted, so the
+// common case is a two-finger merge: a client that reports the apps it
+// reported before costs one string equality per record. A record that
+// does not sort above its predecessor falls back to a binary search.
+func (c *ClientAggregate) foldApps(in []telemetry.AppUsageRecord) {
+	if c.appsShared && len(in) > 0 {
+		c.Apps = slices.Clone(c.Apps)
+		c.appsShared = false
+	}
+	i, prev := 0, ""
+	for k := range in {
+		a := &in[k]
+		if i == len(c.Apps) || c.Apps[i].App != a.App {
+			if a.App <= prev {
+				i, _ = c.findApp(a.App)
+			}
+			for i < len(c.Apps) && c.Apps[i].App < a.App {
+				i++
+			}
+			if i == len(c.Apps) || c.Apps[i].App != a.App {
+				c.Apps = slices.Insert(c.Apps, i, telemetry.AppUsageRecord{App: a.App})
+			}
+		}
+		cur := &c.Apps[i]
+		cur.UpBytes += a.UpBytes
+		cur.DownBytes += a.DownBytes
+		cur.Flows += a.Flows
+		prev = a.App
+		i++
+	}
+}
+
+// addAP records that serial reported the client.
+func (c *ClientAggregate) addAP(serial string) {
+	i := sort.SearchStrings(c.APs, serial)
+	if i < len(c.APs) && c.APs[i] == serial {
+		return
+	}
+	aps := make([]string, len(c.APs)+1)
+	copy(aps, c.APs[:i])
+	aps[i] = serial
+	copy(aps[i+1:], c.APs[i:])
+	c.APs = aps
 }
 
 // OS runs the Section 3.2 inference over the aggregate's artifacts.
@@ -155,22 +219,32 @@ type Store struct {
 	deviceShards []*deviceShard
 	mask         uint64
 
+	// gate makes a snapshot a cut between reports. Every mutator holds it
+	// shared for one whole report or partial (Ingest, Merge, install), so
+	// writers never wait for each other on it; capture and DeleteNetworks
+	// hold it exclusively, and only long enough to copy what a later
+	// write could change (see capture). It is taken before any stripe
+	// lock and never while holding one.
+	gate sync.RWMutex
+
 	ingests atomic.Int64
 	dupes   atomic.Int64
 
 	// Migration bookkeeping (see migrate.go). migMu guards both maps;
-	// it is only ever taken alone or inside the stripe locks
-	// (collectLocked), never the other way around. absorbMu serializes
-	// whole Absorb operations so two concurrent absorbs of the same
-	// token cannot both pass the dedup check and double-merge.
+	// it is only ever taken alone or inside the gate (capture), never
+	// the other way around. absorbMu serializes whole Absorb operations
+	// so two concurrent absorbs of the same token cannot both pass the
+	// dedup check and double-merge.
 	migMu    sync.Mutex
 	absorbed map[string]bool
 	parted   map[uint64]bool
 	absorbMu sync.Mutex
 
-	// saveDur, when EnableObs attached a registry, times gob snapshot
-	// encodes. Nil (no-op) otherwise.
-	saveDur *obs.Histogram
+	// When EnableObs attached a registry: holdDur times the exclusive
+	// gate section of each capture, saveDur the gob encode and digestDur
+	// the hash walk that follow it with no lock held. Nil (no-op)
+	// otherwise.
+	holdDur, saveDur, digestDur *obs.Histogram
 
 	// tracer, when EnableTrace attached one, records a store.ingest span
 	// for every sampled report folded in. Nil (no-op) otherwise.
@@ -245,6 +319,8 @@ func (s *Store) Ingest(r *telemetry.Report) {
 	sp.SetSerial(r.Serial)
 	sp.SetSeq(r.SeqNo)
 	defer sp.End()
+	s.gate.RLock()
+	defer s.gate.RUnlock()
 	ds := s.deviceShardFor(r.Serial)
 	ds.mu.Lock()
 	if r.SeqNo != 0 {
@@ -310,41 +386,29 @@ func (s *Store) Ingest(r *telemetry.Report) {
 		cs.mu.Lock()
 		agg, ok := cs.clients[c.MAC]
 		if !ok {
-			agg = &ClientAggregate{
-				MAC:  c.MAC,
-				Apps: make(map[string]*telemetry.AppUsageRecord),
-				APs:  make(map[string]bool),
-			}
+			agg = &ClientAggregate{MAC: c.MAC}
 			cs.clients[c.MAC] = agg
 		}
 		agg.Band = c.Band
 		agg.RSSIdB = c.RSSIdB
 		agg.Caps = c.Caps
-		agg.APs[r.Serial] = true
+		agg.addAP(r.Serial)
 		for _, ua := range c.UserAgents {
 			agg.addUA(ua)
 		}
 		for _, fp := range c.DHCPFingerprints {
 			agg.addFP(fp)
 		}
-		for _, a := range c.Apps {
-			cur, ok := agg.Apps[a.App]
-			if !ok {
-				cur = &telemetry.AppUsageRecord{App: a.App}
-				agg.Apps[a.App] = cur
-			}
-			cur.UpBytes += a.UpBytes
-			cur.DownBytes += a.DownBytes
-			cur.Flows += a.Flows
-		}
+		agg.foldApps(c.Apps)
 		cs.mu.Unlock()
 	}
 
 	// Counted only once every stripe write has landed, so an observer
 	// that sees the count sees the report's client aggregates too.
-	// Cross-shard reads are still only eventually consistent while
-	// ingests are in flight: a reader can interleave between stripe
-	// updates of a single report.
+	// Per-stripe readers (Clients, RadioSeries, ...) are still only
+	// eventually consistent while ingests are in flight: they can
+	// interleave between stripe updates of a single report. A capture
+	// cannot.
 	ds.ingests.Add(1)
 	s.ingests.Add(1)
 }
@@ -352,11 +416,14 @@ func (s *Store) Ingest(r *telemetry.Report) {
 // EnableObs folds the store's counters into reg: "store.ingests",
 // "store.dupes", "store.clients", and "store.shards" as func gauges,
 // one "store.stripe.NN.ingests" gauge per device stripe (the load-skew
-// signal — a hot stripe means serials are hashing together), and a
-// "store.save_us" histogram timing snapshot encodes. Like everything in
-// obs, these are observe-only; calling EnableObs changes no stored
-// data. Call before serving (merakid does) — attaching the save
-// histogram is not synchronized with a concurrent Save.
+// signal — a hot stripe means serials are hashing together), and three
+// histograms: "store.capture_hold_us" (how long each capture held the
+// gate exclusively, i.e. how long ingest stalled), "store.save_us" and
+// "store.digest_us" (the gob encode and the hash walk that follow a
+// capture with no lock held). Like everything in obs, these are
+// observe-only; calling EnableObs changes no stored data. Call before
+// serving (merakid does) — attaching the histograms is not
+// synchronized with a concurrent Save or Digest.
 func (s *Store) EnableObs(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -370,7 +437,9 @@ func (s *Store) EnableObs(reg *obs.Registry) {
 		reg.RegisterFunc(obs.Indexed("store.stripe", i, "ingests"),
 			func() int64 { return ds.ingests.Load() })
 	}
+	s.holdDur = reg.Histogram("store.capture_hold_us", obs.DurationBuckets)
 	s.saveDur = reg.Histogram("store.save_us", obs.DurationBuckets)
+	s.digestDur = reg.Histogram("store.digest_us", obs.DurationBuckets)
 }
 
 // EnableTrace attaches a tracer: every sampled report folded in by
@@ -406,6 +475,8 @@ func (c *ClientAggregate) addFP(fp []byte) {
 // in a deterministic sequence (keys are visited sorted, making merge
 // output independent of p's map iteration order).
 func (s *Store) Merge(p *Store) {
+	s.gate.RLock()
+	defer s.gate.RUnlock()
 	// Client aggregates, in MAC order.
 	for _, agg := range p.Clients() {
 		cs := s.clientShardFor(agg.MAC)
@@ -420,8 +491,8 @@ func (s *Store) Merge(p *Store) {
 		dst.Band = agg.Band
 		dst.RSSIdB = agg.RSSIdB
 		dst.Caps = agg.Caps
-		for serial := range agg.APs {
-			dst.APs[serial] = true
+		for _, serial := range agg.APs {
+			dst.addAP(serial)
 		}
 		for _, ua := range agg.UserAgents {
 			dst.addUA(ua)
@@ -429,22 +500,7 @@ func (s *Store) Merge(p *Store) {
 		for _, fp := range agg.DHCPFingerprints {
 			dst.addFP(fp)
 		}
-		names := make([]string, 0, len(agg.Apps))
-		for name := range agg.Apps {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			a := agg.Apps[name]
-			cur, ok := dst.Apps[name]
-			if !ok {
-				cur = &telemetry.AppUsageRecord{App: name}
-				dst.Apps[name] = cur
-			}
-			cur.UpBytes += a.UpBytes
-			cur.DownBytes += a.DownBytes
-			cur.Flows += a.Flows
-		}
+		dst.foldApps(agg.Apps)
 		cs.mu.Unlock()
 	}
 
@@ -679,99 +735,120 @@ func (s *Store) NeighborCount(serial string) int {
 	return len(ds.neighbors[serial])
 }
 
-// snapshot is the gob-persisted form of the store. The format predates
-// sharding (flat maps), so snapshots round-trip across shard counts and
-// old snapshots still load.
+// snapshot is a point-in-time copy of the store: what capture returns,
+// what Digest, Save and ExtractNetworks work on with no lock held, and
+// the gob-persisted form. The device-keyed fields predate sharding
+// (flat maps), so snapshots round-trip across shard counts.
 type snapshot struct {
-	Seen      map[string]uint64
-	Clients   map[dot11.MAC]*ClientAggregate
-	Links     map[LinkKey]*LinkSeries
-	Radio     map[string][]RadioSample
-	Scans     map[string][]ScanPoint
-	Neighbors map[string]map[dot11.BSSID]NeighborEntry
-	Crashes   map[string][]telemetry.CrashRecord
+	Seen map[string]uint64
+	// ClientList is sorted by MAC.
+	ClientList []ClientAggregate
+	Links      map[LinkKey]*LinkSeries
+	Radio      map[string][]RadioSample
+	Scans      map[string][]ScanPoint
+	Neighbors  map[string]map[dot11.BSSID]NeighborEntry
+	Crashes    map[string][]telemetry.CrashRecord
 	// Absorbed and Parted persist the rebalance bookkeeping (migrate.go)
 	// so a restarted shard still refuses parted networks and still
 	// deduplicates migration slices by token. Both are nil when no
-	// rebalance ever touched the store — gob then omits them, so
-	// pre-rebalance snapshots are byte-identical — and neither feeds
-	// Digest, so data equivalence is unaffected.
+	// rebalance ever touched the store — gob then omits them — and
+	// neither feeds Digest, so data equivalence is unaffected.
 	Absorbed map[string]bool
 	Parted   map[uint64]bool
+
+	// Clients is where snapshots written before ClientList existed keep
+	// their aggregates, with per-client maps. Decode-only: upgrade moves
+	// them into ClientList, and capture never fills it, so gob omits it
+	// from every new snapshot.
+	Clients map[dot11.MAC]*legacyClient
 }
 
-// Save writes a gob snapshot. Every stripe lock is held for the
-// duration of the encode: the snapshot references live aggregates and
-// series, so releasing the locks before encoding would let a concurrent
-// Ingest mutate a map mid-encode (merakid snapshots while serve
-// goroutines are still ingesting). Locks are acquired in index order,
-// clients then devices; no other path holds more than one stripe at a
-// time, so the ordering cannot deadlock. Ingest stalls for the encode,
-// which is the price of a consistent snapshot — same contract as the
-// pre-sharding single-mutex store.
-func (s *Store) Save(w io.Writer) error {
-	sp := obs.StartSpan(s.saveDur)
-	defer sp.End()
-	defer s.lockAll()()
-	return gob.NewEncoder(w).Encode(s.collectLocked())
+// legacyClient is ClientAggregate as snapshots persisted it while Apps
+// and APs were maps.
+type legacyClient struct {
+	Band             dot11.Band
+	RSSIdB           int32
+	Caps             dot11.Capabilities
+	Apps             map[string]*telemetry.AppUsageRecord
+	UserAgents       []string
+	DHCPFingerprints [][]byte
+	APs              map[string]bool
 }
 
-// lockAll acquires every stripe lock in index order (clients then
-// devices) and returns the matching unlock. No other path holds more
-// than one stripe at a time, so the ordering cannot deadlock.
-func (s *Store) lockAll() func() {
+// capture copies the store as it stands between two reports. The gate
+// is held exclusively only for the copy, which is O(keys) — it touches
+// no sample and no app record:
+//
+//   - Radio, scan and crash series, link Sent/Deliver, user agents and
+//     fingerprints are append-only, so capture takes their slice headers
+//     and copies no element. Each header is cap-clamped (slices.Clip): the
+//     live store may append into its spare capacity beyond n, which the
+//     snapshot never reads, and an append on the snapshot side (a store
+//     built by ExtractNetworks) reallocates instead of writing there.
+//   - A client's AP set is replaced on insert, never shifted, so its
+//     header is taken as is.
+//   - A client's app totals are updated in place, so they are shared
+//     copy-on-write: capture marks the aggregate (appsShared) and the
+//     next report that touches the client clones its ~13 records first.
+//   - What is left is copied: one struct per client, the dedup marks
+//     and the small neighbor tables, which later reports overwrite.
+//
+// Hashing, encoding and file I/O then run on the returned value with
+// no lock held.
+func (s *Store) capture() *snapshot {
+	s.gate.Lock()
+	sp := obs.StartSpan(s.holdDur)
+	nClients := 0
 	for _, cs := range s.clientShards {
-		cs.mu.Lock()
+		nClients += len(cs.clients)
 	}
+	snap := &snapshot{
+		Seen:       make(map[string]uint64),
+		ClientList: make([]ClientAggregate, 0, nClients),
+		Links:      make(map[LinkKey]*LinkSeries),
+		Radio:      make(map[string][]RadioSample),
+		Scans:      make(map[string][]ScanPoint),
+		Neighbors:  make(map[string]map[dot11.BSSID]NeighborEntry),
+		Crashes:    make(map[string][]telemetry.CrashRecord),
+	}
+	for _, cs := range s.clientShards {
+		for _, c := range cs.clients {
+			c.appsShared = true
+			cp := *c
+			cp.Apps = slices.Clip(c.Apps)
+			cp.UserAgents = slices.Clip(c.UserAgents)
+			cp.DHCPFingerprints = slices.Clip(c.DHCPFingerprints)
+			snap.ClientList = append(snap.ClientList, cp)
+		}
+	}
+	nLinks := 0
 	for _, ds := range s.deviceShards {
-		ds.mu.Lock()
+		nLinks += len(ds.links)
 	}
-	return func() {
-		for _, ds := range s.deviceShards {
-			ds.mu.Unlock()
-		}
-		for _, cs := range s.clientShards {
-			cs.mu.Unlock()
-		}
-	}
-}
-
-// collectLocked flattens the stripes into the persisted snapshot form.
-// The result references live aggregates and series, so the caller must
-// hold every stripe lock (lockAll) until it is done reading them.
-func (s *Store) collectLocked() snapshot {
-	snap := snapshot{
-		Seen:      make(map[string]uint64),
-		Clients:   make(map[dot11.MAC]*ClientAggregate),
-		Links:     make(map[LinkKey]*LinkSeries),
-		Radio:     make(map[string][]RadioSample),
-		Scans:     make(map[string][]ScanPoint),
-		Neighbors: make(map[string]map[dot11.BSSID]NeighborEntry),
-		Crashes:   make(map[string][]telemetry.CrashRecord),
-	}
-	for _, cs := range s.clientShards {
-		for mac, c := range cs.clients {
-			snap.Clients[mac] = c
-		}
-	}
+	links := make([]LinkSeries, 0, nLinks)
 	for _, ds := range s.deviceShards {
 		for k, v := range ds.seen {
 			snap.Seen[k] = v
 		}
-		for k, v := range ds.links {
-			snap.Links[k] = v
+		for k, l := range ds.links {
+			links = append(links, LinkSeries{Key: k, Sent: slices.Clip(l.Sent), Deliver: slices.Clip(l.Deliver)})
+			snap.Links[k] = &links[len(links)-1]
 		}
 		for k, v := range ds.radio {
-			snap.Radio[k] = v
+			snap.Radio[k] = slices.Clip(v)
 		}
 		for k, v := range ds.scans {
-			snap.Scans[k] = v
-		}
-		for k, v := range ds.neighbors {
-			snap.Neighbors[k] = v
+			snap.Scans[k] = slices.Clip(v)
 		}
 		for k, v := range ds.crashes {
-			snap.Crashes[k] = v
+			snap.Crashes[k] = slices.Clip(v)
+		}
+		for k, m := range ds.neighbors {
+			cp := make(map[dot11.BSSID]NeighborEntry, len(m))
+			for b, e := range m {
+				cp[b] = e
+			}
+			snap.Neighbors[k] = cp
 		}
 	}
 	s.migMu.Lock()
@@ -788,7 +865,61 @@ func (s *Store) collectLocked() snapshot {
 		}
 	}
 	s.migMu.Unlock()
+	s.gate.Unlock()
+	sp.End()
+
+	sort.Slice(snap.ClientList, func(i, j int) bool {
+		return snap.ClientList[i].MAC.Uint64() < snap.ClientList[j].MAC.Uint64()
+	})
 	return snap
+}
+
+// Save writes a gob snapshot of the store as it stands between two
+// reports (see capture); the encode runs with no lock held.
+func (s *Store) Save(w io.Writer) error { return s.encode(w, s.capture()) }
+
+func (s *Store) encode(w io.Writer, snap *snapshot) error {
+	sp := obs.StartSpan(s.saveDur)
+	defer sp.End()
+	return gob.NewEncoder(w).Encode(snap)
+}
+
+// upgrade brings a decoded snapshot to the form install expects:
+// legacy per-client maps become sorted slices in ClientList, and a
+// ClientList entry whose sorted-set invariants do not hold (a damaged
+// or hostile snapshot) is refused, since Ingest's merge relies on them.
+func (snap *snapshot) upgrade() error {
+	for mac, lc := range snap.Clients {
+		if lc == nil {
+			continue
+		}
+		c := ClientAggregate{
+			MAC: mac, Band: lc.Band, RSSIdB: lc.RSSIdB, Caps: lc.Caps,
+			UserAgents: lc.UserAgents, DHCPFingerprints: lc.DHCPFingerprints,
+			APs: sortedKeys(lc.APs),
+		}
+		for _, name := range sortedKeys(lc.Apps) {
+			if a := lc.Apps[name]; a != nil {
+				c.Apps = append(c.Apps, telemetry.AppUsageRecord{App: name, UpBytes: a.UpBytes, DownBytes: a.DownBytes, Flows: a.Flows})
+			}
+		}
+		snap.ClientList = append(snap.ClientList, c)
+	}
+	snap.Clients = nil
+	for i := range snap.ClientList {
+		c := &snap.ClientList[i]
+		for j := 1; j < len(c.Apps); j++ {
+			if c.Apps[j-1].App >= c.Apps[j].App {
+				return fmt.Errorf("client %s: apps not sorted", c.MAC)
+			}
+		}
+		for j := 1; j < len(c.APs); j++ {
+			if c.APs[j-1] >= c.APs[j] {
+				return fmt.Errorf("client %s: APs not sorted", c.MAC)
+			}
+		}
+	}
+	return nil
 }
 
 // Load replaces the store contents from a gob snapshot. The shard
@@ -797,14 +928,27 @@ func (s *Store) collectLocked() snapshot {
 // other method read them without synchronization — so Load instead
 // resets each existing stripe and folds the decoded entries in under
 // the stripe locks. That makes Load race-free against concurrent Ingest
-// and readers, but not atomic: an overlapping reader can observe a mix
-// of old and new entries while the load is in flight. Callers wanting a
-// consistent view should load before serving (merakid does).
+// and readers, and a capture sees the store either before or after the
+// load, but per-stripe readers and ingests can observe a mix of old and
+// new entries while it is in flight. Callers wanting a consistent view
+// should load before serving (merakid does).
 func (s *Store) Load(r io.Reader) error {
 	var snap snapshot
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
 		return fmt.Errorf("backend: load: %w", err)
 	}
+	if err := snap.upgrade(); err != nil {
+		return fmt.Errorf("backend: load: %w", err)
+	}
+	s.install(&snap)
+	return nil
+}
+
+// install replaces the store contents with snap's, taking ownership of
+// everything snap references.
+func (s *Store) install(snap *snapshot) {
+	s.gate.RLock()
+	defer s.gate.RUnlock()
 	for _, cs := range s.clientShards {
 		cs.mu.Lock()
 		cs.clients = make(map[dot11.MAC]*ClientAggregate)
@@ -838,16 +982,11 @@ func (s *Store) Load(r io.Reader) error {
 		s.parted[k] = true
 	}
 	s.migMu.Unlock()
-	for mac, c := range snap.Clients {
-		if c.Apps == nil {
-			c.Apps = make(map[string]*telemetry.AppUsageRecord)
-		}
-		if c.APs == nil {
-			c.APs = make(map[string]bool)
-		}
-		cs := s.clientShardFor(mac)
+	for i := range snap.ClientList {
+		c := &snap.ClientList[i]
+		cs := s.clientShardFor(c.MAC)
 		cs.mu.Lock()
-		cs.clients[mac] = c
+		cs.clients[c.MAC] = c
 		cs.mu.Unlock()
 	}
 	withDeviceShard := func(serial string, fill func(*deviceShard)) {
@@ -874,7 +1013,6 @@ func (s *Store) Load(r io.Reader) error {
 	for serial, v := range snap.Crashes {
 		withDeviceShard(serial, func(ds *deviceShard) { ds.crashes[serial] = v })
 	}
-	return nil
 }
 
 // MergeSnapshot folds a gob snapshot into the store without resetting
@@ -900,7 +1038,11 @@ func (s *Store) MergeSnapshot(r io.Reader) error {
 // the new one — never a torn file — which is what lets merakid's
 // "save" query and -snapshot shutdown path run against a path that
 // already holds the previous generation.
-func (s *Store) SaveFile(path string) error {
+func (s *Store) SaveFile(path string) error { return s.saveFile(path, s.capture()) }
+
+// saveFile is SaveFile for an already captured snapshot; Checkpoint
+// captures under its own lock and writes afterwards.
+func (s *Store) saveFile(path string, snap *snapshot) error {
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {
@@ -912,7 +1054,7 @@ func (s *Store) SaveFile(path string) error {
 		os.Remove(tmp)
 		return err
 	}
-	if err := s.Save(f); err != nil {
+	if err := s.encode(f, snap); err != nil {
 		return cleanup(err)
 	}
 	if err := f.Sync(); err != nil {

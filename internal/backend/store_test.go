@@ -27,6 +27,14 @@ func usageReport(serial string, seq uint64, mac dot11.MAC, app string, up, down 
 	}
 }
 
+// appOf returns c's totals for one application (zero when absent).
+func appOf(c *ClientAggregate, name string) telemetry.AppUsageRecord {
+	if i, ok := c.findApp(name); ok {
+		return c.Apps[i]
+	}
+	return telemetry.AppUsageRecord{}
+}
+
 func TestIngestAggregatesAcrossAPs(t *testing.T) {
 	s := NewStore()
 	// The same client roams across two APs; usage must merge by MAC
@@ -37,7 +45,7 @@ func TestIngestAggregatesAcrossAPs(t *testing.T) {
 		t.Fatalf("clients = %d, want 1 (roaming aggregation)", s.NumClients())
 	}
 	c := s.Clients()[0]
-	u := c.Apps["Netflix"]
+	u := appOf(c, "Netflix")
 	if u.UpBytes != 150 || u.DownBytes != 1500 || u.Flows != 2 {
 		t.Errorf("merged usage = %+v", u)
 	}
@@ -58,13 +66,13 @@ func TestIngestDeduplicatesBySeq(t *testing.T) {
 	if ing != 1 || dup != 1 {
 		t.Errorf("ingests/dupes = %d/%d", ing, dup)
 	}
-	u := s.Clients()[0].Apps["YouTube"]
+	u := appOf(s.Clients()[0], "YouTube")
 	if u.DownBytes != 100 {
 		t.Errorf("double-counted: %d", u.DownBytes)
 	}
 	// A later seq from the same device is accepted.
 	s.Ingest(usageReport("AP-1", 6, clientA, "YouTube", 10, 100))
-	if u := s.Clients()[0].Apps["YouTube"]; u.DownBytes != 200 {
+	if u := appOf(s.Clients()[0], "YouTube"); u.DownBytes != 200 {
 		t.Errorf("later seq lost: %d", u.DownBytes)
 	}
 }
@@ -192,8 +200,8 @@ func TestStoreConcurrentIngest(t *testing.T) {
 		t.Errorf("clients = %d", s.NumClients())
 	}
 	for _, c := range s.Clients() {
-		if c.Apps["Facebook"].DownBytes != 1000 {
-			t.Errorf("client %v bytes = %d", c.MAC, c.Apps["Facebook"].DownBytes)
+		if appOf(c, "Facebook").DownBytes != 1000 {
+			t.Errorf("client %v bytes = %d", c.MAC, appOf(c, "Facebook").DownBytes)
 		}
 	}
 }

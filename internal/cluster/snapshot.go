@@ -18,9 +18,9 @@ import (
 const snapshotLineLen = 4096
 
 // WriteSnapshotLines writes s's gob snapshot to w as base64 lines —
-// the payload of the merakid "snapshot" query. The store is encoded
-// under its stripe locks (Store.Save), so the lines are a consistent
-// point-in-time view even on a live daemon.
+// the payload of the merakid "snapshot" query. Store.Save encodes a
+// capture, so the lines are a consistent view between two reports even
+// on a live daemon, and ingest waits for neither gob nor base64.
 func WriteSnapshotLines(w io.Writer, s *backend.Store) error {
 	var buf bytes.Buffer
 	if err := s.Save(&buf); err != nil {

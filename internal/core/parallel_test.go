@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"reflect"
-	"sort"
 	"testing"
 )
 
@@ -24,22 +23,16 @@ func storeDigest(t *testing.T, u *UsageEpoch) []string {
 	ing, dup := u.Store.Stats()
 	out = append(out, fmt.Sprintf("ingests=%d dupes=%d clients=%d", ing, dup, u.Store.NumClients()))
 	for _, c := range u.Store.Clients() {
-		aps := make([]string, 0, len(c.APs))
-		for s := range c.APs {
-			aps = append(aps, s)
-		}
-		sort.Strings(aps)
 		apps := make([]string, 0, len(c.Apps))
-		for name, rec := range c.Apps {
-			apps = append(apps, fmt.Sprintf("%s:%d/%d/%d", name, rec.UpBytes, rec.DownBytes, rec.Flows))
+		for _, rec := range c.Apps {
+			apps = append(apps, fmt.Sprintf("%s:%d/%d/%d", rec.App, rec.UpBytes, rec.DownBytes, rec.Flows))
 		}
-		sort.Strings(apps)
 		fps := make([]string, 0, len(c.DHCPFingerprints))
 		for _, fp := range c.DHCPFingerprints {
 			fps = append(fps, fmt.Sprintf("%x", fp))
 		}
 		out = append(out, fmt.Sprintf("mac=%v band=%v rssi=%d caps=%+v os=%v aps=%v uas=%v fps=%v apps=%v",
-			c.MAC, c.Band, c.RSSIdB, c.Caps, c.OS(), aps, c.UserAgents, fps, apps))
+			c.MAC, c.Band, c.RSSIdB, c.Caps, c.OS(), c.APs, c.UserAgents, fps, apps))
 	}
 	for _, serial := range u.Store.RadioSerials() {
 		out = append(out, fmt.Sprintf("radio %s %+v", serial, u.Store.RadioSeries(serial)))

@@ -347,7 +347,8 @@ type Table5Result struct {
 func collectApps(u *UsageEpoch) map[string]*usageCell {
 	m := make(map[string]*usageCell)
 	for _, c := range u.Store.Clients() {
-		for name, rec := range c.Apps {
+		for _, rec := range c.Apps {
+			name := rec.App
 			cell, ok := m[name]
 			if !ok {
 				cell = &usageCell{}
@@ -443,9 +444,9 @@ func Table6Categories(now, before *UsageEpoch) *Table6Result {
 		cells := make(map[apps.Category]*usageCell)
 		clients := make(map[apps.Category]map[uint64]bool)
 		for _, c := range u.Store.Clients() {
-			for name, rec := range c.Apps {
+			for _, rec := range c.Apps {
 				cat := apps.CatOther
-				if info, ok := classifier[name]; ok {
+				if info, ok := classifier[rec.App]; ok {
 					cat = info.Category
 				}
 				cell, ok := cells[cat]

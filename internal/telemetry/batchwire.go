@@ -464,9 +464,12 @@ func decodeReportDelta(d *pbwire.Decoder, dict *pbwire.Dict, prev *batchPrev) (*
 		if err != nil {
 			return nil, err
 		}
+		// Mirror v1's tolerance: a capability blob of the wrong length
+		// is ignored, not fatal. Ignored means "advertises nothing", in
+		// the normalized form every decoded value has, so that
+		// re-encoding the record reproduces it.
+		c.Caps = dot11.Capabilities{}.Normalize()
 		if len(cb) == 2 {
-			// Mirror v1's tolerance: a capability blob of the wrong
-			// length is ignored, not fatal.
 			c.Caps = dot11.UnmarshalCapabilities([2]byte{cb[0], cb[1]})
 		}
 		if n2, err := d.Uint64(); err != nil {

@@ -383,6 +383,9 @@ func decodeClient(b []byte) (ClientRecord, error) {
 			if err != nil {
 				return c, err
 			}
+			// A blob of the wrong length is ignored: the client advertises
+			// nothing, in the normalized form every decoded value has.
+			c.Caps = dot11.Capabilities{}.Normalize()
 			if len(nb) == 2 {
 				c.Caps = dot11.UnmarshalCapabilities([2]byte{nb[0], nb[1]})
 			}

@@ -412,12 +412,19 @@ func (l *Log) AppendBatch(payloads [][]byte) (LSN, error) {
 	}
 	// Rotate when the segment is full — or, in mapped mode, when this
 	// batch would run past the mapping (an oversized batch gets its own
-	// larger segment, sized by need).
+	// larger segment, sized by need). A segment that holds no record yet
+	// is never rotated away: its successor would have the same base LSN
+	// and so the same file name. It is grown in place instead.
 	if l.segSize >= l.opts.SegmentBytes ||
 		(l.mm != nil && l.segSize+int64(need) > int64(len(l.mm))) {
-		if err := l.rotate(int64(need)); err != nil {
-			l.failed = err
-			return 0, err
+		if l.segSize > headerSize {
+			if err := l.rotate(int64(need)); err != nil {
+				l.failed = err
+				return 0, err
+			}
+		} else if l.mm != nil {
+			l.unmapActive()
+			l.mapActive(int64(need))
 		}
 	}
 	if l.mm != nil && l.opts.Crash == nil {

@@ -323,3 +323,65 @@ func TestCrashPlanMidBatch(t *testing.T) {
 		t.Fatalf("recovered %d records from torn batch, want 5", len(got))
 	}
 }
+
+// TestOversizedRecordOnEmptyLog: a record larger than SegmentBytes
+// appended to a log that holds nothing yet (the first absorb on a fresh
+// rebalance destination) used to rotate, and rotation re-created the
+// still-empty active segment under O_EXCL: "file exists". The empty
+// segment must take the record in place, in both append modes, on a
+// fresh log and on a reopened empty one.
+func TestOversizedRecordOnEmptyLog(t *testing.T) {
+	big := make([]byte, 200<<10)
+	for i := range big {
+		big[i] = byte(i)
+	}
+	for _, noMmap := range []bool{false, true} {
+		for _, reopen := range []bool{false, true} {
+			t.Run(fmt.Sprintf("nommap=%t/reopen=%t", noMmap, reopen), func(t *testing.T) {
+				dir := t.TempDir()
+				opts := Options{Policy: PolicyOff, SegmentBytes: 64 << 10, NoMmap: noMmap}
+				l, err := Open(dir, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if reopen {
+					if err := l.Close(); err != nil {
+						t.Fatal(err)
+					}
+					if l, err = Open(dir, opts); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if lsn, err := l.Append(big); err != nil || lsn != 1 {
+					t.Fatalf("oversized first append: lsn=%d err=%v", lsn, err)
+				}
+				small := payloads(8)
+				for _, p := range small {
+					if _, err := l.Append(p); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := l.Close(); err != nil {
+					t.Fatal(err)
+				}
+				l2, err := Open(dir, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer l2.Close()
+				got, stats := replayAll(t, l2, 0)
+				if stats.Records != 1+len(small) || stats.TornBytes != 0 {
+					t.Fatalf("stats = %+v, want %d clean records", stats, 1+len(small))
+				}
+				if got[1] != string(big) {
+					t.Fatal("oversized record did not round-trip")
+				}
+				for i, p := range small {
+					if got[LSN(i+2)] != string(p) {
+						t.Fatalf("record %d mismatch after the oversized one", i+2)
+					}
+				}
+			})
+		}
+	}
+}
