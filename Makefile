@@ -1,6 +1,6 @@
 # Tier-1 verification and race-detector targets. The telemetry, backend
 # and core packages are concurrency-heavy (harvest tunnels, chaos suite,
-# lock-striped store, parallel usage-epoch pipeline), so `race` must
+# shared store, parallel usage-epoch pipeline), so `race` must
 # stay green across the whole module, not just `test`. CI
 # (.github/workflows/ci.yml) runs build + vet + test + race.
 
@@ -21,8 +21,12 @@ build:
 test:
 	go test ./...
 
+# vet also fails when any tracked Go file outside bench/ is not
+# gofmt-formatted.
 vet:
 	go vet ./...
+	@unformatted="$$(git ls-files '*.go' | grep -v '^bench/' | xargs gofmt -l)"; \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 race:
 	go vet ./... && go test -race ./...

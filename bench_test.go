@@ -361,10 +361,10 @@ func BenchmarkRunUsageEpoch(b *testing.B) {
 	b.Run("workers=max/trace=100pct", func(b *testing.B) { run(b, max, nil, 1.0, false) })
 }
 
-// BenchmarkStoreIngest contrasts the lock-striped store with a
-// single-mutex (one-stripe) store under parallel report ingestion —
-// the contention the sharding removes from the harvest path. Reports
-// are pre-built off the clock; -cpu 1,4,8 sweeps the ingester count.
+// BenchmarkStoreIngest measures parallel report ingestion into one
+// store — the contention on its single lock along the harvest path.
+// Reports are pre-built off the clock; -cpu 1,2,4 sweeps the ingester
+// count.
 func BenchmarkStoreIngest(b *testing.B) {
 	const nDevices = 256
 	reports := make([]*telemetry.Report, nDevices)
@@ -391,24 +391,15 @@ func BenchmarkStoreIngest(b *testing.B) {
 			},
 		}
 	}
-	for _, tc := range []struct {
-		name   string
-		shards int
-	}{
-		{"single-mutex", 1},
-		{"sharded-32", 32},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			store := backend.NewStoreShards(tc.shards)
-			var next atomic.Int64
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					i := int(next.Add(1)-1) % nDevices
-					store.Ingest(reports[i])
-				}
-			})
-		})
-	}
+	store := backend.NewStore()
+	var next atomic.Int64
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			i := int(next.Add(1)-1) % nDevices
+			store.Ingest(reports[i])
+		}
+	})
 }
 
 // ---- Ablation benches (DESIGN.md §4). ----

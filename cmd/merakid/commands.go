@@ -4,11 +4,9 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 
 	"wlanscale/internal/anomaly"
-	"wlanscale/internal/backend"
 	"wlanscale/internal/cluster"
 	"wlanscale/internal/queryproto"
 )
@@ -119,8 +117,9 @@ func (d *daemon) queryTopApps(w *bufio.Writer, args, _ []string) error {
 		}
 		n = v
 	}
-	for _, row := range topApps(d.store, n) {
-		fmt.Fprintf(w, "%s\t%d bytes\t%d clients\n", row.name, row.bytes, row.clients)
+	rows := d.store.AppTotals()
+	for _, row := range rows[:min(n, len(rows))] {
+		fmt.Fprintf(w, "%s\t%d bytes\t%d clients\n", row.App, row.Bytes, row.Clients)
 	}
 	return nil
 }
@@ -202,40 +201,4 @@ func (d *daemon) querySave(w *bufio.Writer, args, _ []string) error {
 	}
 	fmt.Fprintln(w, "saved")
 	return nil
-}
-
-type appRow struct {
-	name    string
-	bytes   uint64
-	clients int
-}
-
-func topApps(store *backend.Store, n int) []appRow {
-	agg := make(map[string]*appRow)
-	for _, c := range store.Clients() {
-		for _, rec := range c.Apps {
-			name := rec.App
-			row, ok := agg[name]
-			if !ok {
-				row = &appRow{name: name}
-				agg[name] = row
-			}
-			row.bytes += rec.UpBytes + rec.DownBytes
-			row.clients++
-		}
-	}
-	rows := make([]appRow, 0, len(agg))
-	for _, r := range agg {
-		rows = append(rows, *r)
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].bytes != rows[j].bytes {
-			return rows[i].bytes > rows[j].bytes
-		}
-		return rows[i].name < rows[j].name
-	})
-	if len(rows) > n {
-		rows = rows[:n]
-	}
-	return rows
 }

@@ -302,7 +302,7 @@ type daemon struct {
 
 	// obs is the daemon's metrics registry: harvest.* (health counters
 	// and poll-loop counts), pool.* (connected-device pool), trace.*
-	// (flight recorder), and store.* (ingest totals, per-stripe routing,
+	// (flight recorder), and store.* (ingest totals, client count,
 	// snapshot timing).
 	obs         *obs.Registry
 	harvest     telemetry.HarvestMetrics

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -83,6 +84,48 @@ func TestTopAppsBadCount(t *testing.T) {
 	}
 	if got := query(t, addr, "top-apps"); len(got) != 3 {
 		t.Fatalf("bare top-apps = %q, want all 3 rows", got)
+	}
+}
+
+// TestTopAppsConcurrentIngest: top-apps sums per-app totals that Ingest
+// updates in place, so under -race this pins that the sum is read under
+// the store lock rather than from aggregates handed out by Clients().
+func TestTopAppsConcurrentIngest(t *testing.T) {
+	d := newDaemon(nil, time.Second, 64, time.Second, 1.0, 1024)
+	report := func(seq uint64) *telemetry.Report {
+		r := &telemetry.Report{Serial: "Q2AA-RACE", SeqNo: seq}
+		for k := 0; k < 8; k++ {
+			r.Clients = append(r.Clients, telemetry.ClientRecord{
+				MAC:  dot11.MAC{0xac, 1, 2, 3, 5, byte(k)},
+				Band: dot11.Band5,
+				Apps: []telemetry.AppUsageRecord{{App: "Alpha", UpBytes: 1, DownBytes: 9, Flows: 1}},
+			})
+		}
+		return r
+	}
+	d.store.Ingest(report(1))
+	const reports = 500
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for seq := uint64(2); seq <= reports; seq++ {
+			d.store.Ingest(report(seq))
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		if err := d.queryTopApps(bufio.NewWriter(io.Discard), nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-done
+	var out strings.Builder
+	w := bufio.NewWriter(&out)
+	if err := d.queryTopApps(w, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	w.Flush()
+	if want := fmt.Sprintf("Alpha\t%d bytes\t8 clients\n", 8*10*reports); out.String() != want {
+		t.Fatalf("top-apps = %q, want %q", out.String(), want)
 	}
 }
 

@@ -6,10 +6,9 @@
 // anonymization of identifiers for analysis exports, and gob snapshot
 // persistence.
 //
-// The store is lock-striped: client aggregates shard by MAC and
-// device-keyed series shard by serial, so concurrent harvest workers
-// ingesting reports for different devices rarely contend. Every read
-// accessor returns results in an explicitly sorted order, so downstream
-// analyses are independent of both map iteration order and the shard
-// count.
+// The store is a flat set of maps under one RWMutex: each report,
+// merged partial, load or capture is one exclusive section, so a
+// snapshot is always a cut between reports, and reads share the lock.
+// Every read accessor returns results in an explicitly sorted order, so
+// downstream analyses are independent of map iteration order.
 package backend

@@ -14,12 +14,9 @@ import (
 	"wlanscale/internal/wal"
 )
 
-// DurableOptions tunes OpenDurable. The zero value is usable:
-// DefaultShards stripes, default WAL options, two checkpoint
-// generations kept.
+// DurableOptions tunes OpenDurable. The zero value is usable: default
+// WAL options, two checkpoint generations kept.
 type DurableOptions struct {
-	// Shards is the store stripe count; zero means DefaultShards.
-	Shards int
 	// WAL configures the write-ahead log (segment size, fsync policy,
 	// crash injection for tests).
 	WAL wal.Options
@@ -150,10 +147,6 @@ func OpenDurable(dir string, o DurableOptions) (*DurableStore, RecoveryStats, er
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, stats, err
 	}
-	shards := o.Shards
-	if shards <= 0 {
-		shards = DefaultShards
-	}
 	keep := o.KeepCheckpoints
 	if keep <= 0 {
 		keep = 2
@@ -162,7 +155,7 @@ func OpenDurable(dir string, o DurableOptions) (*DurableStore, RecoveryStats, er
 	if netOf == nil {
 		netOf = NetworkOfSerial
 	}
-	d := &DurableStore{Store: NewStoreShards(shards), dir: dir, keep: keep, netOf: netOf}
+	d := &DurableStore{Store: NewStore(), dir: dir, keep: keep, netOf: netOf}
 
 	// A crash inside SaveFile leaves a temp file the rename never
 	// promoted; sweep such husks so they cannot accumulate.
@@ -178,11 +171,11 @@ func OpenDurable(dir string, o DurableOptions) (*DurableStore, RecoveryStats, er
 	for _, lsn := range lsns {
 		path := filepath.Join(dir, checkpointName(lsn))
 		if err := d.Store.LoadFile(path); err != nil {
-			// Corrupt or torn checkpoint: fall back a generation. The
-			// store may hold a partial load; reset by rebuilding.
+			// Corrupt or torn checkpoint: fall back a generation. Load
+			// installs nothing unless the whole file decodes, so the
+			// store is still empty.
 			log.Printf("backend: checkpoint %s unreadable (%v), falling back", filepath.Base(path), err)
 			stats.Fallbacks++
-			d.Store = NewStoreShards(shards)
 			continue
 		}
 		d.ckptLSN = lsn

@@ -407,30 +407,21 @@ func TestDigestStability(t *testing.T) {
 	reports := durableReports(50)
 	want := volatileDigest(reports)
 
-	// Shard-count independence.
-	s := NewStoreShards(16)
-	for _, r := range reports {
-		s.Ingest(r)
-	}
-	if s.Digest() != want {
-		t.Fatal("digest depends on shard count")
-	}
-
 	// Cross-serial interleaving independence: ingest grouped by serial
 	// (per-serial seqno order preserved — the watermark dedup requires
 	// it) with each report redelivered once. Same end state.
-	s2 := NewStore()
+	s := NewStore()
 	for ap := 0; ap < 3; ap++ {
 		serial := fmt.Sprintf("AP-%d", ap)
 		for _, r := range reports {
 			if r.Serial != serial {
 				continue
 			}
-			s2.Ingest(r)
-			s2.Ingest(r) // redelivery, absorbed by seqno watermark
+			s.Ingest(r)
+			s.Ingest(r) // redelivery, absorbed by seqno watermark
 		}
 	}
-	if s2.Digest() != want {
+	if s.Digest() != want {
 		t.Fatal("digest not stable under interleaving/redelivery")
 	}
 }

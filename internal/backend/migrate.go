@@ -3,7 +3,10 @@ package backend
 import (
 	"fmt"
 	"io"
+	"maps"
 	"sort"
+
+	"wlanscale/internal/dot11"
 )
 
 // This file is the store half of live shard rebalancing: extracting a
@@ -26,37 +29,31 @@ func (s *Store) Networks(netOf NetworkFunc) []uint64 {
 			set[id] = true
 		}
 	}
-	for _, ds := range s.deviceShards {
-		ds.mu.Lock()
-		for serial := range ds.seen {
-			add(serial)
-		}
-		for serial := range ds.radio {
-			add(serial)
-		}
-		for serial := range ds.scans {
-			add(serial)
-		}
-		for serial := range ds.neighbors {
-			add(serial)
-		}
-		for serial := range ds.crashes {
-			add(serial)
-		}
-		for k := range ds.links {
-			add(k.From)
-		}
-		ds.mu.Unlock()
+	s.mu.RLock()
+	for serial := range s.seen {
+		add(serial)
 	}
-	for _, cs := range s.clientShards {
-		cs.mu.Lock()
-		for _, c := range cs.clients {
-			if id, ok := networkOfClient(c, netOf); ok {
-				set[id] = true
-			}
-		}
-		cs.mu.Unlock()
+	for serial := range s.radio {
+		add(serial)
 	}
+	for serial := range s.scans {
+		add(serial)
+	}
+	for serial := range s.neighbors {
+		add(serial)
+	}
+	for serial := range s.crashes {
+		add(serial)
+	}
+	for k := range s.links {
+		add(k.From)
+	}
+	for _, c := range s.clients {
+		if id, ok := networkOfClient(c, netOf); ok {
+			set[id] = true
+		}
+	}
+	s.mu.RUnlock()
 	out := make([]uint64, 0, len(set))
 	for id := range set {
 		out = append(out, id)
@@ -74,21 +71,17 @@ func (s *Store) Networks(netOf NetworkFunc) []uint64 {
 // store under capture's cap-clamp rule. Migration bookkeeping is data,
 // not payload — the slice carries none of it.
 func (s *Store) ExtractNetworks(ids map[uint64]bool, netOf NetworkFunc) *Store {
-	in := func(serial string) bool {
+	out := func(serial string) bool {
 		id, ok := netOf(serial)
-		return ok && ids[id]
+		return !ok || !ids[id]
 	}
 	snap := s.capture()
-	keepSerials(snap.Seen, in)
-	keepSerials(snap.Radio, in)
-	keepSerials(snap.Scans, in)
-	keepSerials(snap.Crashes, in)
-	keepSerials(snap.Neighbors, in)
-	for k := range snap.Links {
-		if !in(k.From) {
-			delete(snap.Links, k)
-		}
-	}
+	deleteSerials(snap.Seen, out)
+	deleteSerials(snap.Radio, out)
+	deleteSerials(snap.Scans, out)
+	deleteSerials(snap.Crashes, out)
+	deleteSerials(snap.Neighbors, out)
+	maps.DeleteFunc(snap.Links, func(k LinkKey, _ *LinkSeries) bool { return out(k.From) })
 	kept := snap.ClientList[:0]
 	for i := range snap.ClientList {
 		if id, ok := networkOfClient(&snap.ClientList[i], netOf); ok && ids[id] {
@@ -97,93 +90,44 @@ func (s *Store) ExtractNetworks(ids map[uint64]bool, netOf NetworkFunc) *Store {
 	}
 	snap.ClientList = kept
 	snap.Absorbed, snap.Parted = nil, nil
-	out := NewStoreShards(s.NumShards())
-	out.install(snap)
-	return out
+	slice := &Store{}
+	slice.install(snap)
+	return slice
 }
 
-// keepSerials deletes the entries of a serial-keyed map that in rejects.
-func keepSerials[V any](m map[string]V, in func(string) bool) {
-	for serial := range m {
-		if !in(serial) {
-			delete(m, serial)
-		}
-	}
+// deleteSerials deletes the entries of a serial-keyed map that del
+// selects.
+func deleteSerials[V any](m map[string]V, del func(string) bool) {
+	maps.DeleteFunc(m, func(serial string, _ V) bool { return del(serial) })
 }
 
 // DeleteNetworks removes everything the store holds for the given
 // networks and reports how many networks actually had data and how many
-// keyed entries went away. It holds the gate exclusively, so no report
-// is half-applied around it and no capture sees it half-done; stripe
-// locks are still taken one at a time for the per-stripe readers.
+// keyed entries went away. It holds the lock exclusively, so no report
+// is half-applied around it and no reader or capture sees it half-done.
 // Dedup high-water marks are deleted too: after a cutover the network
 // lives elsewhere, and if it ever migrates back its slice carries the
 // watermark with it.
 func (s *Store) DeleteNetworks(ids map[uint64]bool, netOf NetworkFunc) (networks, entries int) {
 	removed := make(map[uint64]bool)
-	in := func(serial string) (uint64, bool) {
-		id, ok := netOf(serial)
-		return id, ok && ids[id]
+	drop := func(id uint64, ok bool) bool {
+		if ok && ids[id] {
+			removed[id] = true
+			entries++
+			return true
+		}
+		return false
 	}
-	s.gate.Lock()
-	defer s.gate.Unlock()
-	for _, ds := range s.deviceShards {
-		ds.mu.Lock()
-		for serial := range ds.seen {
-			if id, ok := in(serial); ok {
-				delete(ds.seen, serial)
-				removed[id] = true
-				entries++
-			}
-		}
-		for serial := range ds.radio {
-			if id, ok := in(serial); ok {
-				delete(ds.radio, serial)
-				removed[id] = true
-				entries++
-			}
-		}
-		for serial := range ds.scans {
-			if id, ok := in(serial); ok {
-				delete(ds.scans, serial)
-				removed[id] = true
-				entries++
-			}
-		}
-		for serial := range ds.crashes {
-			if id, ok := in(serial); ok {
-				delete(ds.crashes, serial)
-				removed[id] = true
-				entries++
-			}
-		}
-		for serial := range ds.neighbors {
-			if id, ok := in(serial); ok {
-				delete(ds.neighbors, serial)
-				removed[id] = true
-				entries++
-			}
-		}
-		for k := range ds.links {
-			if id, ok := in(k.From); ok {
-				delete(ds.links, k)
-				removed[id] = true
-				entries++
-			}
-		}
-		ds.mu.Unlock()
-	}
-	for _, cs := range s.clientShards {
-		cs.mu.Lock()
-		for mac, c := range cs.clients {
-			if id, ok := networkOfClient(c, netOf); ok && ids[id] {
-				delete(cs.clients, mac)
-				removed[id] = true
-				entries++
-			}
-		}
-		cs.mu.Unlock()
-	}
+	in := func(serial string) bool { return drop(netOf(serial)) }
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	deleteSerials(s.seen, in)
+	deleteSerials(s.radio, in)
+	deleteSerials(s.scans, in)
+	deleteSerials(s.crashes, in)
+	deleteSerials(s.neighbors, in)
+	maps.DeleteFunc(s.links, func(k LinkKey, _ *LinkSeries) bool { return in(k.From) })
+	maps.DeleteFunc(s.clients, func(_ dot11.MAC, c *ClientAggregate) bool { return drop(networkOfClient(c, netOf)) })
 	return len(removed), entries
 }
 

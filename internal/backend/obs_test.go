@@ -2,7 +2,6 @@ package backend
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"wlanscale/internal/dot11"
@@ -11,10 +10,9 @@ import (
 )
 
 // TestStoreEnableObs checks the counters EnableObs folds into a
-// registry: totals, per-stripe ingest routing, and the snapshot-encode
-// histogram.
+// registry: totals and the snapshot-encode histogram.
 func TestStoreEnableObs(t *testing.T) {
-	s := NewStoreShards(4)
+	s := NewStore()
 	reg := obs.NewRegistry()
 	s.EnableObs(reg)
 
@@ -48,18 +46,6 @@ func TestStoreEnableObs(t *testing.T) {
 	if got := read("store.clients"); got != 10 {
 		t.Fatalf("store.clients = %d, want 10", got)
 	}
-	if got := read("store.shards"); got != 4 {
-		t.Fatalf("store.shards = %d, want 4", got)
-	}
-	var stripes int64
-	for _, sm := range reg.Snapshot() {
-		if strings.HasPrefix(sm.Name, "store.stripe.") {
-			stripes += sm.Value
-		}
-	}
-	if stripes != 10 {
-		t.Fatalf("stripe ingest counts sum to %d, want 10", stripes)
-	}
 
 	var buf bytes.Buffer
 	if err := s.Save(&buf); err != nil {
@@ -69,17 +55,11 @@ func TestStoreEnableObs(t *testing.T) {
 		t.Fatalf("store.save_us count = %d, want 1", got)
 	}
 
-	// Load resets the stripe counters along with the totals.
+	// Load resets the ingest totals.
 	if err := s.Load(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var after int64
-	for _, sm := range reg.Snapshot() {
-		if strings.HasPrefix(sm.Name, "store.stripe.") {
-			after += sm.Value
-		}
-	}
-	if after != 0 {
-		t.Fatalf("stripe ingest counts after Load sum to %d, want 0", after)
+	if got := read("store.ingests"); got != 0 {
+		t.Fatalf("store.ingests after Load = %d, want 0", got)
 	}
 }

@@ -41,55 +41,12 @@ func fullReport(n int, seq uint64) *telemetry.Report {
 	}
 }
 
-// TestShardCountInvariance: every read accessor must return the same
-// explicitly sorted results no matter how many stripes the store has —
-// the "not map order, not shard order" contract Table rows depend on.
-func TestShardCountInvariance(t *testing.T) {
-	digest := func(shards int) []string {
-		s := NewStoreShards(shards)
-		for n := 0; n < 64; n++ {
-			for seq := uint64(1); seq <= 3; seq++ {
-				s.Ingest(fullReport(n, seq))
-			}
-		}
-		var out []string
-		for _, c := range s.Clients() {
-			out = append(out, fmt.Sprintf("client %v total=%d", c.MAC, c.Total()))
-		}
-		for _, l := range s.Links() {
-			out = append(out, fmt.Sprintf("link %+v sent=%v del=%v", l.Key, l.Sent, l.Deliver))
-		}
-		for _, serial := range s.RadioSerials() {
-			out = append(out, fmt.Sprintf("radio %s n=%d", serial, len(s.RadioSeries(serial))))
-		}
-		for _, serial := range s.ScanSerials() {
-			out = append(out, fmt.Sprintf("scan %s n=%d", serial, len(s.ScanSeries(serial))))
-		}
-		for _, serial := range s.NeighborSerials() {
-			out = append(out, fmt.Sprintf("nbr %s n=%d", serial, s.NeighborCount(serial)))
-		}
-		return out
-	}
-	want := digest(1)
-	for _, shards := range []int{2, 8, 32, 64} {
-		got := digest(shards)
-		if len(got) != len(want) {
-			t.Fatalf("shards=%d: digest length %d, want %d", shards, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("shards=%d: line %d = %q, want %q", shards, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 // TestClientsSorted pins the explicit sort of Clients(): ascending MAC,
-// regardless of ingest order or shard placement.
+// regardless of ingest order.
 func TestClientsSorted(t *testing.T) {
 	s := NewStore()
-	// Ingest in descending MAC order so map/shard order can't accidentally
-	// look sorted.
+	// Ingest in descending MAC order so map order can't accidentally look
+	// sorted.
 	for n := 63; n >= 0; n-- {
 		s.Ingest(fullReport(n, 1))
 	}
@@ -104,9 +61,9 @@ func TestClientsSorted(t *testing.T) {
 	}
 }
 
-// TestConcurrentIngestManySerials hammers the striped store from many
+// TestConcurrentIngestManySerials hammers the store from many
 // goroutines across many serials and MACs; run under -race this is the
-// striping's safety proof, and the totals prove no lost updates.
+// locking's safety proof, and the totals prove no lost updates.
 func TestConcurrentIngestManySerials(t *testing.T) {
 	s := NewStore()
 	const workers = 16
@@ -142,9 +99,8 @@ func TestConcurrentIngestManySerials(t *testing.T) {
 // TestConcurrentSaveLoadIngest: Save and Load must be safe while
 // ingest workers are running — merakid snapshots (the "save" query
 // command and the shutdown snapshot) while serve goroutines are still
-// calling Ingest. Under -race this pins that Save encodes under the
-// stripe locks and Load never swaps the shard layout out from under
-// concurrent readers.
+// calling Ingest. Under -race this pins that Save captures under the
+// store lock and Load swaps the maps in under it too.
 func TestConcurrentSaveLoadIngest(t *testing.T) {
 	s := NewStore()
 	for n := 0; n < 32; n++ {
@@ -195,6 +151,54 @@ func TestConcurrentSaveLoadIngest(t *testing.T) {
 	}
 }
 
+// TestLoadIsAtomic: a reader racing Load sees the store wholly before
+// or wholly after it, never half-installed.
+func TestLoadIsAtomic(t *testing.T) {
+	snapshotOf := func(clients int) []byte {
+		s := NewStore()
+		for n := 0; n < clients; n++ {
+			s.Ingest(fullReport(n, 1))
+		}
+		var buf bytes.Buffer
+		if err := s.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	small, large := snapshotOf(64), snapshotOf(200)
+	s := NewStore()
+	if err := s.Load(bytes.NewReader(small)); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	loaded := make(chan error, 1)
+	go func() {
+		defer close(loaded)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := s.Load(bytes.NewReader([][]byte{large, small}[i%2])); err != nil {
+				loaded <- err
+				return
+			}
+		}
+	}()
+	for i := 0; i < 20000; i++ {
+		if n := s.NumClients(); n != 64 && n != 200 {
+			close(stop)
+			<-loaded
+			t.Fatalf("read %d: NumClients = %d during Load, want 64 or 200", i, n)
+		}
+	}
+	close(stop)
+	if err := <-loaded; err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestMergeEqualsDirectIngest: partitioning a report stream into
 // partial stores and merging them must be indistinguishable from
 // ingesting the whole stream into one store.
@@ -209,7 +213,7 @@ func TestMergeEqualsDirectIngest(t *testing.T) {
 	merged := NewStore()
 	const parts = 5
 	for p := 0; p < parts; p++ {
-		part := NewStoreShards(1)
+		part := NewStore()
 		for n := p; n < nDevices; n += parts {
 			part.Ingest(fullReport(n, 1))
 			part.Ingest(fullReport(n, 2))
@@ -259,7 +263,7 @@ func TestMergeEqualsDirectIngest(t *testing.T) {
 func TestMergeOverlappingClients(t *testing.T) {
 	mac := dot11.MAC{0xac, 0xbc, 0x32, 0, 0, 7}
 	mk := func(serial string) *Store {
-		p := NewStoreShards(1)
+		p := NewStore()
 		p.Ingest(&telemetry.Report{
 			Serial: serial, SeqNo: 1,
 			Clients: []telemetry.ClientRecord{{

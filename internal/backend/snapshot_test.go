@@ -19,8 +19,8 @@ import (
 	"wlanscale/internal/telemetry"
 )
 
-// tearReport builds writer w's report number seq: eight clients whose
-// MACs land in different stripes, each adding one flow of one app. After
+// tearReport builds writer w's report number seq: eight clients, each
+// adding one flow of one app. After
 // the store has taken reports 1..n of a serial, every one of that
 // serial's clients therefore has exactly n flows.
 func tearReport(w int, seq uint64) *telemetry.Report {
@@ -75,7 +75,7 @@ func TestSnapshotNeverTearsAReport(t *testing.T) {
 		}
 		for _, c := range got.Clients() {
 			serial := c.APs[0]
-			seen := got.deviceShardFor(serial).seen[serial]
+			seen := got.seen[serial]
 			if flows := uint64(appOf(c, "a").Flows); flows != seen {
 				t.Fatalf("snapshot %d: serial %s seen=%d but client %s has %d flows", i, serial, seen, c.MAC, flows)
 			}
@@ -428,7 +428,7 @@ func TestDigestByteStream(t *testing.T) {
 	check("empty", NewStore())
 	for seed := int64(1); seed <= 10; seed++ {
 		src := rand.New(rand.NewSource(seed))
-		s := NewStoreShards(1 << uint(seed%6))
+		s := NewStore()
 		seq := map[string]uint64{}
 		for i := 0; i < 400; i++ {
 			net, ap := 1+src.Intn(4), src.Intn(3)
@@ -483,11 +483,11 @@ func TestCaptureHoldObserved(t *testing.T) {
 	}
 	h, e := medians(save, func() { s.Save(io.Discard) })
 	if h*4 > e {
-		t.Errorf("Save held the gate %d µs and encoded for %d µs; want a hold under a quarter", h, e)
+		t.Errorf("Save held the lock %d µs and encoded for %d µs; want a hold under a quarter", h, e)
 	}
 	h, d := medians(digest, func() { s.Digest() })
 	if h*10 > h+d {
-		t.Errorf("Digest held the gate %d µs of %d µs; want at most a tenth", h, h+d)
+		t.Errorf("Digest held the lock %d µs of %d µs; want at most a tenth", h, h+d)
 	}
 }
 
@@ -530,7 +530,7 @@ func snapshotBenchStore(tb testing.TB) *Store {
 }
 
 // BenchmarkStoreSnapshot measures the three costs of a snapshot on the
-// paced-ops store shape. "hold" reports only the exclusive gate section
+// paced-ops store shape. "hold" reports only the exclusive lock section
 // of a capture (what ingest waits for) as its ns/op; "digest" and
 // "save" are the whole calls, capture included.
 func BenchmarkStoreSnapshot(b *testing.B) {

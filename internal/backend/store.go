@@ -3,8 +3,8 @@ package backend
 import (
 	"encoding/gob"
 	"fmt"
-	"hash/maphash"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
@@ -181,57 +181,26 @@ type NeighborEntry struct {
 	Vendor  string
 }
 
-// DefaultShards is the stripe count of NewStore. 32 stripes keep
-// contention negligible up to typical harvest-worker counts while the
-// per-store footprint stays small.
-const DefaultShards = 32
-
-// clientShard is one stripe of the MAC-keyed client aggregation.
-type clientShard struct {
-	mu      sync.Mutex
-	clients map[dot11.MAC]*ClientAggregate
-}
-
-// deviceShard is one stripe of the serial-keyed device data. Everything
-// a single report writes outside the client map lives in the reporting
-// device's shard, so dedup and series appends for one serial are
-// serialized by one lock.
-type deviceShard struct {
-	// ingests counts reports Ingest routed to this stripe (accepted,
-	// not deduplicated) — the per-stripe load signal EnableObs exports.
-	// Merge is not attributed per stripe, so after merges the stripe
-	// sum can trail the store total. Atomic, so readers never touch
-	// the stripe lock.
-	ingests   atomic.Int64
-	mu        sync.Mutex
+// Store is the backend datastore. It is safe for concurrent use: one
+// RWMutex guards every data map. Mutators (Ingest, Merge, install,
+// DeleteNetworks) and capture hold it exclusively for one whole report,
+// partial or copy, so a capture is a cut between reports; readers hold
+// it shared.
+type Store struct {
+	mu        sync.RWMutex
+	clients   map[dot11.MAC]*ClientAggregate
 	seen      map[string]uint64 // highest seq per serial
 	radio     map[string][]RadioSample
 	scans     map[string][]ScanPoint
 	neighbors map[string]map[dot11.BSSID]NeighborEntry
 	crashes   map[string][]telemetry.CrashRecord
-	links     map[LinkKey]*LinkSeries // keyed by From == shard serial
-}
-
-// Store is the backend datastore. It is safe for concurrent use: client
-// aggregates are lock-striped by MAC and device series by serial.
-type Store struct {
-	clientShards []*clientShard
-	deviceShards []*deviceShard
-	mask         uint64
-
-	// gate makes a snapshot a cut between reports. Every mutator holds it
-	// shared for one whole report or partial (Ingest, Merge, install), so
-	// writers never wait for each other on it; capture and DeleteNetworks
-	// hold it exclusively, and only long enough to copy what a later
-	// write could change (see capture). It is taken before any stripe
-	// lock and never while holding one.
-	gate sync.RWMutex
+	links     map[LinkKey]*LinkSeries
 
 	ingests atomic.Int64
 	dupes   atomic.Int64
 
 	// Migration bookkeeping (see migrate.go). migMu guards both maps;
-	// it is only ever taken alone or inside the gate (capture), never
+	// it is only ever taken alone or inside mu (capture, install), never
 	// the other way around. absorbMu serializes whole Absorb operations
 	// so two concurrent absorbs of the same token cannot both pass the
 	// dedup check and double-merge.
@@ -241,9 +210,8 @@ type Store struct {
 	absorbMu sync.Mutex
 
 	// When EnableObs attached a registry: holdDur times the exclusive
-	// gate section of each capture, saveDur the gob encode and digestDur
-	// the hash walk that follow it with no lock held. Nil (no-op)
-	// otherwise.
+	// section of each capture, saveDur the gob encode and digestDur the
+	// hash walk that follow it with no lock held. Nil (no-op) otherwise.
 	holdDur, saveDur, digestDur *obs.Histogram
 
 	// tracer, when EnableTrace attached one, records a store.ingest span
@@ -251,85 +219,28 @@ type Store struct {
 	tracer *trace.Tracer
 }
 
-// serialSeed fixes the serial hash across stores so sharding is
-// reproducible within a process (determinism never depends on it: reads
-// re-sort).
-var serialSeed = maphash.MakeSeed()
-
-// NewStore creates an empty store with DefaultShards stripes.
-func NewStore() *Store { return NewStoreShards(DefaultShards) }
-
-// NewStoreShards creates an empty store with n lock stripes (rounded up
-// to a power of two; n <= 1 yields a single-mutex store, useful as the
-// contention baseline in benchmarks).
-func NewStoreShards(n int) *Store {
-	shards := 1
-	for shards < n {
-		shards <<= 1
-	}
-	s := &Store{
-		clientShards: make([]*clientShard, shards),
-		deviceShards: make([]*deviceShard, shards),
-		mask:         uint64(shards - 1),
-	}
-	for i := 0; i < shards; i++ {
-		s.clientShards[i] = &clientShard{clients: make(map[dot11.MAC]*ClientAggregate)}
-		s.deviceShards[i] = &deviceShard{
-			seen:      make(map[string]uint64),
-			radio:     make(map[string][]RadioSample),
-			scans:     make(map[string][]ScanPoint),
-			neighbors: make(map[string]map[dot11.BSSID]NeighborEntry),
-			crashes:   make(map[string][]telemetry.CrashRecord),
-			links:     make(map[LinkKey]*LinkSeries),
-		}
-	}
+// NewStore creates an empty store.
+func NewStore() *Store {
+	s := &Store{}
+	s.install(&snapshot{})
 	return s
-}
-
-// NumShards returns the stripe count.
-func (s *Store) NumShards() int { return len(s.clientShards) }
-
-// clientShardFor picks the stripe for a client MAC. MACs from one OUI
-// differ only in the low 24 bits, so mix the packed value before
-// masking.
-func (s *Store) clientShardFor(mac dot11.MAC) *clientShard {
-	return s.clientShards[mix64(mac.Uint64())&s.mask]
-}
-
-func (s *Store) deviceShardFor(serial string) *deviceShard {
-	return s.deviceShards[maphash.String(serialSeed, serial)&s.mask]
-}
-
-// mix64 is the splitmix64 finalizer: a cheap, well-distributed bijection.
-func mix64(v uint64) uint64 {
-	v ^= v >> 30
-	v *= 0xbf58476d1ce4e5b9
-	v ^= v >> 27
-	v *= 0x94d049bb133111eb
-	v ^= v >> 31
-	return v
 }
 
 // Ingest merges one report. Re-delivered reports (same serial, seqno not
 // above the high-water mark) are dropped, making harvest idempotent.
-// Reports for different serials take disjoint device stripes and
-// contend on a client stripe only when their clients hash together.
 func (s *Store) Ingest(r *telemetry.Report) {
 	sp := s.tracer.Start(trace.ID(r.TraceID), trace.StageStoreIngest)
 	sp.SetSerial(r.Serial)
 	sp.SetSeq(r.SeqNo)
 	defer sp.End()
-	s.gate.RLock()
-	defer s.gate.RUnlock()
-	ds := s.deviceShardFor(r.Serial)
-	ds.mu.Lock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if r.SeqNo != 0 {
-		if hw, ok := ds.seen[r.Serial]; ok && r.SeqNo <= hw {
-			ds.mu.Unlock()
+		if hw, ok := s.seen[r.Serial]; ok && r.SeqNo <= hw {
 			s.dupes.Add(1)
 			return
 		}
-		ds.seen[r.Serial] = r.SeqNo
+		s.seen[r.Serial] = r.SeqNo
 	}
 
 	for _, rs := range r.Radios {
@@ -337,7 +248,7 @@ func (s *Store) Ingest(r *telemetry.Report) {
 		if cyc == 0 {
 			continue
 		}
-		ds.radio[r.Serial] = append(ds.radio[r.Serial], RadioSample{
+		s.radio[r.Serial] = append(s.radio[r.Serial], RadioSample{
 			Timestamp: r.Timestamp,
 			Band:      rs.Band,
 			Channel:   rs.Channel,
@@ -348,16 +259,16 @@ func (s *Store) Ingest(r *telemetry.Report) {
 	}
 	for _, l := range r.LinkWindows {
 		k := LinkKey{From: r.Serial, To: l.Peer, Band: l.Band}
-		series, ok := ds.links[k]
+		series, ok := s.links[k]
 		if !ok {
 			series = &LinkSeries{Key: k}
-			ds.links[k] = series
+			s.links[k] = series
 		}
 		series.Sent = append(series.Sent, l.Sent)
 		series.Deliver = append(series.Deliver, l.Delivered)
 	}
 	for _, sc := range r.ScanSamples {
-		ds.scans[r.Serial] = append(ds.scans[r.Serial], ScanPoint{
+		s.scans[r.Serial] = append(s.scans[r.Serial], ScanPoint{
 			Timestamp: r.Timestamp,
 			Band:      sc.Band,
 			Channel:   sc.Channel,
@@ -366,28 +277,25 @@ func (s *Store) Ingest(r *telemetry.Report) {
 		})
 	}
 	if len(r.Crashes) > 0 {
-		ds.crashes[r.Serial] = append(ds.crashes[r.Serial], r.Crashes...)
+		s.crashes[r.Serial] = append(s.crashes[r.Serial], r.Crashes...)
 	}
 	for _, n := range r.Neighbors {
-		m, ok := ds.neighbors[r.Serial]
+		m, ok := s.neighbors[r.Serial]
 		if !ok {
 			m = make(map[dot11.BSSID]NeighborEntry)
-			ds.neighbors[r.Serial] = m
+			s.neighbors[r.Serial] = m
 		}
 		m[n.BSSID] = NeighborEntry{
 			BSSID: n.BSSID, SSID: n.SSID, Band: n.Band,
 			Channel: n.Channel, RSSIdB: n.RSSIdB, Vendor: n.Vendor,
 		}
 	}
-	ds.mu.Unlock()
 
 	for _, c := range r.Clients {
-		cs := s.clientShardFor(c.MAC)
-		cs.mu.Lock()
-		agg, ok := cs.clients[c.MAC]
+		agg, ok := s.clients[c.MAC]
 		if !ok {
 			agg = &ClientAggregate{MAC: c.MAC}
-			cs.clients[c.MAC] = agg
+			s.clients[c.MAC] = agg
 		}
 		agg.Band = c.Band
 		agg.RSSIdB = c.RSSIdB
@@ -400,25 +308,14 @@ func (s *Store) Ingest(r *telemetry.Report) {
 			agg.addFP(fp)
 		}
 		agg.foldApps(c.Apps)
-		cs.mu.Unlock()
 	}
-
-	// Counted only once every stripe write has landed, so an observer
-	// that sees the count sees the report's client aggregates too.
-	// Per-stripe readers (Clients, RadioSeries, ...) are still only
-	// eventually consistent while ingests are in flight: they can
-	// interleave between stripe updates of a single report. A capture
-	// cannot.
-	ds.ingests.Add(1)
 	s.ingests.Add(1)
 }
 
 // EnableObs folds the store's counters into reg: "store.ingests",
-// "store.dupes", "store.clients", and "store.shards" as func gauges,
-// one "store.stripe.NN.ingests" gauge per device stripe (the load-skew
-// signal — a hot stripe means serials are hashing together), and three
+// "store.dupes" and "store.clients" as func gauges, and three
 // histograms: "store.capture_hold_us" (how long each capture held the
-// gate exclusively, i.e. how long ingest stalled), "store.save_us" and
+// lock exclusively, i.e. how long ingest stalled), "store.save_us" and
 // "store.digest_us" (the gob encode and the hash walk that follow a
 // capture with no lock held). Like everything in obs, these are
 // observe-only; calling EnableObs changes no stored data. Call before
@@ -431,12 +328,6 @@ func (s *Store) EnableObs(reg *obs.Registry) {
 	reg.RegisterFunc("store.ingests", func() int64 { return s.ingests.Load() })
 	reg.RegisterFunc("store.dupes", func() int64 { return s.dupes.Load() })
 	reg.RegisterFunc("store.clients", func() int64 { return int64(s.NumClients()) })
-	reg.RegisterFunc("store.shards", func() int64 { return int64(s.NumShards()) })
-	for i := range s.deviceShards {
-		ds := s.deviceShards[i]
-		reg.RegisterFunc(obs.Indexed("store.stripe", i, "ingests"),
-			func() int64 { return ds.ingests.Load() })
-	}
 	s.holdDur = reg.Histogram("store.capture_hold_us", obs.DurationBuckets)
 	s.saveDur = reg.Histogram("store.save_us", obs.DurationBuckets)
 	s.digestDur = reg.Histogram("store.digest_us", obs.DurationBuckets)
@@ -444,7 +335,7 @@ func (s *Store) EnableObs(reg *obs.Registry) {
 
 // EnableTrace attaches a tracer: every sampled report folded in by
 // Ingest records a store.ingest span (trace ID read from the report,
-// duration covering all stripe writes). Observe-only — stored data and
+// duration covering the whole fold). Observe-only — stored data and
 // digests are unchanged. Call before serving; attaching is not
 // synchronized with concurrent Ingest.
 func (s *Store) EnableTrace(t *trace.Tracer) { s.tracer = t }
@@ -471,21 +362,16 @@ func (c *ClientAggregate) addFP(fp []byte) {
 
 // Merge folds a partial store into s. The caller hands over ownership
 // of p: the parallel epoch pipeline builds one partial per network and
-// merges them in network-index order, so every map and slice is folded
-// in a deterministic sequence (keys are visited sorted, making merge
-// output independent of p's map iteration order).
+// merges them in network-index order. Every fold below touches only its
+// own key, so the result does not depend on p's map iteration order.
 func (s *Store) Merge(p *Store) {
-	s.gate.RLock()
-	defer s.gate.RUnlock()
-	// Client aggregates, in MAC order.
-	for _, agg := range p.Clients() {
-		cs := s.clientShardFor(agg.MAC)
-		cs.mu.Lock()
-		dst, ok := cs.clients[agg.MAC]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for mac, agg := range p.clients {
+		dst, ok := s.clients[mac]
 		if !ok {
 			// First sighting: adopt the partial's aggregate wholesale.
-			cs.clients[agg.MAC] = agg
-			cs.mu.Unlock()
+			s.clients[mac] = agg
 			continue
 		}
 		dst.Band = agg.Band
@@ -501,69 +387,39 @@ func (s *Store) Merge(p *Store) {
 			dst.addFP(fp)
 		}
 		dst.foldApps(agg.Apps)
-		cs.mu.Unlock()
 	}
-
-	// Device-keyed series, in serial (and link-key) order per stripe.
-	for _, pd := range p.deviceShards {
-		for _, serial := range sortedKeys(pd.seen) {
-			seq := pd.seen[serial]
-			ds := s.deviceShardFor(serial)
-			ds.mu.Lock()
-			if seq > ds.seen[serial] {
-				ds.seen[serial] = seq
-			}
-			ds.mu.Unlock()
+	for serial, seq := range p.seen {
+		if seq > s.seen[serial] {
+			s.seen[serial] = seq
 		}
-		for _, serial := range sortedKeys(pd.radio) {
-			ds := s.deviceShardFor(serial)
-			ds.mu.Lock()
-			ds.radio[serial] = append(ds.radio[serial], pd.radio[serial]...)
-			ds.mu.Unlock()
+	}
+	for serial, v := range p.radio {
+		s.radio[serial] = append(s.radio[serial], v...)
+	}
+	for serial, v := range p.scans {
+		s.scans[serial] = append(s.scans[serial], v...)
+	}
+	for serial, v := range p.crashes {
+		s.crashes[serial] = append(s.crashes[serial], v...)
+	}
+	for serial, src := range p.neighbors {
+		m, ok := s.neighbors[serial]
+		if !ok {
+			s.neighbors[serial] = src
+			continue
 		}
-		for _, serial := range sortedKeys(pd.scans) {
-			ds := s.deviceShardFor(serial)
-			ds.mu.Lock()
-			ds.scans[serial] = append(ds.scans[serial], pd.scans[serial]...)
-			ds.mu.Unlock()
+		for bssid, e := range src {
+			m[bssid] = e
 		}
-		for _, serial := range sortedKeys(pd.crashes) {
-			ds := s.deviceShardFor(serial)
-			ds.mu.Lock()
-			ds.crashes[serial] = append(ds.crashes[serial], pd.crashes[serial]...)
-			ds.mu.Unlock()
+	}
+	for k, src := range p.links {
+		series, ok := s.links[k]
+		if !ok {
+			s.links[k] = src
+			continue
 		}
-		for _, serial := range sortedKeys(pd.neighbors) {
-			ds := s.deviceShardFor(serial)
-			ds.mu.Lock()
-			m, ok := ds.neighbors[serial]
-			if !ok {
-				ds.neighbors[serial] = pd.neighbors[serial]
-			} else {
-				for bssid, e := range pd.neighbors[serial] {
-					m[bssid] = e
-				}
-			}
-			ds.mu.Unlock()
-		}
-		keys := make([]LinkKey, 0, len(pd.links))
-		for k := range pd.links {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return lessLinkKey(keys[i], keys[j]) })
-		for _, k := range keys {
-			src := pd.links[k]
-			ds := s.deviceShardFor(k.From)
-			ds.mu.Lock()
-			series, ok := ds.links[k]
-			if !ok {
-				ds.links[k] = src
-			} else {
-				series.Sent = append(series.Sent, src.Sent...)
-				series.Deliver = append(series.Deliver, src.Deliver...)
-			}
-			ds.mu.Unlock()
-		}
+		series.Sent = append(series.Sent, src.Sent...)
+		series.Deliver = append(series.Deliver, src.Deliver...)
 	}
 
 	// Migration bookkeeping folds as a union: a merged view is "parted"
@@ -613,132 +469,149 @@ func (s *Store) Stats() (ingests, dupes int) {
 
 // NumClients returns the number of distinct client MACs.
 func (s *Store) NumClients() int {
-	n := 0
-	for _, cs := range s.clientShards {
-		cs.mu.Lock()
-		n += len(cs.clients)
-		cs.mu.Unlock()
-	}
-	return n
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.clients)
 }
 
 // Clients returns the aggregates explicitly sorted by MAC. The sort is
 // load-bearing: downstream table rows must not depend on map iteration
-// order or on how MACs happen to hash across shards.
+// order. The aggregates are the live ones, so a caller that reads them
+// while reports are still arriving races with Ingest; AppTotals is the
+// live-safe summary.
 func (s *Store) Clients() []*ClientAggregate {
-	var out []*ClientAggregate
-	for _, cs := range s.clientShards {
-		cs.mu.Lock()
-		for _, c := range cs.clients {
-			out = append(out, c)
-		}
-		cs.mu.Unlock()
+	s.mu.RLock()
+	out := make([]*ClientAggregate, 0, len(s.clients))
+	for _, c := range s.clients {
+		out = append(out, c)
 	}
+	s.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].MAC.Uint64() < out[j].MAC.Uint64() })
+	return out
+}
+
+// AppTotal is one application's traffic summed over every client.
+type AppTotal struct {
+	App     string
+	Bytes   uint64 // up + down
+	Clients int    // clients with a record for the app
+}
+
+// AppTotals sums every client's per-application records, sorted by
+// bytes descending, then name. The fold runs under the read lock, so it
+// is safe against concurrent Ingest.
+func (s *Store) AppTotals() []AppTotal {
+	idx := make(map[string]int)
+	var out []AppTotal
+	s.mu.RLock()
+	for _, c := range s.clients {
+		for _, rec := range c.Apps {
+			i, ok := idx[rec.App]
+			if !ok {
+				i = len(out)
+				idx[rec.App] = i
+				out = append(out, AppTotal{App: rec.App})
+			}
+			out[i].Bytes += rec.UpBytes + rec.DownBytes
+			out[i].Clients++
+		}
+	}
+	s.mu.RUnlock()
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Bytes != out[j].Bytes {
+			return out[i].Bytes > out[j].Bytes
+		}
+		return out[i].App < out[j].App
+	})
 	return out
 }
 
 // Links returns every stored link series, sorted for determinism.
 func (s *Store) Links() []*LinkSeries {
-	var out []*LinkSeries
-	for _, ds := range s.deviceShards {
-		ds.mu.Lock()
-		for _, l := range ds.links {
-			out = append(out, l)
-		}
-		ds.mu.Unlock()
+	s.mu.RLock()
+	out := make([]*LinkSeries, 0, len(s.links))
+	for _, l := range s.links {
+		out = append(out, l)
 	}
+	s.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return lessLinkKey(out[i].Key, out[j].Key) })
 	return out
 }
 
 // RadioSeries returns a device's stored counter samples.
 func (s *Store) RadioSeries(serial string) []RadioSample {
-	ds := s.deviceShardFor(serial)
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	return ds.radio[serial]
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.radio[serial]
 }
 
 // RadioSerials returns the serials with radio samples, sorted.
 func (s *Store) RadioSerials() []string {
-	return serialKeys(s.deviceShards, func(ds *deviceShard) map[string][]RadioSample { return ds.radio })
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return sortedKeys(s.radio)
 }
 
 // ScanSeries returns a device's stored scan points.
 func (s *Store) ScanSeries(serial string) []ScanPoint {
-	ds := s.deviceShardFor(serial)
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	return ds.scans[serial]
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.scans[serial]
 }
 
 // ScanSerials returns the serials with scan data, sorted.
 func (s *Store) ScanSerials() []string {
-	return serialKeys(s.deviceShards, func(ds *deviceShard) map[string][]ScanPoint { return ds.scans })
-}
-
-// serialKeys collects the keys of one serial-keyed map across all
-// shards, sorted.
-func serialKeys[V any](shards []*deviceShard, pick func(*deviceShard) map[string]V) []string {
-	var out []string
-	for _, ds := range shards {
-		ds.mu.Lock()
-		for k := range pick(ds) {
-			out = append(out, k)
-		}
-		ds.mu.Unlock()
-	}
-	sort.Strings(out)
-	return out
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return sortedKeys(s.scans)
 }
 
 // Neighbors returns a device's deduplicated neighbor table, sorted by
 // BSSID.
 func (s *Store) Neighbors(serial string) []NeighborEntry {
-	ds := s.deviceShardFor(serial)
-	ds.mu.Lock()
-	m := ds.neighbors[serial]
+	s.mu.RLock()
+	m := s.neighbors[serial]
 	out := make([]NeighborEntry, 0, len(m))
 	for _, n := range m {
 		out = append(out, n)
 	}
-	ds.mu.Unlock()
+	s.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].BSSID.Uint64() < out[j].BSSID.Uint64() })
 	return out
 }
 
 // NeighborSerials returns the serials with neighbor tables, sorted.
 func (s *Store) NeighborSerials() []string {
-	return serialKeys(s.deviceShards, func(ds *deviceShard) map[string]map[dot11.BSSID]NeighborEntry { return ds.neighbors })
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return sortedKeys(s.neighbors)
 }
 
 // Crashes returns a device's stored crash records.
 func (s *Store) Crashes(serial string) []telemetry.CrashRecord {
-	ds := s.deviceShardFor(serial)
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	return ds.crashes[serial]
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.crashes[serial]
 }
 
 // CrashSerials returns the serials with crash reports, sorted.
 func (s *Store) CrashSerials() []string {
-	return serialKeys(s.deviceShards, func(ds *deviceShard) map[string][]telemetry.CrashRecord { return ds.crashes })
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return sortedKeys(s.crashes)
 }
 
 // NeighborCount returns the size of a device's deduplicated neighbor
 // table (both bands).
 func (s *Store) NeighborCount(serial string) int {
-	ds := s.deviceShardFor(serial)
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	return len(ds.neighbors[serial])
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.neighbors[serial])
 }
 
 // snapshot is a point-in-time copy of the store: what capture returns,
 // what Digest, Save and ExtractNetworks work on with no lock held, and
-// the gob-persisted form. The device-keyed fields predate sharding
-// (flat maps), so snapshots round-trip across shard counts.
+// the gob-persisted form.
 type snapshot struct {
 	Seen map[string]uint64
 	// ClientList is sorted by MAC.
@@ -775,7 +648,7 @@ type legacyClient struct {
 	APs              map[string]bool
 }
 
-// capture copies the store as it stands between two reports. The gate
+// capture copies the store as it stands between two reports. The lock
 // is held exclusively only for the copy, which is O(keys) — it touches
 // no sample and no app record:
 //
@@ -796,76 +669,51 @@ type legacyClient struct {
 // Hashing, encoding and file I/O then run on the returned value with
 // no lock held.
 func (s *Store) capture() *snapshot {
-	s.gate.Lock()
+	s.mu.Lock()
 	sp := obs.StartSpan(s.holdDur)
-	nClients := 0
-	for _, cs := range s.clientShards {
-		nClients += len(cs.clients)
-	}
 	snap := &snapshot{
-		Seen:       make(map[string]uint64),
-		ClientList: make([]ClientAggregate, 0, nClients),
-		Links:      make(map[LinkKey]*LinkSeries),
-		Radio:      make(map[string][]RadioSample),
-		Scans:      make(map[string][]ScanPoint),
-		Neighbors:  make(map[string]map[dot11.BSSID]NeighborEntry),
-		Crashes:    make(map[string][]telemetry.CrashRecord),
+		Seen:       maps.Clone(s.seen),
+		ClientList: make([]ClientAggregate, 0, len(s.clients)),
+		Links:      make(map[LinkKey]*LinkSeries, len(s.links)),
+		Radio:      make(map[string][]RadioSample, len(s.radio)),
+		Scans:      make(map[string][]ScanPoint, len(s.scans)),
+		Neighbors:  make(map[string]map[dot11.BSSID]NeighborEntry, len(s.neighbors)),
+		Crashes:    make(map[string][]telemetry.CrashRecord, len(s.crashes)),
 	}
-	for _, cs := range s.clientShards {
-		for _, c := range cs.clients {
-			c.appsShared = true
-			cp := *c
-			cp.Apps = slices.Clip(c.Apps)
-			cp.UserAgents = slices.Clip(c.UserAgents)
-			cp.DHCPFingerprints = slices.Clip(c.DHCPFingerprints)
-			snap.ClientList = append(snap.ClientList, cp)
-		}
+	for _, c := range s.clients {
+		c.appsShared = true
+		cp := *c
+		cp.Apps = slices.Clip(c.Apps)
+		cp.UserAgents = slices.Clip(c.UserAgents)
+		cp.DHCPFingerprints = slices.Clip(c.DHCPFingerprints)
+		snap.ClientList = append(snap.ClientList, cp)
 	}
-	nLinks := 0
-	for _, ds := range s.deviceShards {
-		nLinks += len(ds.links)
+	links := make([]LinkSeries, 0, len(s.links))
+	for k, l := range s.links {
+		links = append(links, LinkSeries{Key: k, Sent: slices.Clip(l.Sent), Deliver: slices.Clip(l.Deliver)})
+		snap.Links[k] = &links[len(links)-1]
 	}
-	links := make([]LinkSeries, 0, nLinks)
-	for _, ds := range s.deviceShards {
-		for k, v := range ds.seen {
-			snap.Seen[k] = v
-		}
-		for k, l := range ds.links {
-			links = append(links, LinkSeries{Key: k, Sent: slices.Clip(l.Sent), Deliver: slices.Clip(l.Deliver)})
-			snap.Links[k] = &links[len(links)-1]
-		}
-		for k, v := range ds.radio {
-			snap.Radio[k] = slices.Clip(v)
-		}
-		for k, v := range ds.scans {
-			snap.Scans[k] = slices.Clip(v)
-		}
-		for k, v := range ds.crashes {
-			snap.Crashes[k] = slices.Clip(v)
-		}
-		for k, m := range ds.neighbors {
-			cp := make(map[dot11.BSSID]NeighborEntry, len(m))
-			for b, e := range m {
-				cp[b] = e
-			}
-			snap.Neighbors[k] = cp
-		}
+	for k, v := range s.radio {
+		snap.Radio[k] = slices.Clip(v)
+	}
+	for k, v := range s.scans {
+		snap.Scans[k] = slices.Clip(v)
+	}
+	for k, v := range s.crashes {
+		snap.Crashes[k] = slices.Clip(v)
+	}
+	for k, m := range s.neighbors {
+		snap.Neighbors[k] = maps.Clone(m)
 	}
 	s.migMu.Lock()
 	if len(s.absorbed) > 0 {
-		snap.Absorbed = make(map[string]bool, len(s.absorbed))
-		for k := range s.absorbed {
-			snap.Absorbed[k] = true
-		}
+		snap.Absorbed = maps.Clone(s.absorbed)
 	}
 	if len(s.parted) > 0 {
-		snap.Parted = make(map[uint64]bool, len(s.parted))
-		for k := range s.parted {
-			snap.Parted[k] = true
-		}
+		snap.Parted = maps.Clone(s.parted)
 	}
 	s.migMu.Unlock()
-	s.gate.Unlock()
+	s.mu.Unlock()
 	sp.End()
 
 	sort.Slice(snap.ClientList, func(i, j int) bool {
@@ -922,16 +770,9 @@ func (snap *snapshot) upgrade() error {
 	return nil
 }
 
-// Load replaces the store contents from a gob snapshot. The shard
-// layout is never swapped out — the slice headers and mask are
-// effectively immutable after NewStoreShards, which is what lets every
-// other method read them without synchronization — so Load instead
-// resets each existing stripe and folds the decoded entries in under
-// the stripe locks. That makes Load race-free against concurrent Ingest
-// and readers, and a capture sees the store either before or after the
-// load, but per-stripe readers and ingests can observe a mix of old and
-// new entries while it is in flight. Callers wanting a consistent view
-// should load before serving (merakid does).
+// Load replaces the store contents from a gob snapshot. The swap is
+// one exclusive section, so readers and captures see the store either
+// wholly before or wholly after the load.
 func (s *Store) Load(r io.Reader) error {
 	var snap snapshot
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
@@ -945,78 +786,39 @@ func (s *Store) Load(r io.Reader) error {
 }
 
 // install replaces the store contents with snap's, taking ownership of
-// everything snap references.
+// everything snap references. Absent maps become empty ones.
 func (s *Store) install(snap *snapshot) {
-	s.gate.RLock()
-	defer s.gate.RUnlock()
-	for _, cs := range s.clientShards {
-		cs.mu.Lock()
-		cs.clients = make(map[dot11.MAC]*ClientAggregate)
-		cs.mu.Unlock()
+	clients := make(map[dot11.MAC]*ClientAggregate, len(snap.ClientList))
+	for i := range snap.ClientList {
+		c := &snap.ClientList[i]
+		clients[c.MAC] = c
 	}
-	for _, ds := range s.deviceShards {
-		ds.mu.Lock()
-		ds.seen = make(map[string]uint64)
-		ds.radio = make(map[string][]RadioSample)
-		ds.scans = make(map[string][]ScanPoint)
-		ds.neighbors = make(map[string]map[dot11.BSSID]NeighborEntry)
-		ds.crashes = make(map[string][]telemetry.CrashRecord)
-		ds.links = make(map[LinkKey]*LinkSeries)
-		ds.ingests.Store(0)
-		ds.mu.Unlock()
-	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.clients = clients
+	s.seen = orEmpty(snap.Seen)
+	s.links = orEmpty(snap.Links)
+	s.radio = orEmpty(snap.Radio)
+	s.scans = orEmpty(snap.Scans)
+	s.neighbors = orEmpty(snap.Neighbors)
+	s.crashes = orEmpty(snap.Crashes)
 	s.ingests.Store(0)
 	s.dupes.Store(0)
 	s.migMu.Lock()
-	s.absorbed, s.parted = nil, nil
-	for k := range snap.Absorbed {
-		if s.absorbed == nil {
-			s.absorbed = make(map[string]bool)
-		}
-		s.absorbed[k] = true
-	}
-	for k := range snap.Parted {
-		if s.parted == nil {
-			s.parted = make(map[uint64]bool)
-		}
-		s.parted[k] = true
-	}
+	s.absorbed, s.parted = snap.Absorbed, snap.Parted
 	s.migMu.Unlock()
-	for i := range snap.ClientList {
-		c := &snap.ClientList[i]
-		cs := s.clientShardFor(c.MAC)
-		cs.mu.Lock()
-		cs.clients[c.MAC] = c
-		cs.mu.Unlock()
+}
+
+// orEmpty returns m, or a new empty map when m is nil.
+func orEmpty[K comparable, V any](m map[K]V) map[K]V {
+	if m == nil {
+		return make(map[K]V)
 	}
-	withDeviceShard := func(serial string, fill func(*deviceShard)) {
-		ds := s.deviceShardFor(serial)
-		ds.mu.Lock()
-		fill(ds)
-		ds.mu.Unlock()
-	}
-	for serial, seq := range snap.Seen {
-		withDeviceShard(serial, func(ds *deviceShard) { ds.seen[serial] = seq })
-	}
-	for k, v := range snap.Links {
-		withDeviceShard(k.From, func(ds *deviceShard) { ds.links[k] = v })
-	}
-	for serial, v := range snap.Radio {
-		withDeviceShard(serial, func(ds *deviceShard) { ds.radio[serial] = v })
-	}
-	for serial, v := range snap.Scans {
-		withDeviceShard(serial, func(ds *deviceShard) { ds.scans[serial] = v })
-	}
-	for serial, v := range snap.Neighbors {
-		withDeviceShard(serial, func(ds *deviceShard) { ds.neighbors[serial] = v })
-	}
-	for serial, v := range snap.Crashes {
-		withDeviceShard(serial, func(ds *deviceShard) { ds.crashes[serial] = v })
-	}
+	return m
 }
 
 // MergeSnapshot folds a gob snapshot into the store without resetting
-// what it already holds — the shard-aware counterpart to Load. The
+// what it already holds — the merging counterpart to Load. The
 // scatter-gather router uses it to rebuild a cluster-wide view: each
 // shard's snapshot decodes into a scratch store and merges through the
 // same deterministic path the parallel epoch pipeline uses, so the
@@ -1024,7 +826,7 @@ func (s *Store) install(snap *snapshot) {
 // the snapshot are not recovered (the snapshot format predates them);
 // digests never include counters, so equivalence is unaffected.
 func (s *Store) MergeSnapshot(r io.Reader) error {
-	tmp := NewStoreShards(s.NumShards())
+	tmp := NewStore()
 	if err := tmp.Load(r); err != nil {
 		return err
 	}

@@ -50,10 +50,9 @@ func (m Map) Addr(id uint64, addrs []string) (string, error) {
 	return addrs[m.Shard(id)], nil
 }
 
-// mix64 is the splitmix64 finalizer — the same bijection the backend
-// store uses to spread MACs across lock stripes. Contiguous network
-// IDs differ only in their low bits; the premix turns them into
-// uniform 64-bit keys before the jump walk.
+// mix64 is the splitmix64 finalizer, a cheap well-distributed
+// bijection. Contiguous network IDs differ only in their low bits; the
+// premix turns them into uniform 64-bit keys before the jump walk.
 func mix64(v uint64) uint64 {
 	v ^= v >> 30
 	v *= 0xbf58476d1ce4e5b9

@@ -4,7 +4,7 @@
 // by network ID), so networks can simulate concurrently without
 // synchronizing. Each worker harvests into a private per-network
 // partial store; a deterministic merge then folds the partials into the
-// epoch's sharded store in network-index order. Because no random draw
+// epoch's store in network-index order. Because no random draw
 // and no store write ever crosses a network boundary, the merged result
 // is bit-for-bit identical for every worker count — the property the
 // equivalence and golden tests in parallel_test.go/golden_test.go pin.
@@ -113,9 +113,8 @@ func (s *Study) RunUsageEpochWorkers(f *synth.Fleet, workers int) (*UsageEpoch, 
 					m.queueWait.ObserveDuration(time.Since(free))
 				}
 				// A partial holds one network's harvest and has exactly
-				// one writer; a single stripe avoids 2x32 map allocations
-				// per network.
-				part := backend.NewStoreShards(1)
+				// one writer.
+				part := backend.NewStore()
 				part.EnableTrace(tr)
 				sp := obs.StartSpan(m.netSim)
 				t, err := s.harvestNetworkUsage(f, nets[i], label, catalog, part)

@@ -5,10 +5,10 @@
 // watch itself — harvest lag, per-AP poll health, and aggregation
 // throughput were first-class queryable signals — and obs gives this
 // reproduction the same property: the telemetry harvest path, the
-// parallel usage-epoch worker pool, and the lock-striped backend store
-// all publish into one Registry that merakid serves over its -debug
-// HTTP listener (expvar-style JSON next to net/http/pprof) and its
-// "metrics" query command.
+// parallel usage-epoch worker pool, and the backend store all publish
+// into one Registry that merakid serves over its -debug HTTP listener
+// (expvar-style JSON next to net/http/pprof) and its "metrics" query
+// command.
 //
 // Two contracts shape the API. First, the hot path is allocation-free
 // and nil-safe: every metric method is a no-op on a nil receiver, and a

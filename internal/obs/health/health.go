@@ -132,8 +132,8 @@ func (s State) String() string {
 
 // Alert is one rule's current status.
 type Alert struct {
-	Rule     Rule
-	State    State
+	Rule  Rule
+	State State
 	// Value is the rule's reading at the last evaluation (rate, gauge
 	// value, or delta, by kind).
 	Value float64

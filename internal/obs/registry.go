@@ -26,7 +26,7 @@ type Registry struct {
 }
 
 // funcGauge reads an external value at snapshot time — how existing
-// counter blocks (telemetry.HarvestHealth, the store's stripe counts)
+// counter blocks (telemetry.HarvestHealth, the store's ingest counts)
 // fold into the registry without rewriting their internals.
 type funcGauge func() int64
 
@@ -101,7 +101,7 @@ func (r *Registry) RegisterFunc(name string, fn func() int64) {
 
 // Indexed builds the conventional per-index metric name sharded
 // subsystems register: "<prefix>.<NN>.<suffix>", as in
-// "store.stripe.03.ingests" or "cluster.shard.00.errors". Zero-padding
+// "cluster.shard.00.errors". Zero-padding
 // to two digits keeps the sorted WriteText/WriteJSON output grouped by
 // index; indexes past 99 widen naturally and sort after the padded
 // block, which is acceptable for the load-skew scan these names serve.

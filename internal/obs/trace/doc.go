@@ -3,7 +3,7 @@
 // pipeline did, trace says which report went where and why it was slow:
 // every sampled telemetry report carries a deterministic trace ID from
 // the agent that built it through the tunnel wire format, the daemon's
-// poll loop, the striped store, and the epoch merge, producing a
+// poll loop, the backend store, and the epoch merge, producing a
 // parent/child span tree (agent.enqueue -> tunnel.write -> daemon.read
 // -> store.ingest -> epoch.merge) with per-span duration, retry count,
 // and fault-injection annotations.

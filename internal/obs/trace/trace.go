@@ -50,7 +50,7 @@ const (
 	// StageDaemonRead covers the backend poll round trip that delivered
 	// the report (frame read + decode).
 	StageDaemonRead Stage = 3
-	// StageStoreIngest covers folding the report into the striped store.
+	// StageStoreIngest covers folding the report into the backend store.
 	StageStoreIngest Stage = 4
 	// StageEpochMerge covers folding the report's per-network partial
 	// store into the epoch store (offline pipeline only).
