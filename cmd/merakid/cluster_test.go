@@ -14,8 +14,8 @@ import (
 // The cluster kill harness: four real merakid shards, each with its own
 // WAL dir, harvest a mixed-wire fleet routed by the shard map. One
 // shard is SIGKILLed mid-harvest and restarted over its WAL. After the
-// fleet drains, the router's merged digest — and the surviving shards'
-// own "fanout digest" view — must equal a single in-process control
+// fleet drains, the router's merged digest — and every shard's own
+// "fanout digest" view — must equal a single in-process control
 // store fed the same reports: sharding plus a crash changes nothing
 // about what the cluster holds.
 
@@ -27,7 +27,7 @@ func TestClusterKillRecoveryDigest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess cluster harness; skipped in -short")
 	}
-	bin := buildMerakid(t)
+	bin := buildCmd(t, "merakid")
 	want := clusterFleet.ControlDigest()
 
 	ports := reservePorts(t, 2*clusterShards)
@@ -69,17 +69,20 @@ func TestClusterKillRecoveryDigest(t *testing.T) {
 		t.Fatalf("cluster digest after kill+recovery\n got %s\nwant %s", dig.Digest, want)
 	}
 
-	// Arm two: the daemons' own scatter-gather — "fanout digest" asked
-	// of the recovered victim itself must agree.
-	lines := query(t, queries[victim], "fanout digest")
-	if len(lines) < 2 {
-		t.Fatalf("fanout digest answered %q", lines)
-	}
-	if lines[0] != want {
-		t.Fatalf("daemon-side fanout digest = %s, want %s (status %q)", lines[0], want, lines[1])
-	}
-	if !strings.Contains(lines[1], "degraded=false") {
-		t.Fatalf("fanout summary = %q, want degraded=false", lines[1])
+	// Arm two: the daemons' own scatter-gather — every shard, the
+	// recovered victim included, is a valid coordinator, and its
+	// "fanout digest" must agree, undegraded.
+	for i, q := range queries {
+		lines := query(t, q, "fanout digest")
+		if len(lines) < 2 {
+			t.Fatalf("shard %d: fanout digest answered %q", i, lines)
+		}
+		if lines[0] != want {
+			t.Fatalf("shard %d: daemon-side fanout digest = %s, want %s (status %q)", i, lines[0], want, lines[1])
+		}
+		if !strings.Contains(lines[1], "degraded=false") {
+			t.Fatalf("shard %d: fanout summary = %q, want degraded=false", i, lines[1])
+		}
 	}
 
 	// Every shard self-identifies in status; together they cover 0..3.

@@ -22,9 +22,10 @@ import (
 
 var crashFleet = fleettest.Fleet{Networks: 3, APs: 1, Reports: 120}
 
-func buildMerakid(t *testing.T) string {
+// buildCmd compiles wlanscale/cmd/<name> once per test binary.
+func buildCmd(t *testing.T, name string) string {
 	t.Helper()
-	bin, err := fleettest.Build("merakid")
+	bin, err := fleettest.Build(name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,8 @@ func reservePorts(t *testing.T, n int) []string {
 	return addrs
 }
 
-// spawn starts a WAL-backed merakid and kills it when the test ends.
+// spawn starts a merakid — WAL-backed, or volatile when walDir is "" —
+// and kills it when the test ends.
 func spawn(t *testing.T, bin, listen, query, walDir string, extra ...string) *fleettest.Daemon {
 	t.Helper()
 	d, err := fleettest.Start(bin, listen, query, walDir, extra...)
@@ -84,7 +86,7 @@ func TestCrashRecoveryDigest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess kill harness; skipped in -short")
 	}
-	bin := buildMerakid(t)
+	bin := buildCmd(t, "merakid")
 	want := crashFleet.ControlDigest()
 
 	for seed := uint64(1); seed <= 10; seed++ {
@@ -138,7 +140,7 @@ func TestCrashRecoveryDoubleKill(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess kill harness; skipped in -short")
 	}
-	bin := buildMerakid(t)
+	bin := buildCmd(t, "merakid")
 	want := crashFleet.ControlDigest()
 	addrs := reservePorts(t, 2)
 	listen, qaddr := addrs[0], addrs[1]

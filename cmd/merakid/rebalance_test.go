@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"os/exec"
 	"strconv"
 	"strings"
 	"testing"
@@ -89,7 +90,7 @@ func TestRebalanceMidHarvestDigest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess rebalance harness; skipped in -short")
 	}
-	bin := buildMerakid(t)
+	bin := buildCmd(t, "merakid")
 	want := clusterFleet.ControlDigest()
 	listens, queries, _ := rebalanceFleet(t, bin)
 	agents := newRebalanceAgents()
@@ -149,16 +150,21 @@ func TestRebalanceMidHarvestDigest(t *testing.T) {
 		t.Fatalf("rebalanced cluster digest\n got %s (degraded=%v)\nwant %s", dig.Digest, dig.Degraded, want)
 	}
 
-	// Moved networks are gone from the old shards and parted there, so
-	// a straggler agent on the old map cannot resurrect them.
-	for i := 0; i < 2; i++ {
-		for _, ln := range query(t, queries[i], "networks") {
+	// Moved networks arrived on the new shard and are gone from the old
+	// ones — parted there, so a straggler agent on the old map cannot
+	// resurrect them.
+	for i, q := range queries {
+		listed := make(map[uint64]bool)
+		for _, ln := range query(t, q, "networks") {
 			id, err := strconv.ParseUint(ln, 10, 64)
 			if err != nil {
 				t.Fatalf("networks line %q", ln)
 			}
-			if movedSet[id] {
-				t.Fatalf("moved network %d still listed on source shard %d", id, i)
+			listed[id] = true
+		}
+		for _, id := range moved {
+			if onNew := i == 2; listed[id] != onNew {
+				t.Fatalf("moved network %d listed=%v on shard %d, want %v", id, listed[id], i, onNew)
 			}
 		}
 	}
@@ -184,7 +190,7 @@ func TestRebalanceKillDuringMigration(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess rebalance harness; skipped in -short")
 	}
-	bin := buildMerakid(t)
+	bin := buildCmd(t, "merakid")
 	want := clusterFleet.ControlDigest()
 	listens, queries, daemons := rebalanceFleet(t, bin)
 	agents := newRebalanceAgents()
@@ -232,12 +238,24 @@ func TestRebalanceKillDuringMigration(t *testing.T) {
 		t.Fatalf("post-recovery re-absorb answered %q, want already (WAL lost the token)", lines)
 	}
 
-	// The crashed coordinator's re-run, same token: pair s0d2 dedups,
-	// pair s1d2 absorbs fresh, verify gates, sources cut over.
-	lines := query(t, queries[0], fmt.Sprintf("rebalance %s %s", strings.Join(queries, ","), token))
-	verdict := lines[len(lines)-1]
-	if !strings.HasPrefix(verdict, "rebalanced token="+token+" ") {
-		t.Fatalf("rebalance verdict = %q (full: %q)", verdict, lines)
+	// The crashed coordinator's re-run, same token, through the operator
+	// CLI: pair s0d2 dedups, pair s1d2 absorbs fresh, verify gates,
+	// sources cut over. The runbook's convergence check follows: a
+	// second run finds nothing left to move.
+	merakireport := buildCmd(t, "merakireport")
+	rebalance := func() string {
+		out, err := exec.Command(merakireport, "-cluster", strings.Join(queries[:2], ","),
+			"-rebalance", strings.Join(queries, ","), "-rebalance-token", token).CombinedOutput()
+		if err != nil {
+			t.Fatalf("merakireport -rebalance: %v\n%s", err, out)
+		}
+		return string(out)
+	}
+	if out := rebalance(); !strings.Contains(out, "rebalance token="+token+" ") || strings.Contains(out, "moved networks=0") {
+		t.Fatalf("resumed rebalance did not move the remaining networks:\n%s", out)
+	}
+	if out := rebalance(); !strings.Contains(out, "moved networks=0") {
+		t.Fatalf("re-run still moving networks:\n%s", out)
 	}
 
 	r := &cluster.Router{Shards: queries, Timeout: 5 * time.Second}

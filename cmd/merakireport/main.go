@@ -28,7 +28,7 @@
 // show as DOWN lines rather than killing the watch, so the dashboard
 // rides through an outage. -watch-count bounds the refreshes (0 =
 // until interrupted; a finite count also skips the screen-clear, which
-// is what the monitoring smoke gate scrapes).
+// is what the merakid monitoring test scrapes).
 //
 // Experiments: table1 table2 table3 table4 table5 table6 table7
 // fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11

@@ -218,9 +218,11 @@ func (s *Store) AbsorbedCount() int {
 	return len(s.absorbed)
 }
 
-// Absorb applies one migration slice on a destination shard: anything
-// the store already holds for the moved networks is deleted, the gob
-// snapshot merges in through the deterministic MergeSnapshot path, the
+// Absorb applies one migration slice on a destination shard: the gob
+// snapshot is decoded through Load (it arrives from the query port, so
+// it gets Load's validating walk, and a bad one changes nothing),
+// anything the store already holds for the moved networks is deleted,
+// the slice merges in through the deterministic Merge path, the
 // networks are un-parted (receiving a slice makes this shard their
 // home), and the token is marked done. A token that was already
 // absorbed is a no-op returning false — that single check is what lets
@@ -234,10 +236,12 @@ func (s *Store) Absorb(token string, ids []uint64, slice io.Reader, netOf Networ
 	if s.HasAbsorbed(token) {
 		return false, nil
 	}
-	s.DeleteNetworks(IDSet(ids), netOf)
-	if err := s.MergeSnapshot(slice); err != nil {
+	tmp := NewStore()
+	if err := tmp.Load(slice); err != nil {
 		return false, fmt.Errorf("backend: absorb %s: %w", token, err)
 	}
+	s.DeleteNetworks(IDSet(ids), netOf)
+	s.Merge(tmp)
 	s.Unpart(ids)
 	s.MarkAbsorbed(token)
 	return true, nil

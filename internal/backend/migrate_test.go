@@ -178,6 +178,12 @@ func TestAbsorbTokenIdempotent(t *testing.T) {
 	if dst.Digest() != want {
 		t.Fatal("fresh-token absorb did not replace stale data")
 	}
+
+	// A slice that does not decode is refused before the moved networks'
+	// current data is deleted, so it changes nothing.
+	if _, err := dst.Absorb("tok-3", []uint64{5}, bytes.NewReader(slice[:len(slice)/2]), NetworkOfSerial); err == nil || dst.Digest() != want {
+		t.Fatalf("truncated slice: err=%v, store changed=%v", err, dst.Digest() != want)
+	}
 }
 
 func TestPartUnpartAndDrop(t *testing.T) {

@@ -15,8 +15,8 @@ type NetworkFunc func(serial string) (id uint64, ok bool)
 // NetworkOfSerial is the default NetworkFunc: it reads the network
 // number out of a Meraki-style dash-separated serial ("XXXX-NNNN-NNNN"),
 // whose middle field is the network ordinal in every fleet this repo
-// synthesizes (synth.GenerateFleet, the cluster tests, the smoke
-// scripts). Serials that don't follow the convention report ok=false
+// synthesizes (synth.GenerateFleet, the cluster tests, the fleettest
+// harness). Serials that don't follow the convention report ok=false
 // and are then never extracted, deleted, or refused — unparseable data
 // stays put, which is the safe failure mode for a migration.
 func NetworkOfSerial(serial string) (uint64, bool) {

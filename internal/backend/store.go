@@ -1,6 +1,7 @@
 package backend
 
 import (
+	"bytes"
 	"encoding/gob"
 	"fmt"
 	"io"
@@ -773,7 +774,24 @@ func (snap *snapshot) upgrade() error {
 // Load replaces the store contents from a gob snapshot. The swap is
 // one exclusive section, so readers and captures see the store either
 // wholly before or wholly after the load.
+//
+// The bytes may be damaged (a checkpoint on a failing disk) or hostile
+// (an absorb payload from the query port), and gob sizes every map it
+// decodes from the count on the wire before reading a single entry, so
+// a few bad bytes could demand gigabytes. Load therefore first decodes
+// the stream into an empty struct: gob skips every field, keeps
+// nothing, and fails unless every count is backed by entries that are
+// really there.
 func (s *Store) Load(r io.Reader) error {
+	var buf bytes.Buffer
+	if err := gob.NewDecoder(io.TeeReader(r, &buf)).Decode(new(struct{})); err != nil {
+		return fmt.Errorf("backend: load: %w", err)
+	}
+	return s.load(&buf)
+}
+
+// load is Load without the validating walk.
+func (s *Store) load(r io.Reader) error {
 	var snap snapshot
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
 		return fmt.Errorf("backend: load: %w", err)
@@ -824,10 +842,13 @@ func orEmpty[K comparable, V any](m map[K]V) map[K]V {
 // same deterministic path the parallel epoch pipeline uses, so the
 // merged digest is independent of fetch order. Ingestion counters from
 // the snapshot are not recovered (the snapshot format predates them);
-// digests never include counters, so equivalence is unaffected.
+// digests never include counters, so equivalence is unaffected. The
+// snapshot is one a cluster peer captured itself, so it skips Load's
+// validating walk, which would add a pass over megabytes to every
+// merged digest.
 func (s *Store) MergeSnapshot(r io.Reader) error {
 	tmp := NewStore()
-	if err := tmp.Load(r); err != nil {
+	if err := tmp.load(r); err != nil {
 		return err
 	}
 	s.Merge(tmp)

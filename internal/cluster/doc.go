@@ -26,6 +26,6 @@
 // networks (hence disjoint serials and client MACs), the merged digest
 // of a healthy cluster is byte-identical to the digest a single
 // daemon fed the same reports would produce — the equivalence the
-// cluster tests and `make cluster-smoke` pin across seeds and wire
+// cluster and cmd/merakid subprocess tests pin across seeds and wire
 // versions.
 package cluster

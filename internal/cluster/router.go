@@ -266,7 +266,7 @@ func (r *Router) MergedStore() (*backend.Store, []Reply, error) {
 // query: the canonical SHA-256 of every live shard's contents merged.
 // On a healthy cluster whose agents route by the shard map, the result
 // is byte-identical to the digest a single daemon fed the same reports
-// would serve — the equivalence `make cluster-smoke` and the cluster
+// would serve — the equivalence the cluster and cmd/merakid subprocess
 // tests pin. With shards down the digest still comes back, flagged
 // Degraded, covering the surviving shards only.
 func (r *Router) MergedDigest() (Digest, error) {

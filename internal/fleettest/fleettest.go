@@ -1,11 +1,10 @@
 // Package fleettest is the one subprocess-fleet harness behind the
-// smoke scripts (scripts/*check) and the cmd/merakid subprocess tests:
-// build a cmd binary once, reserve ports, spawn / SIGKILL / restart a
-// real merakid, load a deterministic agent fleet routed by the cluster
-// map, wait for it to drain, and compute the single-store control
-// digest the recovered or merged cluster must equal. Every function
-// returns errors instead of taking a *testing.T so main packages and
-// tests share it.
+// cmd/ subprocess tests (`make prove`): build a cmd binary once,
+// reserve ports, spawn / SIGKILL / restart a real merakid, load a
+// deterministic agent fleet routed by the cluster map, wait for it to
+// drain, and compute the single-store control digest the recovered or
+// merged cluster must equal. Every function returns errors instead of
+// taking a *testing.T so tests and non-test harnesses can share it.
 package fleettest
 
 import (
@@ -31,6 +30,9 @@ var (
 
 // Build compiles wlanscale/cmd/<name> once per process and returns the
 // binary's path; later calls reuse it. Cleanup removes the binaries.
+// go's test cache cannot see the sources of a binary built here, so a
+// cached pass of a test that spawns one says nothing about the current
+// tree: run such tests with -count=1 (`make prove`).
 func Build(name string) (string, error) {
 	buildMu.Lock()
 	defer buildMu.Unlock()

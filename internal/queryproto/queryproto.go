@@ -1,6 +1,6 @@
 // Package queryproto owns the framing of merakid's line-oriented query
 // protocol — the one client (Do) and the one server loop (Serve) every
-// daemon, tool, smoke script and test in this repo speaks it through.
+// daemon, tool and test in this repo speaks it through.
 //
 // The rules, all of them (DESIGN.md §14):
 //

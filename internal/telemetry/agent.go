@@ -57,7 +57,7 @@ type Agent struct {
 	// budget-sized batches. Zero defaults to 30s.
 	BatchMaxAge time.Duration
 	// Dial, when set, replaces net.Dial for the reconnect loops —
-	// merakisim's -chaos-corrupt and the monitoring smoke gate use it
+	// merakisim's -chaos-corrupt and the merakid monitoring test use it
 	// to route sessions through a faultnet wrapper. Nil dials plain
 	// TCP.
 	Dial func(addr string) (net.Conn, error)
