@@ -8,12 +8,12 @@ import (
 )
 
 // Metrics federation: scatter-gather the per-shard observability
-// surfaces (the "prom" and "series" queries every merakid answers) and
-// merge them into one fleet view, each sample tagged with the shard it
-// came from. The merge is deterministic — families in first-seen order
-// across shard-ID-ordered replies, shard-major within a family — and
-// degrades to partial results like every other fanout: a dead shard
-// costs its samples, not the scrape.
+// surface (the "prom" query every merakid answers) and merge it into
+// one fleet view, each sample tagged with the shard it came from. The
+// merge is deterministic — families in first-seen order across
+// shard-ID-ordered replies, shard-major within a family — and degrades
+// to partial results like every other fanout: a dead shard costs its
+// samples, not the scrape.
 
 // FanoutMetrics scatter-gathers every shard's Prometheus exposition
 // ("prom" query) and returns the merged fleet text alongside the raw
@@ -24,13 +24,6 @@ import (
 func (r *Router) FanoutMetrics() (string, []Reply) {
 	replies := r.Fanout("prom")
 	return MergeProm(replies), replies
-}
-
-// FanoutSeries scatter-gathers one metric's recent history ("series"
-// query) from every shard. Use MergeSeriesLines to flatten the replies
-// into shard-tagged text.
-func (r *Router) FanoutSeries(metric string, n int) []Reply {
-	return r.Fanout(fmt.Sprintf("series %s %d", metric, n))
 }
 
 // promFamily accumulates one family's type and samples across shards.
@@ -139,22 +132,4 @@ func labelShard(ln string, shard int) string {
 		return fmt.Sprintf(`%s{shard="%d",%s%s`, series[:i], shard, series[i+1:], rest)
 	}
 	return fmt.Sprintf(`%s{shard="%d"}%s`, series, shard, rest)
-}
-
-// MergeSeriesLines flattens FanoutSeries replies into shard-tagged
-// text: each point line prefixed "shard=N ", a dead shard contributing
-// one "shard=N DOWN: err" line instead — the same partial-results
-// stance as the digest merge.
-func MergeSeriesLines(replies []Reply) []string {
-	var out []string
-	for _, rep := range replies {
-		if rep.Err != nil {
-			out = append(out, fmt.Sprintf("shard=%d DOWN: %v", rep.Shard, rep.Err))
-			continue
-		}
-		for _, ln := range rep.Lines {
-			out = append(out, fmt.Sprintf("shard=%d %s", rep.Shard, ln))
-		}
-	}
-	return out
 }

@@ -13,17 +13,11 @@ import (
 )
 
 // servePromShard runs a minimal query server over ln answering "prom"
-// and "series" from a registry — the federation subset of merakid's
-// commands.
+// from a registry — the federation subset of merakid's commands.
 func servePromShard(ln net.Listener, reg *obs.Registry) {
 	serveTable(ln, []queryproto.Command{
 		{Name: "prom", Run: func(w *bufio.Writer, _, _ []string) error {
 			reg.WriteProm(w)
-			return nil
-		}},
-		{Name: "series", Run: func(w *bufio.Writer, _, _ []string) error {
-			fmt.Fprintln(w, "t=1000 v=1.000")
-			fmt.Fprintln(w, "t=2000 v=2.000")
 			return nil
 		}},
 	})
@@ -179,31 +173,5 @@ func TestMergePromUntypedFallback(t *testing.T) {
 		if !strings.Contains(merged, want) {
 			t.Errorf("merged output missing %q:\n%s", want, merged)
 		}
-	}
-}
-
-// TestFanoutSeriesAndMerge: FanoutSeries gathers one metric's history
-// per shard; MergeSeriesLines tags points by shard and renders dead
-// shards as DOWN lines.
-func TestFanoutSeriesAndMerge(t *testing.T) {
-	regs := []*obs.Registry{obs.NewRegistry(), obs.NewRegistry()}
-	r, lns := startPromShards(t, regs)
-	lns[1].Close()
-	r.Timeout = 500 * time.Millisecond
-
-	lines := MergeSeriesLines(r.FanoutSeries("store.ingests", 2))
-	var up, down int
-	for _, ln := range lines {
-		switch {
-		case strings.HasPrefix(ln, "shard=0 t="):
-			up++
-		case strings.HasPrefix(ln, "shard=1 DOWN:"):
-			down++
-		default:
-			t.Errorf("unexpected merged line %q", ln)
-		}
-	}
-	if up != 2 || down != 1 {
-		t.Fatalf("merged lines = %v, want 2 shard-0 points and 1 DOWN line", lines)
 	}
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -143,12 +144,24 @@ func shardReply(rep Reply) ([]string, error) {
 	return rep.Lines, nil
 }
 
+// step is one pre-cutover shard exchange of Rebalance. undo, when set,
+// is the exchange that reverses it on the same shard; then consumes the
+// reply, and its error fails the step as an ERR reply would.
+type step struct {
+	name      string // the error prefix, "cluster: <name>:"
+	r         *Router
+	shard     int
+	cmd, undo string
+	payload   []string
+	then      func(lines []string) error
+}
+
 // Rebalance migrates every network whose home changes between the old
 // and new topologies, with the verify-gated cutover described above.
 // All old shards must answer discovery — a rebalance that cannot see a
-// shard's networks would silently strand them. On any failure after
-// parting, the coordinator rolls back what it can (drop absorbed
-// copies, un-part sources) and returns the first error.
+// shard's networks would silently strand them. On any failure before
+// the cutover, the coordinator runs the undos its steps armed (drop
+// absorbed copies, un-part sources) and returns the first error.
 func Rebalance(oldAddrs, newAddrs []string, o RebalanceOptions) (*RebalanceReport, error) {
 	if len(oldAddrs) == 0 || len(newAddrs) == 0 {
 		return nil, fmt.Errorf("cluster: rebalance needs both topologies (old=%d new=%d shards)", len(oldAddrs), len(newAddrs))
@@ -176,6 +189,7 @@ func Rebalance(oldAddrs, newAddrs []string, o RebalanceOptions) (*RebalanceRepor
 			}
 			owned[i] = append(owned[i], id)
 		}
+		sort.Slice(owned[i], func(a, b int) bool { return owned[i][a] < owned[i][b] })
 	}
 
 	// 2. Plan. A network moves when the shard listing it is not its
@@ -184,137 +198,100 @@ func Rebalance(oldAddrs, newAddrs []string, o RebalanceOptions) (*RebalanceRepor
 	// are a previous run's leftovers mid-cutover; moving them from
 	// where they actually are converges that run too.
 	newMap := NewMap(len(newAddrs))
-	groups := make(map[[2]int][]uint64)
+	bySrc := make(map[int][]uint64)
+	moved := make(map[uint64]bool)
+	var srcs []int
 	for src, ids := range owned {
+		byDst := make([][]uint64, len(newAddrs))
 		for _, id := range ids {
 			dst := newMap.Shard(id)
 			if newAddrs[dst] == oldAddrs[src] {
 				continue
 			}
-			groups[[2]int{src, dst}] = append(groups[[2]int{src, dst}], id)
-		}
-	}
-	pairs := make([][2]int, 0, len(groups))
-	for p := range groups {
-		sort.Slice(groups[p], func(i, j int) bool { return groups[p][i] < groups[p][j] })
-		pairs = append(pairs, p)
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i][0] != pairs[j][0] {
-			return pairs[i][0] < pairs[j][0]
-		}
-		return pairs[i][1] < pairs[j][1]
-	})
-	moved := make(map[uint64]bool)
-	for _, p := range pairs {
-		rep.Transfers = append(rep.Transfers, Transfer{Src: p[0], Dst: p[1], Networks: groups[p]})
-		for _, id := range groups[p] {
+			byDst[dst] = append(byDst[dst], id)
+			bySrc[src] = append(bySrc[src], id)
 			moved[id] = true
+		}
+		if len(bySrc[src]) > 0 {
+			srcs = append(srcs, src)
+		}
+		for dst, ids := range byDst {
+			if len(ids) > 0 {
+				rep.Transfers = append(rep.Transfers, Transfer{Src: src, Dst: dst, Networks: ids})
+			}
 		}
 	}
 	rep.MovedNetworks = len(moved)
-	if len(pairs) == 0 {
+	if len(rep.Transfers) == 0 {
 		o.logf("rebalance: nothing to move")
 		rep.Full, _ = newR.MergedDigest()
 		return rep, nil
 	}
-	o.logf("rebalance: moving %d network(s) across %d shard pair(s)", len(moved), len(pairs))
+	o.logf("rebalance: moving %d network(s) across %d shard pair(s)", len(moved), len(rep.Transfers))
 
-	// 3. Part every source's moved set so the slices stop changing.
-	bySrc := make(map[int][]uint64)
-	for _, t := range rep.Transfers {
-		bySrc[t.Src] = append(bySrc[t.Src], t.Networks...)
-	}
-	srcs := make([]int, 0, len(bySrc))
-	for src := range bySrc {
-		sort.Slice(bySrc[src], func(i, j int) bool { return bySrc[src][i] < bySrc[src][j] })
-		srcs = append(srcs, src)
-	}
-	sort.Ints(srcs)
-	unpartAll := func() {
-		for _, src := range srcs {
-			if _, err := shardReply(oldR.queryShard(src, "unpart "+idList(bySrc[src]))); err != nil {
-				o.logf("rebalance: rollback: %v", err)
-			}
-		}
-	}
+	// 3–6. Part every source's moved set so the slices stop changing,
+	// extract each pair's slice, absorb it into its destination under a
+	// per-pair dedup token, and re-extract it there for the verify gate:
+	// one table of shard exchanges, run in that order. A step that
+	// changes a shard arms its undo before it runs — a shard can apply a
+	// command and then lose the reply — and on any failure the armed
+	// undos run in reverse: absorbed copies dropped, sources un-parted.
+	var parts, extracts, absorbs, verifies []*step
 	for _, src := range srcs {
-		if _, err := shardReply(oldR.queryShard(src, "part "+idList(bySrc[src]))); err != nil {
-			unpartAll()
-			return nil, fmt.Errorf("cluster: part: %w", err)
-		}
+		ids := idList(bySrc[src])
+		parts = append(parts, &step{name: "part", r: oldR, shard: src, cmd: "part " + ids, undo: "unpart " + ids})
 	}
-
-	// 4. Extract each pair's slice and merge the source-side view.
-	pre := backend.NewStore()
-	slices := make(map[[2]int][]string, len(pairs))
-	for _, p := range pairs {
-		lines, err := shardReply(oldR.queryShard(p[0], "extract "+idList(groups[p])))
-		if err != nil {
-			unpartAll()
-			return nil, fmt.Errorf("cluster: extract: %w", err)
-		}
-		raw, err := DecodeSnapshotLines(lines)
-		if err != nil {
-			unpartAll()
-			return nil, fmt.Errorf("cluster: extract shard %d: %w", p[0], err)
-		}
-		if err := pre.MergeSnapshot(raw); err != nil {
-			unpartAll()
-			return nil, fmt.Errorf("cluster: extract shard %d: %w", p[0], err)
-		}
-		slices[p] = lines
-		o.logf("rebalance: extracted %d network(s) from shard %d for shard %d (%d lines)",
-			len(groups[p]), p[0], p[1], len(lines))
+	pre, post := backend.NewStore(), backend.NewStore()
+	for _, t := range rep.Transfers {
+		ids := idList(t.Networks)
+		pair := fmt.Sprintf("%s.s%dd%d %s", token, t.Src, t.Dst, ids)
+		absorb := &step{name: "absorb", r: newR, shard: t.Dst, cmd: "absorb " + pair, undo: "drop " + pair,
+			then: func(lines []string) error {
+				o.logf("rebalance: shard %d %s", t.Dst, strings.Join(lines, " "))
+				return nil
+			}}
+		extracts = append(extracts, &step{name: "extract", r: oldR, shard: t.Src, cmd: "extract " + ids,
+			then: func(lines []string) error {
+				if err := mergeSnapshotLines(pre, lines); err != nil {
+					return err
+				}
+				absorb.payload = lines
+				o.logf("rebalance: extracted %d network(s) from shard %d for shard %d (%d lines)",
+					len(t.Networks), t.Src, t.Dst, len(lines))
+				return nil
+			}})
+		absorbs = append(absorbs, absorb)
+		verifies = append(verifies, &step{name: "verify", r: newR, shard: t.Dst, cmd: "extract " + ids,
+			then: func(lines []string) error { return mergeSnapshotLines(post, lines) }})
 	}
-	rep.SliceDigest = pre.Digest()
-
-	// 5. Absorb into destinations, token-deduplicated per pair.
-	pairToken := func(p [2]int) string { return fmt.Sprintf("%s.s%dd%d", token, p[0], p[1]) }
-	dropAbsorbed := func() {
-		for _, p := range pairs {
-			if _, err := shardReply(newR.queryShard(p[1], fmt.Sprintf("drop %s %s", pairToken(p), idList(groups[p])))); err != nil {
+	var armed []*step
+	fail := func(err error) (*RebalanceReport, error) {
+		for i := len(armed) - 1; i >= 0; i-- {
+			if _, err := shardReply(armed[i].r.queryShard(armed[i].shard, armed[i].undo)); err != nil {
 				o.logf("rebalance: rollback: %v", err)
 			}
 		}
+		return nil, err
 	}
-	for _, p := range pairs {
-		header := fmt.Sprintf("absorb %s %s", pairToken(p), idList(groups[p]))
-		lines, err := shardReply(newR.queryShard(p[1], header, slices[p]...))
-		if err != nil {
-			dropAbsorbed()
-			unpartAll()
-			return nil, fmt.Errorf("cluster: absorb: %w", err)
+	for _, s := range slices.Concat(parts, extracts, absorbs, verifies) {
+		if s.undo != "" {
+			armed = append(armed, s)
 		}
-		o.logf("rebalance: shard %d %s", p[1], strings.Join(lines, " "))
+		lines, err := shardReply(s.r.queryShard(s.shard, s.cmd, s.payload...))
+		if err != nil {
+			return fail(fmt.Errorf("cluster: %s: %w", s.name, err))
+		}
+		if s.then != nil {
+			if err := s.then(lines); err != nil {
+				return fail(fmt.Errorf("cluster: %s shard %d: %w", s.name, s.shard, err))
+			}
+		}
 	}
-
-	// 6. Verify: what the destinations now hold for the moved set must
+	// The gate: what the destinations now hold for the moved set must
 	// digest identically to what the sources exported.
-	post := backend.NewStore()
-	for _, p := range pairs {
-		lines, err := shardReply(newR.queryShard(p[1], "extract "+idList(groups[p])))
-		if err != nil {
-			dropAbsorbed()
-			unpartAll()
-			return nil, fmt.Errorf("cluster: verify: %w", err)
-		}
-		raw, err := DecodeSnapshotLines(lines)
-		if err != nil {
-			dropAbsorbed()
-			unpartAll()
-			return nil, fmt.Errorf("cluster: verify shard %d: %w", p[1], err)
-		}
-		if err := post.MergeSnapshot(raw); err != nil {
-			dropAbsorbed()
-			unpartAll()
-			return nil, fmt.Errorf("cluster: verify shard %d: %w", p[1], err)
-		}
-	}
+	rep.SliceDigest = pre.Digest()
 	if got := post.Digest(); got != rep.SliceDigest {
-		dropAbsorbed()
-		unpartAll()
-		return nil, fmt.Errorf("cluster: verify gate failed: destination slice digest %s != source %s; rolled back (re-run with a fresh token)", got, rep.SliceDigest)
+		return fail(fmt.Errorf("cluster: verify gate failed: destination slice digest %s != source %s; rolled back (re-run with a fresh token)", got, rep.SliceDigest))
 	}
 	o.logf("rebalance: verify gate passed (slice digest %s)", rep.SliceDigest[:12])
 

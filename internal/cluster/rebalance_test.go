@@ -108,7 +108,10 @@ func TestRebalanceDigestEquivalence(t *testing.T) {
 				}
 			}
 
-			rep, err := Rebalance(oldAddrs, newAddrs, rebalanceOpts(fmt.Sprintf("t%d", seed)))
+			o := rebalanceOpts(fmt.Sprintf("t%d", seed))
+			var formats []string
+			o.Log = func(format string, _ ...any) { formats = append(formats, format) }
+			rep, err := Rebalance(oldAddrs, newAddrs, o)
 			wg.Wait()
 			if err != nil {
 				t.Fatalf("rebalance: %v", err)
@@ -117,12 +120,37 @@ func TestRebalanceDigestEquivalence(t *testing.T) {
 				t.Fatal("2->3 rebalance moved nothing")
 			}
 			moved := make(map[uint64]bool)
+			srcs := make(map[int]bool)
 			for _, tr := range rep.Transfers {
 				if tr.Dst != 2 {
 					t.Fatalf("jump hash growth moved a network to old shard %d", tr.Dst)
 				}
+				srcs[tr.Src] = true
 				for _, id := range tr.Networks {
 					moved[id] = true
+				}
+			}
+
+			// The progress lines are a contract: the cluster-ops benchmark
+			// parses their format strings, in this order, into its
+			// per-step rebalance timings.
+			want := []string{"discovering", "moving"}
+			for _, step := range []string{"extracted", "shard"} {
+				for range rep.Transfers {
+					want = append(want, step)
+				}
+			}
+			want = append(want, "verify gate passed")
+			for range srcs {
+				want = append(want, "shard")
+			}
+			want = append(want, "done")
+			if len(formats) != len(want) {
+				t.Fatalf("progress lines %q, want prefixes %q", formats, want)
+			}
+			for i, w := range want {
+				if !strings.HasPrefix(formats[i], "rebalance: "+w) {
+					t.Fatalf("progress line %d is %q, want prefix %q", i, formats[i], "rebalance: "+w)
 				}
 			}
 

@@ -245,12 +245,7 @@ func (r *Router) MergedStore() (*backend.Store, []Reply, error) {
 			rep.Err = fmt.Errorf("cluster: shard %d: %s", rep.Shard, rep.Lines[0])
 			continue
 		}
-		raw, err := DecodeSnapshotLines(rep.Lines)
-		if err != nil {
-			rep.Err = err
-			continue
-		}
-		if err := merged.MergeSnapshot(raw); err != nil {
+		if err := mergeSnapshotLines(merged, rep.Lines); err != nil {
 			rep.Err = err
 			continue
 		}

@@ -303,12 +303,7 @@ func mergeInto(t *testing.T, dst, src *backend.Store) {
 	if err := WriteSnapshotLines(&b, src); err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Fields(b.String())
-	raw, err := DecodeSnapshotLines(lines)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dst.MergeSnapshot(raw); err != nil {
+	if err := mergeSnapshotLines(dst, strings.Fields(b.String())); err != nil {
 		t.Fatal(err)
 	}
 }

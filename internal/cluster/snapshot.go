@@ -61,3 +61,12 @@ func DecodeSnapshotLines(lines []string) (io.Reader, error) {
 	}
 	return bytes.NewReader(raw), nil
 }
+
+// mergeSnapshotLines folds one snapshot or extract reply into dst.
+func mergeSnapshotLines(dst *backend.Store, lines []string) error {
+	raw, err := DecodeSnapshotLines(lines)
+	if err != nil {
+		return err
+	}
+	return dst.MergeSnapshot(raw)
+}

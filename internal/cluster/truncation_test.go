@@ -220,11 +220,7 @@ func TestSnapshotLinesStayChunked(t *testing.T) {
 		t.Fatalf("test store encodes to %d chars; grow it past the 1 MiB scanner cap to prove chunking matters", total)
 	}
 	merged := backend.NewStore()
-	raw, err := DecodeSnapshotLines(lines)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := merged.MergeSnapshot(raw); err != nil {
+	if err := mergeSnapshotLines(merged, lines); err != nil {
 		t.Fatal(err)
 	}
 	if merged.Digest() != s.Digest() {

@@ -365,17 +365,6 @@ func (a *Agent) LoadQueue(r io.Reader) error {
 	return nil
 }
 
-// Serve connects to the backend at addr and answers polls until the
-// connection fails or closed is signalled. It returns the error that
-// ended the session (nil on clean shutdown by the peer).
-func (a *Agent) Serve(addr string) error {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return a.ServeConn(conn)
-}
-
 // wireVersion returns the wire version the next session should
 // announce: the configured maximum, demoted to v1 once the fallback
 // latch has tripped.
@@ -702,7 +691,7 @@ func AcceptPoller(conn net.Conn, key []byte) (*Poller, error) {
 
 // AcceptPollerWithTimeout performs the handshake with every frame op
 // bounded by timeout, and leaves the same timeout armed for subsequent
-// polls (adjustable via SetTimeout). A client that connects and sends
+// polls. A client that connects and sends
 // nothing — the slow-loris — fails the handshake within timeout instead
 // of hanging.
 func AcceptPollerWithTimeout(conn net.Conn, key []byte, timeout time.Duration) (*Poller, error) {
@@ -761,9 +750,6 @@ func (p *Poller) Wire() byte { return p.wire }
 // v2 batch — the agent's backpressure hint. Always zero on v1
 // sessions, which don't carry the hint.
 func (p *Poller) QueueDepth() int { return int(p.queueDepth.Load()) }
-
-// SetTimeout bounds every subsequent frame op of the poller's tunnel.
-func (p *Poller) SetTimeout(d time.Duration) { p.tunnel.SetTimeout(d) }
 
 // Close closes the poller's tunnel.
 func (p *Poller) Close() error { return p.tunnel.Close() }
