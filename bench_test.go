@@ -1,6 +1,7 @@
-// Benchmark harness: one benchmark per table and figure of the paper,
-// each printing the rows/series it regenerates on its first run, plus
-// the ablation benches DESIGN.md calls out. Run with:
+// Benchmark harness: one sub-benchmark per table and figure of the
+// paper, each printing the rows/series it regenerates on its first run,
+// plus the concurrency and ablation benches DESIGN.md calls out. Run
+// with:
 //
 //	go test -bench=. -benchmem
 package wlanscale_test
@@ -31,37 +32,6 @@ import (
 	"wlanscale/internal/telemetry"
 )
 
-// The bench fixture runs at a mid scale: large enough for stable
-// distributions, small enough that the whole suite finishes in minutes.
-var (
-	benchOnce   sync.Once
-	benchStudy  *core.Study
-	benchNow    *core.UsageEpoch
-	benchBefore *core.UsageEpoch
-	benchErr    error
-)
-
-func benchFixture(b *testing.B) (*core.Study, *core.UsageEpoch, *core.UsageEpoch) {
-	b.Helper()
-	benchOnce.Do(func() {
-		cfg := core.DefaultConfig()
-		cfg.Seed = 2026
-		benchStudy, benchErr = core.NewStudy(cfg)
-		if benchErr != nil {
-			return
-		}
-		benchNow, benchErr = benchStudy.RunUsageEpoch(benchStudy.Fleet15)
-		if benchErr != nil {
-			return
-		}
-		benchBefore, benchErr = benchStudy.RunUsageEpoch(benchStudy.Fleet14)
-	})
-	if benchErr != nil {
-		b.Fatal(benchErr)
-	}
-	return benchStudy, benchNow, benchBefore
-}
-
 // printOnce guards each experiment's row dump so -bench output contains
 // one copy of every reproduced table/figure.
 var printed sync.Map
@@ -72,207 +42,37 @@ func printOnce(key, out string) {
 	}
 }
 
-func BenchmarkTable1_Hardware(b *testing.B) {
-	var r *core.Table1Result
-	for i := 0; i < b.N; i++ {
-		r = core.Table1Hardware()
+// BenchmarkExperiments regenerates every table and figure of the paper,
+// one sub-benchmark per entry of core.Experiments, named after it
+// (BenchmarkExperiments/table5). The fixture is seed 2026 at the default
+// scale: large enough for stable distributions, small enough that the
+// whole suite finishes in minutes. The simulations several experiments
+// share — both usage epochs, both neighbour scans — run once, off the
+// clock, so each sub-benchmark times what its experiment adds: an
+// aggregation over the shared results, or a simulation of its own.
+func BenchmarkExperiments(b *testing.B) {
+	cfg := core.DefaultConfig()
+	cfg.Seed = 2026
+	study, err := core.NewStudy(cfg)
+	if err != nil {
+		b.Fatal(err)
 	}
-	printOnce("table1", r.Render())
-}
-
-func BenchmarkTable2_Industries(b *testing.B) {
-	s, _, _ := benchFixture(b)
-	var r *core.Table2Result
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r = core.Table2Industries(s.Fleet15)
+	run := &core.Run{Study: study}
+	for _, e := range core.Experiments {
+		b.Run(e.Name, func(b *testing.B) {
+			out, err := run.Render(e) // runs any shared simulation off the clock
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if out, err = run.Render(e); err != nil {
+					b.Fatal(err)
+				}
+			}
+			printOnce(e.Name, out)
+		})
 	}
-	printOnce("table2", r.Render())
-}
-
-func BenchmarkTable3_UsageByOS(b *testing.B) {
-	_, now, before := benchFixture(b)
-	var r *core.Table3Result
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r = core.Table3UsageByOS(now, before)
-	}
-	printOnce("table3", r.Render())
-}
-
-func BenchmarkTable4_Capabilities(b *testing.B) {
-	_, now, before := benchFixture(b)
-	var r *core.Table4Result
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r = core.Table4Capabilities(now, before)
-	}
-	printOnce("table4", r.Render())
-}
-
-func BenchmarkTable5_TopApps(b *testing.B) {
-	_, now, before := benchFixture(b)
-	var r *core.Table5Result
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r = core.Table5TopApps(now, before, 40)
-	}
-	printOnce("table5", r.Render())
-}
-
-func BenchmarkTable6_Categories(b *testing.B) {
-	_, now, before := benchFixture(b)
-	var r *core.Table6Result
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r = core.Table6Categories(now, before)
-	}
-	printOnce("table6", r.Render())
-}
-
-func BenchmarkTable7_NearbyNetworks(b *testing.B) {
-	s, _, _ := benchFixture(b)
-	var r *core.Table7Result
-	for i := 0; i < b.N; i++ {
-		scanNow, err := s.RunNeighborScan(epoch.Jan2015)
-		if err != nil {
-			b.Fatal(err)
-		}
-		scanBefore, err := s.RunNeighborScan(epoch.Jul2014)
-		if err != nil {
-			b.Fatal(err)
-		}
-		r = core.Table7NearbyNetworks(scanNow, scanBefore, 10000.0/float64(len(scanNow.PerAP)))
-	}
-	printOnce("table7", r.Render())
-}
-
-func BenchmarkFigure1_RSSI(b *testing.B) {
-	_, now, _ := benchFixture(b)
-	var r *core.Figure1Result
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r = core.Figure1RSSI(now)
-	}
-	printOnce("fig1", r.Render())
-}
-
-func BenchmarkFigure2_ChannelHistogram(b *testing.B) {
-	s, _, _ := benchFixture(b)
-	var r *core.Figure2Result
-	for i := 0; i < b.N; i++ {
-		scan, err := s.RunNeighborScan(epoch.Jan2015)
-		if err != nil {
-			b.Fatal(err)
-		}
-		r = core.Figure2NearbyByChannel(scan, 10000.0/float64(len(scan.PerAP)))
-	}
-	printOnce("fig2", r.Render())
-}
-
-func BenchmarkFigure3_DeliveryCDF(b *testing.B) {
-	s, _, _ := benchFixture(b)
-	var r *core.Figure3Result
-	for i := 0; i < b.N; i++ {
-		r = s.RunFigure3()
-	}
-	printOnce("fig3", r.Render())
-}
-
-func BenchmarkFigure4_Link24Series(b *testing.B) {
-	s, _, _ := benchFixture(b)
-	var r *core.FigureSeriesResult
-	for i := 0; i < b.N; i++ {
-		r = s.RunLinkSeries(dot11.Band24)
-	}
-	printOnce("fig4", r.Render())
-}
-
-func BenchmarkFigure5_Link5Series(b *testing.B) {
-	s, _, _ := benchFixture(b)
-	var r *core.FigureSeriesResult
-	for i := 0; i < b.N; i++ {
-		r = s.RunLinkSeries(dot11.Band5)
-	}
-	printOnce("fig5", r.Render())
-}
-
-func BenchmarkFigure6_UtilizationMR16(b *testing.B) {
-	s, _, _ := benchFixture(b)
-	var r *core.Figure6Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		r, err = s.RunFigure6()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	printOnce("fig6", r.Render())
-}
-
-func BenchmarkFigure7_Scatter24(b *testing.B) {
-	s, _, _ := benchFixture(b)
-	var r *core.ScatterResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		r, err = s.RunScatter(dot11.Band24)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	printOnce("fig7", r.Render())
-}
-
-func BenchmarkFigure8_Scatter5(b *testing.B) {
-	s, _, _ := benchFixture(b)
-	var r *core.ScatterResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		r, err = s.RunScatter(dot11.Band5)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	printOnce("fig8", r.Render())
-}
-
-func BenchmarkFigure9_DayNight(b *testing.B) {
-	s, _, _ := benchFixture(b)
-	var r *core.Figure9Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		r, err = s.RunFigure9()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	printOnce("fig9", r.Render())
-}
-
-func BenchmarkFigure10_Decodable(b *testing.B) {
-	s, _, _ := benchFixture(b)
-	var r *core.Figure10Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		r, err = s.RunFigure10()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	printOnce("fig10", r.Render())
-}
-
-func BenchmarkFigure11_Spectrum(b *testing.B) {
-	s, _, _ := benchFixture(b)
-	var r *core.Figure11Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		r, err = s.RunFigure11(4)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	printOnce("fig11", r.Render())
 }
 
 // ---- Concurrency benches (DESIGN.md §7). ----

@@ -30,8 +30,9 @@
 // until interrupted; a finite count also skips the screen-clear, which
 // is what the merakid monitoring test scrapes).
 //
-// Experiments: table1 table2 table3 table4 table5 table6 table7
-// fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11
+// The experiments are core.Experiments: table1 … table7 and fig1 …
+// fig11, printed in that table's order whatever the order of -only; an
+// unknown -only name exits 2.
 //
 // -timings prints an end-of-run summary to stderr: wall-clock per
 // simulation/render stage plus the epoch pipeline's metrics. Timing is
@@ -44,6 +45,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -51,8 +53,6 @@ import (
 
 	"wlanscale/internal/cluster"
 	"wlanscale/internal/core"
-	"wlanscale/internal/dot11"
-	"wlanscale/internal/epoch"
 	"wlanscale/internal/meshprobe"
 	"wlanscale/internal/obs"
 	"wlanscale/internal/obs/trace"
@@ -133,19 +133,12 @@ func main() {
 		os.Exit(2)
 	}
 
-	want := func(name string) bool {
-		if *only == "" {
-			return true
-		}
-		for _, e := range strings.Split(*only, ",") {
-			if strings.TrimSpace(e) == name {
-				return true
-			}
-		}
-		return false
+	exps, err := selectExperiments(*only)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "merakireport: %v\n", err)
+		os.Exit(2)
 	}
-
-	if err := run(cfg, want, timer); err != nil {
+	if err := run(cfg, exps, timer, os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintf(os.Stderr, "merakireport: %v\n", err)
 		os.Exit(1)
 	}
@@ -291,197 +284,50 @@ func runWatch(addrList string, every time.Duration, count int) error {
 	return nil
 }
 
-func run(cfg core.Config, want func(string) bool, timer *obs.Timer) error {
+// selectExperiments resolves the -only list against core.Experiments,
+// in the table's order whatever the list's; "" selects every one.
+func selectExperiments(only string) ([]core.Experiment, error) {
+	if only == "" {
+		return core.Experiments, nil
+	}
+	known := make(map[string]bool)
+	var names []string
+	for _, e := range core.Experiments {
+		known[e.Name] = true
+		names = append(names, e.Name)
+	}
+	want := make(map[string]bool)
+	for _, name := range strings.Split(only, ",") {
+		if name = strings.TrimSpace(name); name != "" && !known[name] {
+			return nil, fmt.Errorf("unknown experiment %q in -only (known: %s)", name, strings.Join(names, " "))
+		}
+		want[name] = true
+	}
+	var exps []core.Experiment
+	for _, e := range core.Experiments {
+		if want[e.Name] {
+			exps = append(exps, e)
+		}
+	}
+	return exps, nil
+}
+
+// run simulates one study at cfg and prints every experiment of exps
+// under its heading on stdout; progress lines go to stderr.
+func run(cfg core.Config, exps []core.Experiment, timer *obs.Timer, stdout, stderr io.Writer) error {
 	sp := timer.Start("build-fleets")
 	study, err := core.NewStudy(cfg)
 	sp.End()
 	if err != nil {
 		return err
 	}
-	section := func(s string) { fmt.Printf("\n%s\n%s\n", s, strings.Repeat("=", len(s))) }
-	// timed runs one experiment's simulate+render under a timer stage.
-	timed := func(stage string, f func() error) error {
-		sp := timer.Start(stage)
-		defer sp.End()
-		return f()
-	}
-
-	if want("table1") {
-		section("Table 1")
-		fmt.Print(core.Table1Hardware().Render())
-	}
-	if want("table2") {
-		section("Table 2")
-		fmt.Print(core.Table2Industries(study.Fleet15).Render())
-	}
-
-	needUsage := want("table3") || want("table4") || want("table5") || want("table6") || want("fig1")
-	var now, before *core.UsageEpoch
-	if needUsage {
-		fmt.Fprintln(os.Stderr, "simulating usage weeks (two epochs)...")
-		err := timed("simulate-usage", func() error {
-			if now, err = study.RunUsageEpoch(study.Fleet15); err != nil {
-				return err
-			}
-			before, err = study.RunUsageEpoch(study.Fleet14)
-			return err
-		})
+	r := &core.Run{Study: study, Progress: stderr, Timer: timer}
+	for _, e := range exps {
+		out, err := r.Render(e)
 		if err != nil {
 			return err
 		}
-	}
-	if want("table3") {
-		section("Table 3")
-		fmt.Print(core.Table3UsageByOS(now, before).Render())
-	}
-	if want("table4") {
-		section("Table 4")
-		fmt.Print(core.Table4Capabilities(now, before).Render())
-	}
-	if want("table5") {
-		section("Table 5")
-		fmt.Print(core.Table5TopApps(now, before, 40).Render())
-	}
-	if want("table6") {
-		section("Table 6")
-		fmt.Print(core.Table6Categories(now, before).Render())
-	}
-	if want("fig1") {
-		section("Figure 1")
-		fmt.Print(core.Figure1RSSI(now).Render())
-	}
-
-	if want("table7") || want("fig2") {
-		fmt.Fprintln(os.Stderr, "scanning AP environments (two epochs)...")
-		var scanNow, scanBefore *core.NeighborScan
-		err := timed("simulate-scans", func() error {
-			var err error
-			if scanNow, err = study.RunNeighborScan(epoch.Jan2015); err != nil {
-				return err
-			}
-			scanBefore, err = study.RunNeighborScan(epoch.Jul2014)
-			return err
-		})
-		if err != nil {
-			return err
-		}
-		apScale := 10000.0 / float64(len(scanNow.PerAP))
-		if want("table7") {
-			section("Table 7")
-			fmt.Print(core.Table7NearbyNetworks(scanNow, scanBefore, apScale).Render())
-		}
-		if want("fig2") {
-			section("Figure 2")
-			fmt.Print(core.Figure2NearbyByChannel(scanNow, apScale).Render())
-		}
-	}
-
-	if want("fig3") {
-		fmt.Fprintln(os.Stderr, "measuring link deliveries (two epochs)...")
-		if err := timed("links-fig3", func() error {
-			section("Figure 3")
-			fmt.Print(study.RunFigure3().Render())
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if want("fig4") {
-		if err := timed("links-fig4", func() error {
-			section("Figure 4")
-			fmt.Print(study.RunLinkSeries(dot11.Band24).Render())
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if want("fig5") {
-		if err := timed("links-fig5", func() error {
-			section("Figure 5")
-			fmt.Print(study.RunLinkSeries(dot11.Band5).Render())
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if want("fig6") {
-		fmt.Fprintln(os.Stderr, "measuring MR16 utilization...")
-		if err := timed("util-fig6", func() error {
-			r, err := study.RunFigure6()
-			if err != nil {
-				return err
-			}
-			section("Figure 6")
-			fmt.Print(r.Render())
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if want("fig7") {
-		if err := timed("util-fig7", func() error {
-			r, err := study.RunScatter(dot11.Band24)
-			if err != nil {
-				return err
-			}
-			section("Figure 7")
-			fmt.Print(r.Render())
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if want("fig8") {
-		if err := timed("util-fig8", func() error {
-			r, err := study.RunScatter(dot11.Band5)
-			if err != nil {
-				return err
-			}
-			section("Figure 8")
-			fmt.Print(r.Render())
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if want("fig9") {
-		if err := timed("util-fig9", func() error {
-			r, err := study.RunFigure9()
-			if err != nil {
-				return err
-			}
-			section("Figure 9")
-			fmt.Print(r.Render())
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if want("fig10") {
-		if err := timed("util-fig10", func() error {
-			r, err := study.RunFigure10()
-			if err != nil {
-				return err
-			}
-			section("Figure 10")
-			fmt.Print(r.Render())
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if want("fig11") {
-		if err := timed("spectrum-fig11", func() error {
-			r, err := study.RunFigure11(4)
-			if err != nil {
-				return err
-			}
-			section("Figure 11")
-			fmt.Print(r.Render())
-			return nil
-		}); err != nil {
-			return err
-		}
+		fmt.Fprintf(stdout, "\n%s\n%s\n%s", e.Title, strings.Repeat("=", len(e.Title)), out)
 	}
 	return nil
 }

@@ -7,6 +7,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"wlanscale/internal/core"
 )
 
 // TestDocsCiteLiveTests keeps the prose gates honest: every Test*,
@@ -41,5 +43,29 @@ func TestDocsCiteLiveTests(t *testing.T) {
 				t.Errorf("%s cites %s, which no Go file declares", doc, name)
 			}
 		}
+	}
+}
+
+// TestDesignIndexesEveryExperiment keeps DESIGN.md §3's per-experiment
+// index in step with core.Experiments: every entry has exactly one row,
+// named in the row's last column, and no row names anything else.
+func TestDesignIndexesEveryExperiment(t *testing.T) {
+	text, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := regexp.MustCompile("(?m)^\\| (?:Table|Fig\\.) \\d+ \\|.*\\| `(\\w+)` \\|$")
+	rows := make(map[string]int)
+	for _, m := range row.FindAllStringSubmatch(string(text), -1) {
+		rows[m[1]]++
+	}
+	for _, e := range core.Experiments {
+		if rows[e.Name] != 1 {
+			t.Errorf("DESIGN.md §3 has %d rows for experiment %s, want 1", rows[e.Name], e.Name)
+		}
+		delete(rows, e.Name)
+	}
+	for name := range rows {
+		t.Errorf("DESIGN.md §3 indexes %s, which core.Experiments does not list", name)
 	}
 }

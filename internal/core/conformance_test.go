@@ -2,13 +2,9 @@ package core
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
-	"wlanscale/internal/dot11"
-	"wlanscale/internal/epoch"
 	"wlanscale/internal/telemetry"
 )
 
@@ -17,147 +13,21 @@ import (
 // happens to cancel out at one seed.
 var conformanceSeeds = []uint64{2026, 2027, 2028, 2029, 2030}
 
-// conformanceRenders produces every table and figure of the paper for
-// one seed — the complete merakireport surface at smallConfig scale.
-func conformanceRenders(t *testing.T, seed uint64) map[string]string {
-	t.Helper()
-	s, err := NewStudy(smallConfig(seed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	now, err := s.RunUsageEpoch(s.Fleet15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before, err := s.RunUsageEpoch(s.Fleet14)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scanNow, err := s.RunNeighborScan(epoch.Jan2015)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scanBefore, err := s.RunNeighborScan(epoch.Jul2014)
-	if err != nil {
-		t.Fatal(err)
-	}
-	apScale := 10000.0 / float64(len(scanNow.PerAP))
-	fig6, err := s.RunFigure6()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fig7, err := s.RunScatter(dot11.Band24)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fig8, err := s.RunScatter(dot11.Band5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fig9, err := s.RunFigure9()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fig10, err := s.RunFigure10()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fig11, err := s.RunFigure11(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return map[string]string{
-		"table1": Table1Hardware().Render(),
-		"table2": Table2Industries(s.Fleet15).Render(),
-		"table3": Table3UsageByOS(now, before).Render(),
-		"table4": Table4Capabilities(now, before).Render(),
-		"table5": Table5TopApps(now, before, 20).Render(),
-		"table6": Table6Categories(now, before).Render(),
-		"table7": Table7NearbyNetworks(scanNow, scanBefore, apScale).Render(),
-		"fig1":   Figure1RSSI(now).Render(),
-		"fig2":   Figure2NearbyByChannel(scanNow, apScale).Render(),
-		"fig3":   s.RunFigure3().Render(),
-		"fig4":   s.RunLinkSeries(dot11.Band24).Render(),
-		"fig5":   s.RunLinkSeries(dot11.Band5).Render(),
-		"fig6":   fig6.Render(),
-		"fig7":   fig7.Render(),
-		"fig8":   fig8.Render(),
-		"fig9":   fig9.Render(),
-		"fig10":  fig10.Render(),
-		"fig11":  fig11.Render(),
-	}
-}
-
-// diffLines renders a compact line diff for a drifted golden: every
-// run of differing lines with its 1-based line numbers, capped so a
-// wholesale rewrite does not flood the test log.
-func diffLines(want, got string) string {
-	w := strings.Split(want, "\n")
-	g := strings.Split(got, "\n")
-	n := len(w)
-	if len(g) > n {
-		n = len(g)
-	}
-	var b strings.Builder
-	shown := 0
-	for i := 0; i < n && shown < 20; i++ {
-		var wl, gl string
-		if i < len(w) {
-			wl = w[i]
-		}
-		if i < len(g) {
-			gl = g[i]
-		}
-		if wl == gl {
-			continue
-		}
-		fmt.Fprintf(&b, "  line %d:\n    -%s\n    +%s\n", i+1, wl, gl)
-		shown++
-	}
-	if shown == 20 {
-		b.WriteString("  ... (diff truncated)\n")
-	}
-	return b.String()
-}
-
-// TestPaperConformance pins the full paper surface — Tables 1-7 and
-// Figures 1-11 — against checked-in goldens for five seeds. This is
-// the repo's conformance suite: any drift anywhere in the simulate →
-// harvest → aggregate → render pipeline fails with a line diff naming
-// exactly which rows of which figure moved. Accept intentional changes
-// with:
+// TestPaperConformance pins the full paper surface — every entry of
+// Experiments, Tables 1-7 and Figures 1-11, rendered exactly as
+// merakireport prints it — against checked-in goldens for five seeds.
+// This is the repo's conformance suite: any drift anywhere in the
+// simulate → harvest → aggregate → render pipeline fails with a line
+// diff naming exactly which rows of which figure moved. Accept
+// intentional changes with:
 //
 //	go test ./internal/core -run TestPaperConformance -update
 func TestPaperConformance(t *testing.T) {
 	for _, seed := range conformanceSeeds {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			renders := conformanceRenders(t, seed)
 			dir := filepath.Join("testdata", "conformance", fmt.Sprintf("seed%d", seed))
-			if *update {
-				if err := os.MkdirAll(dir, 0o755); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for name, got := range renders {
-				name, got := name, got
-				t.Run(name, func(t *testing.T) {
-					path := filepath.Join(dir, name+".golden")
-					if *update {
-						if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-							t.Fatal(err)
-						}
-						return
-					}
-					want, err := os.ReadFile(path)
-					if err != nil {
-						t.Fatalf("missing conformance golden (regenerate with -update): %v", err)
-					}
-					if got != string(want) {
-						t.Errorf("%s drifted from seed-%d conformance golden:\n%s", name, seed, diffLines(string(want), got))
-					}
-				})
-			}
+			checkGoldens(t, dir, renderExperiments(t, smallConfig(seed), nil))
 		})
 	}
 }

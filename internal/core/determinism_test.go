@@ -3,8 +3,6 @@ package core
 import (
 	"testing"
 
-	"wlanscale/internal/dot11"
-	"wlanscale/internal/epoch"
 	"wlanscale/internal/meshprobe"
 )
 
@@ -23,74 +21,52 @@ func smallConfig(seed uint64) Config {
 	}
 }
 
+// renderExperiments regenerates, on a fresh study at cfg, every
+// experiment keep accepts (all of them when keep is nil), keyed by name.
+func renderExperiments(t *testing.T, cfg Config, keep func(Experiment) bool) map[string]string {
+	t.Helper()
+	s, err := NewStudy(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &Run{Study: s}
+	out := make(map[string]string)
+	for _, e := range Experiments {
+		if keep != nil && !keep(e) {
+			continue
+		}
+		if out[e.Name], err = r.Render(e); err != nil {
+			t.Fatalf("%s: %v", e.Name, err)
+		}
+	}
+	return out
+}
+
+// usageStudy keeps the experiments the usage study alone regenerates:
+// the fleets and the two usage epochs, no scans or link/utilization runs.
+func usageStudy(e Experiment) bool { return e.input <= usageInput }
+
 // TestStudyDeterministic verifies that two studies built from the same
 // seed produce byte-identical renders for every experiment — the
-// property that makes EXPERIMENTS.md numbers stable.
+// property that makes EXPERIMENTS.md numbers stable. The second study
+// renders the experiments in reverse order, so what an experiment
+// prints does not depend on which others ran before it: a
+// merakireport -only subset prints what the full report prints.
 func TestStudyDeterministic(t *testing.T) {
-	render := func() map[string]string {
-		s, err := NewStudy(smallConfig(99))
-		if err != nil {
-			t.Fatal(err)
-		}
-		now, err := s.RunUsageEpoch(s.Fleet15)
-		if err != nil {
-			t.Fatal(err)
-		}
-		before, err := s.RunUsageEpoch(s.Fleet14)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := map[string]string{
-			"table2": Table2Industries(s.Fleet15).Render(),
-			"table3": Table3UsageByOS(now, before).Render(),
-			"table4": Table4Capabilities(now, before).Render(),
-			"table5": Table5TopApps(now, before, 20).Render(),
-			"table6": Table6Categories(now, before).Render(),
-			"fig1":   Figure1RSSI(now).Render(),
-			"fig3":   s.RunFigure3().Render(),
-		}
-		scanNow, err := s.RunNeighborScan(epoch.Jan2015)
-		if err != nil {
-			t.Fatal(err)
-		}
-		scanBefore, err := s.RunNeighborScan(epoch.Jul2014)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out["table7"] = Table7NearbyNetworks(scanNow, scanBefore, 1).Render()
-		out["fig2"] = Figure2NearbyByChannel(scanNow, 1).Render()
-		f6, err := s.RunFigure6()
-		if err != nil {
-			t.Fatal(err)
-		}
-		out["fig6"] = f6.Render()
-		f7, err := s.RunScatter(dot11.Band24)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out["fig7"] = f7.Render()
-		f9, err := s.RunFigure9()
-		if err != nil {
-			t.Fatal(err)
-		}
-		out["fig9"] = f9.Render()
-		f10, err := s.RunFigure10()
-		if err != nil {
-			t.Fatal(err)
-		}
-		out["fig10"] = f10.Render()
-		f11, err := s.RunFigure11(2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out["fig11"] = f11.Render()
-		return out
+	a := renderExperiments(t, smallConfig(99), nil)
+	s, err := NewStudy(smallConfig(99))
+	if err != nil {
+		t.Fatal(err)
 	}
-	a := render()
-	b := render()
-	for name, want := range a {
-		if b[name] != want {
-			t.Errorf("%s differs between identical seeds", name)
+	r := &Run{Study: s}
+	for i := len(Experiments) - 1; i >= 0; i-- {
+		e := Experiments[i]
+		got, err := r.Render(e)
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name, err)
+		}
+		if got != a[e.Name] {
+			t.Errorf("%s differs between identical seeds rendered in opposite orders", e.Name)
 		}
 	}
 }

@@ -2,8 +2,10 @@ package core
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -19,36 +21,25 @@ func goldenConfig() Config {
 	return cfg
 }
 
-// TestGoldenRenders pins the seed-2026 Render() output of Table 1-6 and
-// Figure 1 against testdata/golden/. Any behavioral drift in the
-// simulation, classification, aggregation, or rendering path — however
-// it is scheduled across workers — fails this test with a diff. To
-// accept an intentional change:
+// TestGoldenRenders pins the seed-2026 Render() output of every
+// experiment the usage study alone regenerates (Tables 1-6 and
+// Figure 1) against testdata/golden/, at a larger usage fleet than the
+// conformance suite. Any behavioral drift in the simulation,
+// classification, aggregation, or rendering path — however it is
+// scheduled across workers — fails this test with a diff. To accept an
+// intentional change:
 //
 //	go test ./internal/core -run TestGoldenRenders -update
 func TestGoldenRenders(t *testing.T) {
-	s, err := NewStudy(goldenConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	now, err := s.RunUsageEpoch(s.Fleet15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before, err := s.RunUsageEpoch(s.Fleet14)
-	if err != nil {
-		t.Fatal(err)
-	}
-	renders := map[string]string{
-		"table1": Table1Hardware().Render(),
-		"table2": Table2Industries(s.Fleet15).Render(),
-		"table3": Table3UsageByOS(now, before).Render(),
-		"table4": Table4Capabilities(now, before).Render(),
-		"table5": Table5TopApps(now, before, 20).Render(),
-		"table6": Table6Categories(now, before).Render(),
-		"fig1":   Figure1RSSI(now).Render(),
-	}
-	dir := filepath.Join("testdata", "golden")
+	checkGoldens(t, filepath.Join("testdata", "golden"), renderExperiments(t, goldenConfig(), usageStudy))
+}
+
+// checkGoldens compares every render with dir/<name>.golden in its own
+// subtest, or rewrites the files under -update. A golden file no render
+// matches fails too, so a renamed or dropped experiment cannot leave a
+// stale pin behind.
+func checkGoldens(t *testing.T, dir string, renders map[string]string) {
+	t.Helper()
 	if *update {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			t.Fatal(err)
@@ -69,8 +60,49 @@ func TestGoldenRenders(t *testing.T) {
 				t.Fatalf("missing golden (regenerate with -update): %v", err)
 			}
 			if got != string(want) {
-				t.Errorf("%s drifted from seed-2026 golden.\n--- want\n%s\n--- got\n%s", name, want, got)
+				t.Errorf("%s drifted from %s:\n%s", name, path, diffLines(string(want), got))
 			}
 		})
 	}
+	files, err := filepath.Glob(filepath.Join(dir, "*.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		if _, ok := renders[strings.TrimSuffix(filepath.Base(f), ".golden")]; !ok {
+			t.Errorf("%s pins no experiment", f)
+		}
+	}
+}
+
+// diffLines renders a compact line diff for a drifted golden: every
+// run of differing lines with its 1-based line numbers, capped so a
+// wholesale rewrite does not flood the test log.
+func diffLines(want, got string) string {
+	w := strings.Split(want, "\n")
+	g := strings.Split(got, "\n")
+	n := len(w)
+	if len(g) > n {
+		n = len(g)
+	}
+	var b strings.Builder
+	shown := 0
+	for i := 0; i < n && shown < 20; i++ {
+		var wl, gl string
+		if i < len(w) {
+			wl = w[i]
+		}
+		if i < len(g) {
+			gl = g[i]
+		}
+		if wl == gl {
+			continue
+		}
+		fmt.Fprintf(&b, "  line %d:\n    -%s\n    +%s\n", i+1, wl, gl)
+		shown++
+	}
+	if shown == 20 {
+		b.WriteString("  ... (diff truncated)\n")
+	}
+	return b.String()
 }

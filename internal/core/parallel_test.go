@@ -91,25 +91,9 @@ func TestRunUsageEpochWorkerEquivalence(t *testing.T) {
 // into Table 3/5/6's year-over-year joins.
 func TestRunUsageEpochRenderEquivalence(t *testing.T) {
 	render := func(workers int) map[string]string {
-		s, err := NewStudy(parallelConfig(77))
-		if err != nil {
-			t.Fatal(err)
-		}
-		now, err := s.RunUsageEpochWorkers(s.Fleet15, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		before, err := s.RunUsageEpochWorkers(s.Fleet14, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return map[string]string{
-			"table3": Table3UsageByOS(now, before).Render(),
-			"table4": Table4Capabilities(now, before).Render(),
-			"table5": Table5TopApps(now, before, 20).Render(),
-			"table6": Table6Categories(now, before).Render(),
-			"fig1":   Figure1RSSI(now).Render(),
-		}
+		cfg := parallelConfig(77)
+		cfg.Workers = workers
+		return renderExperiments(t, cfg, func(e Experiment) bool { return e.input == usageInput })
 	}
 	serial := render(1)
 	for _, workers := range []int{3, 8} {
