@@ -51,10 +51,11 @@ bench-baseline:
 		-benchmem -benchtime 50x | go run ./scripts/benchgate -baseline BENCH_baseline.json -update
 
 # wire-compat is the digest-equivalence gate: 10 seeds of v1, v2, and
-# mixed-fallback harvests must agree byte-for-byte on the store digest,
-# plus a fuzz pass over the batch decoder and the frame demultiplexer,
-# and over the two decoders that read disk: the store snapshot gob
-# (checkpoint, snapshot and absorb all load through it) and WAL replay.
+# mixed-fleet (v2 agent, v1 backend) harvests must agree byte-for-byte
+# on the store digest, plus a fuzz pass over the batch decoder and the
+# frame demultiplexer, and over the two decoders that read disk: the
+# store snapshot gob (checkpoint, snapshot and absorb all load through
+# it) and WAL replay.
 wire-compat:
 	go test ./internal/backend -run 'TestWireDigestEquivalence' -count=1 -v
 	go test ./internal/core -run 'TestUsageEpochWireEquivalence' -count=1

@@ -117,7 +117,7 @@ func BenchmarkRunUsageEpoch(b *testing.B) {
 			var stop chan struct{}
 			var looped <-chan struct{}
 			if seriesOn {
-				rec := series.NewRecorder(reg, series.Options{Cap: 64, Every: 100 * time.Millisecond})
+				rec := series.NewRecorder(reg, series.Options{Cap: 64})
 				eng := health.NewEngine(rec, health.DefaultRules(2, 2))
 				stop = make(chan struct{})
 				done := make(chan struct{})

@@ -560,47 +560,38 @@ func (d *daemon) serveDevice(conn net.Conn) {
 	p.Metrics = d.harvest
 	p.Trace = d.tracer
 	p.NegotiateWire(d.wire)
-	if d.durable != nil {
-		// WAL-before-ack: the batch becomes durable and lands in the
-		// store before the ack frame goes out. On a WAL failure the poll
-		// errors without acking — the device keeps its queue — and the
-		// daemon flags itself degraded rather than crashing.
-		degrade := func(err error) error {
+	// admit lands a polled batch before its ack. A parted network
+	// refuses first — migration backpressure, not a durability failure —
+	// so a mid-migration network's devices requeue in both modes. A
+	// volatile daemon then ingests; a durable one runs walAppend
+	// (WAL-before-ack: the batch is durable and in the store before the
+	// ack goes out). On a WAL failure the poll errors without acking —
+	// the device keeps its queue — and the daemon flags itself degraded
+	// rather than crashing.
+	admit := func(reports []*telemetry.Report, walAppend func() error) error {
+		if err := d.partCheck(reports); err != nil {
+			return err
+		}
+		if d.durable == nil {
+			for _, r := range reports {
+				d.store.Ingest(r)
+			}
+			return nil
+		}
+		if err := walAppend(); err != nil {
 			d.health.AddWALFailure()
 			d.health.SetDegraded(true)
 			log.Printf("merakid: degraded (read-only): %v", err)
 			return err
 		}
-		p.BeforeAck = func(reports []*telemetry.Report, raw [][]byte) error {
-			// A parted network refuses before the WAL sees the batch:
-			// migration backpressure, not a durability failure.
-			if err := d.partCheck(reports); err != nil {
-				return err
-			}
-			if err := d.durable.IngestBatch(reports, raw); err != nil {
-				return degrade(err)
-			}
-			return nil
-		}
-		// v2 sessions log each whole batch frame as one WAL record.
-		p.BeforeAckFrame = func(reports []*telemetry.Report, payload []byte) error {
-			if err := d.partCheck(reports); err != nil {
-				return err
-			}
-			if err := d.durable.IngestBatchFrame(reports, payload); err != nil {
-				return degrade(err)
-			}
-			return nil
-		}
-	} else {
-		// Volatile daemons gate acks on the same parted check, so a
-		// mid-migration network's devices requeue in both modes.
-		p.BeforeAck = func(reports []*telemetry.Report, raw [][]byte) error {
-			return d.partCheck(reports)
-		}
-		p.BeforeAckFrame = func(reports []*telemetry.Report, payload []byte) error {
-			return d.partCheck(reports)
-		}
+		return nil
+	}
+	p.BeforeAck = func(reports []*telemetry.Report, raw [][]byte) error {
+		return admit(reports, func() error { return d.durable.IngestBatch(reports, raw) })
+	}
+	// v2 sessions log each whole batch frame as one WAL record.
+	p.BeforeAckFrame = func(reports []*telemetry.Report, payload []byte) error {
+		return admit(reports, func() error { return d.durable.IngestBatchFrame(reports, payload) })
 	}
 	d.mu.Lock()
 	if d.devices == nil {
@@ -629,10 +620,6 @@ func (d *daemon) serveDevice(conn net.Conn) {
 			return
 		}
 		for _, r := range reports {
-			// Durable mode already ingested the batch in BeforeAck.
-			if d.durable == nil {
-				d.store.Ingest(r)
-			}
 			// A crash report is exactly the moment the recent span
 			// history is worth keeping: dump the recorder before the
 			// ring overwrites the lead-up.

@@ -24,10 +24,6 @@ type DurableOptions struct {
 	// recovery falls back one generation when the newest is corrupt.
 	// Zero means 2.
 	KeepCheckpoints int
-	// NetworkOf maps serials to network IDs for migration records
-	// (absorb/drop replay must resolve the same networks the original
-	// operation did). Nil means NetworkOfSerial.
-	NetworkOf NetworkFunc
 }
 
 // RecoveryStats describes what OpenDurable found and rebuilt.
@@ -74,10 +70,9 @@ func (r RecoveryStats) String() string {
 type DurableStore struct {
 	*Store
 
-	dir   string
-	log   *wal.Log
-	keep  int
-	netOf NetworkFunc
+	dir  string
+	log  *wal.Log
+	keep int
 
 	// flight makes "in the WAL" and "in the store" one step as far as
 	// Checkpoint can tell: IngestBatch and the migration operations hold
@@ -151,11 +146,7 @@ func OpenDurable(dir string, o DurableOptions) (*DurableStore, RecoveryStats, er
 	if keep <= 0 {
 		keep = 2
 	}
-	netOf := o.NetworkOf
-	if netOf == nil {
-		netOf = NetworkOfSerial
-	}
-	d := &DurableStore{Store: NewStore(), dir: dir, keep: keep, netOf: netOf}
+	d := &DurableStore{Store: NewStore(), dir: dir, keep: keep}
 
 	// A crash inside SaveFile leaves a temp file the rename never
 	// promoted; sweep such husks so they cannot accumulate.

@@ -102,7 +102,7 @@ func (d *DurableStore) AbsorbSnapshot(token string, ids []uint64, slice []byte) 
 	}
 	var applyErr error
 	if err := d.logged(recAbsorb, token, ids, slice, func() {
-		applied, applyErr = d.Store.Absorb(token, ids, bytes.NewReader(slice), d.netOf)
+		applied, applyErr = d.Store.Absorb(token, ids, bytes.NewReader(slice), NetworkOfSerial)
 	}); err != nil {
 		return false, err
 	}
@@ -113,7 +113,7 @@ func (d *DurableStore) AbsorbSnapshot(token string, ids []uint64, slice []byte) 
 // token, Store.Drop's contract).
 func (d *DurableStore) DropNetworks(token string, ids []uint64) (networks, entries int, err error) {
 	err = d.logged(recDrop, token, ids, nil, func() {
-		networks, entries = d.Store.Drop(token, ids, d.netOf)
+		networks, entries = d.Store.Drop(token, ids, NetworkOfSerial)
 	})
 	return networks, entries, err
 }
@@ -138,10 +138,10 @@ func (d *DurableStore) replayMigration(payload []byte) error {
 	}
 	switch kind {
 	case recAbsorb:
-		_, err := d.Store.Absorb(token, ids, bytes.NewReader(rest), d.netOf)
+		_, err := d.Store.Absorb(token, ids, bytes.NewReader(rest), NetworkOfSerial)
 		return err
 	case recDrop:
-		d.Store.Drop(token, ids, d.netOf)
+		d.Store.Drop(token, ids, NetworkOfSerial)
 	case recPart:
 		d.Store.Part(ids)
 	case recUnpart:

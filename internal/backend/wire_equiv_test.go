@@ -40,32 +40,14 @@ func seedReports(seed uint64) []*telemetry.Report {
 // harvestDigest runs one arm: a fresh agent with the seed's report
 // stream, polled to empty over net.Pipe into a fresh store, returning
 // the store digest. agentWire is what the agent announces; pollerWire
-// what the backend asks NegotiateWire for. legacyReject first accepts
-// and immediately closes one session without polling — what a
-// pre-batch backend's hello rejection looks like to the agent — so the
-// harvest that follows exercises the sticky v1 fallback path.
-func harvestDigest(t *testing.T, agentWire, pollerWire byte, legacyReject bool, reports []*telemetry.Report) (string, byte) {
+// what the backend asks NegotiateWire for.
+func harvestDigest(t *testing.T, agentWire, pollerWire byte, reports []*telemetry.Report) (string, byte) {
 	t.Helper()
 	key := make([]byte, 32)
 	agent := telemetry.NewAgent("Q2EQ-0001", key)
 	agent.Wire = agentWire
 	for _, r := range reports {
 		agent.Enqueue(r)
-	}
-
-	if legacyReject {
-		c1, c2 := net.Pipe()
-		errc := make(chan error, 1)
-		go func() { errc <- agent.ServeConn(c1) }()
-		p0, err := telemetry.AcceptPoller(c2, key)
-		if err != nil {
-			t.Fatalf("legacy accept: %v", err)
-		}
-		if p0.AgentWire() != telemetry.WireV2 {
-			t.Fatalf("legacy session saw wire %d, want v2 hello", p0.AgentWire())
-		}
-		p0.Close()
-		<-errc
 	}
 
 	c1, c2 := net.Pipe()
@@ -101,14 +83,14 @@ func harvestDigest(t *testing.T, agentWire, pollerWire byte, legacyReject bool, 
 
 // TestWireDigestEquivalence is the acceptance proof for wire v2: over
 // ten seeds, a pure v1 harvest, a pure v2 harvest, and a mixed fleet
-// (v2 agent falling back after a legacy backend rejected its hello)
-// must land the backend store on byte-identical digests. The wire
-// format may change how reports travel, never what arrives.
+// (a v2 agent polled by a backend that negotiates v1) must land the
+// backend store on byte-identical digests. The wire format may change
+// how reports travel, never what arrives.
 func TestWireDigestEquivalence(t *testing.T) {
 	for seed := uint64(1); seed <= 10; seed++ {
-		v1, w1 := harvestDigest(t, telemetry.WireV1, telemetry.WireV1, false, seedReports(seed))
-		v2, w2 := harvestDigest(t, telemetry.WireV2, telemetry.WireV2, false, seedReports(seed))
-		mixed, wm := harvestDigest(t, telemetry.WireV2, telemetry.WireV2, true, seedReports(seed))
+		v1, w1 := harvestDigest(t, telemetry.WireV1, telemetry.WireV1, seedReports(seed))
+		v2, w2 := harvestDigest(t, telemetry.WireV2, telemetry.WireV2, seedReports(seed))
+		mixed, wm := harvestDigest(t, telemetry.WireV2, telemetry.WireV1, seedReports(seed))
 		if w1 != telemetry.WireV1 || w2 != telemetry.WireV2 || wm != telemetry.WireV1 {
 			t.Fatalf("seed %d: negotiated wires v1=%d v2=%d mixed=%d, want 1/2/1", seed, w1, w2, wm)
 		}
@@ -119,7 +101,7 @@ func TestWireDigestEquivalence(t *testing.T) {
 			t.Errorf("seed %d: v2 digest %s != v1 digest %s", seed, v2, v1)
 		}
 		if mixed != v1 {
-			t.Errorf("seed %d: mixed-fallback digest %s != v1 digest %s", seed, mixed, v1)
+			t.Errorf("seed %d: mixed-fleet digest %s != v1 digest %s", seed, mixed, v1)
 		}
 	}
 }

@@ -88,66 +88,27 @@ func (s *Study) harvestNetworkUsage(f *synth.Fleet, n *synth.Network, label stri
 	// Harvest every AP over the telemetry wire format. With tracing on,
 	// the offline pipeline maps onto the same span chain as the live
 	// protocol: agent.enqueue is the report build, tunnel.write its
-	// marshal onto the (in-process) wire, daemon.read the unmarshal on
-	// the backend side, and store.ingest is recorded by the store itself
+	// encode onto the (in-process) wire, daemon.read the decode on the
+	// backend side, and store.ingest is recorded by the store itself
 	// (the partial store carries the tracer).
 	tr := s.Config.Trace
 	var ids *trace.IDStream
 	if tr != nil {
 		ids = tr.IDs(fmt.Sprintf("net/%d", n.ID))
 	}
-	if s.Config.WireVersion >= int(telemetry.WireV2) {
-		return s.harvestNetworkUsageV2(n, e, tr, ids, store)
-	}
-	var traced []tracedReport
-	for _, a := range n.APs {
-		var id trace.ID
-		var sampled bool
-		if ids != nil {
-			id, sampled = ids.Next()
-		}
-		esp := tr.Start(id, trace.StageAgentEnqueue)
-		esp.SetSerial(a.Serial)
-		rep := a.BuildReport(uint64(e)*1e6, nil, nil, nil)
-		rep.TraceID = uint64(id)
-		esp.SetSeq(rep.SeqNo)
-		esp.End()
-		wsp := tr.Start(id, trace.StageTunnelWrite)
-		wsp.SetSerial(a.Serial)
-		wsp.SetSeq(rep.SeqNo)
-		wire := rep.Marshal()
-		wsp.End()
-		rsp := tr.Start(id, trace.StageDaemonRead)
-		rsp.SetSerial(a.Serial)
-		decoded, err := telemetry.UnmarshalReport(wire)
-		if err != nil {
-			rsp.SetErr(err)
-			rsp.End()
-			return nil, fmt.Errorf("core: harvest %s: %w", a.Serial, err)
-		}
-		rsp.SetSeq(decoded.SeqNo)
-		rsp.End()
-		store.Ingest(decoded)
-		if sampled {
-			traced = append(traced, tracedReport{id: id, serial: a.Serial, seq: decoded.SeqNo})
-		}
-	}
-	return traced, nil
-}
-
-// harvestNetworkUsageV2 is the wire-v2 leg of harvestNetworkUsage: the
-// network's AP reports coalesce into one delta-coded batch frame that
-// crosses the (in-process) wire whole, exactly as a live v2 poll would
-// carry them. The decoded fleet must be indistinguishable from the v1
-// leg — the digest-equivalence tests compare the two store states
-// byte for byte.
-func (s *Study) harvestNetworkUsageV2(n *synth.Network, e epoch.Epoch, tr *trace.Tracer, ids *trace.IDStream, store *backend.Store) ([]tracedReport, error) {
+	// v1 marshals each AP's report on its own; v2 coalesces the
+	// network's reports into one delta-coded batch frame that crosses
+	// the wire whole, exactly as a live v2 poll would carry them. The
+	// decoded fleet must be indistinguishable across the two — the
+	// digest-equivalence tests compare the store states byte for byte.
 	type pendingTrace struct {
 		id      trace.ID
 		sampled bool
 		serial  string
 	}
+	v2 := s.Config.WireVersion >= int(telemetry.WireV2)
 	var pend []pendingTrace
+	var wire [][]byte
 	be := telemetry.NewBatchEncoder(0)
 	for _, a := range n.APs {
 		var id trace.ID
@@ -164,26 +125,40 @@ func (s *Study) harvestNetworkUsageV2(n *synth.Network, e epoch.Epoch, tr *trace
 		wsp := tr.Start(id, trace.StageTunnelWrite)
 		wsp.SetSerial(a.Serial)
 		wsp.SetSeq(rep.SeqNo)
-		be.Add(rep) // unbounded encoder: Add never declines
+		if v2 {
+			be.Add(rep) // unbounded encoder: Add never declines
+		} else {
+			wire = append(wire, rep.Marshal())
+		}
 		wsp.End()
 		pend = append(pend, pendingTrace{id: id, sampled: sampled, serial: a.Serial})
 	}
-	frame, err := telemetry.DecodeBatchFrame(be.Finish(0, 0, nil))
-	if err != nil {
-		return nil, fmt.Errorf("core: harvest net %d batch: %w", n.ID, err)
-	}
-	if len(frame.Reports) != len(n.APs) {
-		return nil, fmt.Errorf("core: harvest net %d: batch carried %d reports for %d APs", n.ID, len(frame.Reports), len(n.APs))
+	decode := func(i int) (*telemetry.Report, error) { return telemetry.UnmarshalReport(wire[i]) }
+	if v2 {
+		frame, err := telemetry.DecodeBatchFrame(be.Finish(0, 0, nil))
+		if err != nil {
+			return nil, fmt.Errorf("core: harvest net %d batch: %w", n.ID, err)
+		}
+		if len(frame.Reports) != len(n.APs) {
+			return nil, fmt.Errorf("core: harvest net %d: batch carried %d reports for %d APs", n.ID, len(frame.Reports), len(n.APs))
+		}
+		decode = func(i int) (*telemetry.Report, error) { return frame.Reports[i], nil }
 	}
 	var traced []tracedReport
-	for i, decoded := range frame.Reports {
-		rsp := tr.Start(pend[i].id, trace.StageDaemonRead)
-		rsp.SetSerial(pend[i].serial)
+	for i, p := range pend {
+		rsp := tr.Start(p.id, trace.StageDaemonRead)
+		rsp.SetSerial(p.serial)
+		decoded, err := decode(i)
+		if err != nil {
+			rsp.SetErr(err)
+			rsp.End()
+			return nil, fmt.Errorf("core: harvest %s: %w", p.serial, err)
+		}
 		rsp.SetSeq(decoded.SeqNo)
 		rsp.End()
 		store.Ingest(decoded)
-		if pend[i].sampled {
-			traced = append(traced, tracedReport{id: pend[i].id, serial: pend[i].serial, seq: decoded.SeqNo})
+		if p.sampled {
+			traced = append(traced, tracedReport{id: p.id, serial: p.serial, seq: decoded.SeqNo})
 		}
 	}
 	return traced, nil

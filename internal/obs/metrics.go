@@ -154,28 +154,7 @@ func (h *Histogram) Quantile(q float64) int64 {
 	if h == nil {
 		return 0
 	}
-	total := h.total.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := int64(math.Ceil(q * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	var seen int64
-	for i := range h.counts {
-		seen += h.counts[i].Load()
-		if seen >= rank {
-			if i < len(h.bounds) {
-				return h.bounds[i]
-			}
-			break
-		}
-	}
-	if len(h.bounds) == 0 {
-		return 0
-	}
-	return h.bounds[len(h.bounds)-1]
+	return quantile(h.bounds, len(h.counts), func(i int) int64 { return h.counts[i].Load() }, h.total.Load(), q)
 }
 
 // HistogramSnapshot is a point-in-time copy of a histogram.
@@ -204,4 +183,35 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		s.Counts[i] = h.counts[i].Load()
 	}
 	return s
+}
+
+// Quantile is Histogram.Quantile over the snapshot's buckets, for the
+// "metrics" text and the series points (which pass one tick's bucket
+// deltas as Counts).
+func (h *HistogramSnapshot) Quantile(q float64) int64 {
+	return quantile(h.Bounds, len(h.Counts), func(i int) int64 { return h.Counts[i] }, h.Count, q)
+}
+
+// quantile is the rank walk over n buckets whose counts (count(i))
+// sum to total; the live histogram reads its atomics in place, so a
+// quantile allocates nothing.
+func quantile(bounds []int64, n int, count func(i int) int64, total int64, q float64) int64 {
+	if total <= 0 {
+		return 0
+	}
+	rank := max(int64(math.Ceil(q*float64(total))), 1)
+	var seen int64
+	for i := range n {
+		seen += count(i)
+		if seen >= rank {
+			if i < len(bounds) {
+				return bounds[i]
+			}
+			break
+		}
+	}
+	if len(bounds) == 0 {
+		return 0
+	}
+	return bounds[len(bounds)-1]
 }

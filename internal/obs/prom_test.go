@@ -34,10 +34,18 @@ func TestHistogramQuantiles(t *testing.T) {
 		{0.99, 100},
 		{1.00, 1000},
 	}
+	snap := h.Snapshot()
 	for _, c := range cases {
 		if got := h.Quantile(c.q); got != c.want {
 			t.Fatalf("Quantile(%v) = %d, want %d", c.q, got, c.want)
 		}
+		if got := snap.Quantile(c.q); got != c.want {
+			t.Fatalf("snapshot Quantile(%v) = %d, want %d", c.q, got, c.want)
+		}
+	}
+	// The live walk reads the atomics in place: no snapshot copy.
+	if n := testing.AllocsPerRun(100, func() { h.Quantile(0.99) }); n != 0 {
+		t.Fatalf("Quantile allocates %v times per call, want 0", n)
 	}
 
 	// The estimate is an upper bound on the true quantile: the true p50

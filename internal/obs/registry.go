@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"sync"
 )
@@ -196,34 +195,8 @@ func (r *Registry) WriteText(w io.Writer) {
 			mean = float64(h.Sum) / float64(h.Count)
 		}
 		fmt.Fprintf(w, "%s count=%d sum=%d mean=%.1f p50=%d p99=%d\n",
-			s.Name, h.Count, h.Sum, mean, quantileOf(h, 0.5), quantileOf(h, 0.99))
+			s.Name, h.Count, h.Sum, mean, h.Quantile(0.5), h.Quantile(0.99))
 	}
-}
-
-// quantileOf estimates a quantile from a snapshot the way
-// Histogram.Quantile does from the live buckets.
-func quantileOf(h *HistogramSnapshot, q float64) int64 {
-	if h.Count == 0 {
-		return 0
-	}
-	rank := int64(math.Ceil(q * float64(h.Count)))
-	if rank < 1 {
-		rank = 1
-	}
-	var seen int64
-	for i, c := range h.Counts {
-		seen += c
-		if seen >= rank {
-			if i < len(h.Bounds) {
-				return h.Bounds[i]
-			}
-			break
-		}
-	}
-	if len(h.Bounds) == 0 {
-		return 0
-	}
-	return h.Bounds[len(h.Bounds)-1]
 }
 
 // jsonHistogram is the wire form WriteJSON uses for histograms.

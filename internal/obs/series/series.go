@@ -10,8 +10,8 @@
 // (count, sum) plus p50/p95/p99 computed over the buckets observed in
 // that tick alone. The sample path takes its timestamp as an argument
 // — there is no time.Now inside the recording logic — so tests drive a
-// synthetic clock tick by tick and assert exact rates; the background
-// Run loop is the only place a real clock lives. Rings hold the last
+// synthetic clock tick by tick and assert exact rates; merakid's
+// sampling loop is the only place a real clock lives. Rings hold the last
 // Cap points per metric; Last and Window answer the queries merakid's
 // "series" command and /debug/series serve, and the health rule engine
 // (obs/health) evaluates over the same points.
@@ -21,7 +21,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"sync"
 	"time"
@@ -30,7 +29,7 @@ import (
 )
 
 // DefaultCap is the ring capacity when Options.Cap is zero: six hours
-// of history at the default 60s cadence.
+// of history at a 60s cadence.
 const DefaultCap = 360
 
 // Point is one tick of one metric's history.
@@ -105,12 +104,6 @@ type metricSeries struct {
 type Options struct {
 	// Cap is the ring capacity per metric; zero means DefaultCap.
 	Cap int
-	// Every is the Run loop's sampling cadence; zero means 60s. The
-	// manual Sample path ignores it.
-	Every time.Duration
-	// Now is the Run loop's clock, defaulting to time.Now. Sample
-	// itself never reads a clock — it is handed the tick time.
-	Now func() time.Time
 }
 
 // Recorder samples one registry into per-metric rings. All methods are
@@ -124,9 +117,6 @@ type Recorder struct {
 	series map[string]*metricSeries
 	ticks  int64
 	lastT  time.Time // previous tick time, for rate denominators
-
-	every time.Duration
-	now   func() time.Time
 }
 
 // NewRecorder creates a recorder over reg. A nil registry yields a nil
@@ -138,44 +128,11 @@ func NewRecorder(reg *obs.Registry, o Options) *Recorder {
 	if o.Cap <= 0 {
 		o.Cap = DefaultCap
 	}
-	if o.Every <= 0 {
-		o.Every = 60 * time.Second
-	}
-	if o.Now == nil {
-		o.Now = time.Now
-	}
 	return &Recorder{
 		reg:    reg,
 		cap:    o.Cap,
 		series: make(map[string]*metricSeries),
-		every:  o.Every,
-		now:    o.Now,
 	}
-}
-
-// Run samples on the configured cadence until stop closes. The
-// returned channel closes when the loop exits; merakid runs one per
-// daemon.
-func (r *Recorder) Run(stop <-chan struct{}) <-chan struct{} {
-	done := make(chan struct{})
-	if r == nil {
-		close(done)
-		return done
-	}
-	go func() {
-		defer close(done)
-		t := time.NewTicker(r.every)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				r.Sample(r.now())
-			}
-		}
-	}()
-	return done
 }
 
 // Sample records one tick at time now: one registry snapshot, one new
@@ -249,38 +206,11 @@ func histPoint(p Point, h *obs.HistogramSnapshot, ms *metricSeries, elapsed floa
 	if elapsed > 0 {
 		p.V = float64(dCount) / elapsed
 	}
-	p.P50 = bucketQuantile(h.Bounds, deltas, dCount, 0.50)
-	p.P95 = bucketQuantile(h.Bounds, deltas, dCount, 0.95)
-	p.P99 = bucketQuantile(h.Bounds, deltas, dCount, 0.99)
+	tick := obs.HistogramSnapshot{Bounds: h.Bounds, Counts: deltas, Count: dCount}
+	p.P50 = tick.Quantile(0.50)
+	p.P95 = tick.Quantile(0.95)
+	p.P99 = tick.Quantile(0.99)
 	return p
-}
-
-// bucketQuantile is obs.Histogram.Quantile over an explicit bucket
-// count vector (here: one tick's deltas): the upper bound of the
-// bucket holding the rank-th observation, flooring at the largest
-// finite bound for the +Inf bucket.
-func bucketQuantile(bounds, counts []int64, total int64, q float64) int64 {
-	if total <= 0 {
-		return 0
-	}
-	rank := int64(math.Ceil(q * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	var seen int64
-	for i, c := range counts {
-		seen += c
-		if seen >= rank {
-			if i < len(bounds) {
-				return bounds[i]
-			}
-			break
-		}
-	}
-	if len(bounds) == 0 {
-		return 0
-	}
-	return bounds[len(bounds)-1]
 }
 
 // Ticks returns how many samples have been recorded.

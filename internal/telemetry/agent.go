@@ -44,9 +44,9 @@ type Agent struct {
 	Metrics AgentMetrics
 	// Wire is the maximum wire version the agent announces (WireV2 opts
 	// into delta-coded batch frames); zero or WireV1 keeps the legacy
-	// per-report protocol byte-identical. A v2 hello rejected by a
-	// legacy backend triggers a sticky per-process fallback to v1 on the
-	// next session.
+	// per-report protocol byte-identical. The backend clamps the session
+	// to what it speaks (Poller.NegotiateWire), and a v2 agent answers a
+	// v1 poll in the v1 format, so a mixed fleet needs no flag day.
 	Wire byte
 	// BatchBytes is the v2 batch payload budget: the adaptive batcher
 	// flushes a batch rather than grow past it. Zero defaults to 64 KiB.
@@ -63,30 +63,29 @@ type Agent struct {
 	Dial func(addr string) (net.Conn, error)
 
 	mu      sync.Mutex
-	queue   [][]byte
-	enqUS   []int64   // wall-clock enqueue micros, parallel to queue
-	reps    []*Report // decoded-report cache, parallel to queue; nil entries decode lazily
+	queue   []queued
 	dropped int
 	seq     uint64
-	// wireFallback latches when a v2 session died before its first poll
-	// — the legacy-backend signature — and pins later sessions to v1.
-	wireFallback bool
 
-	// Tracing state (EnableTrace). meta parallels queue whenever tracing
-	// is on, carrying each queued report's trace ID, enqueue time, and
-	// delivery-attempt count so tunnel.write spans can report queue-dwell
-	// time and retries.
+	// Tracing state (EnableTrace).
 	tracer   *trace.Tracer
 	traceIDs *trace.IDStream
-	meta     []queueMeta
 }
 
-// queueMeta is the per-queued-report trace bookkeeping.
+// queued is one report awaiting an ack: a v2 batch encodes from r, a
+// v1 reply and SaveQueue ship raw.
+type queued struct {
+	r     *Report
+	raw   []byte     // r's v1 encoding, marshalled at Enqueue
+	enqUS int64      // wall-clock enqueue micros; zero (ancient) when restored
+	meta  *queueMeta // nil when untraced, keeping the untraced entry small
+}
+
+// queueMeta is the per-queued-report trace bookkeeping. Reports queued
+// before EnableTrace or restored by LoadQueue have none.
 type queueMeta struct {
 	id       trace.ID
-	seq      uint64
 	enq      trace.Event // the report's agent.enqueue span, re-shipped with each batch
-	enqUS    int64       // wall-clock microseconds when the report was queued
 	attempts int         // times this report has been put on the wire
 }
 
@@ -110,7 +109,6 @@ func (a *Agent) EnableTrace(t *trace.Tracer) {
 	defer a.mu.Unlock()
 	a.tracer = t
 	a.traceIDs = t.IDs("agent/" + a.Serial)
-	a.meta = make([]queueMeta, len(a.queue))
 }
 
 // Enqueue queues one report for upload, stamping its sequence number.
@@ -123,37 +121,29 @@ func (a *Agent) Enqueue(r *Report) {
 	a.seq++
 	r.SeqNo = a.seq
 	var sp trace.Span
-	var m queueMeta
+	q := queued{r: r}
 	if a.traceIDs != nil {
 		id, sampled := a.traceIDs.Next()
 		r.TraceID = uint64(id)
-		m.id = id
-		m.seq = a.seq
+		q.meta = &queueMeta{id: id}
 		if sampled {
 			sp = a.tracer.Start(id, trace.StageAgentEnqueue)
 			sp.SetSerial(a.Serial)
 			sp.SetSeq(a.seq)
 		}
 	}
-	a.queue = append(a.queue, r.Marshal())
-	a.enqUS = append(a.enqUS, time.Now().UnixMicro())
-	a.reps = append(a.reps, r)
-	if a.traceIDs != nil {
-		m.enq = sp.EndEvent()
-		m.enqUS = m.enq.StartUS + m.enq.DurUS
-		a.meta = append(a.meta, m)
+	q.raw = r.Marshal()
+	if q.meta != nil {
+		q.meta.enq = sp.EndEvent()
 	}
+	q.enqUS = time.Now().UnixMicro()
+	a.queue = append(a.queue, q)
 	a.Metrics.Enqueued.Inc()
 	if a.QueueLimit > 0 && len(a.queue) > a.QueueLimit {
 		over := len(a.queue) - a.QueueLimit
-		a.queue = a.queue[over:]
-		a.enqUS = a.enqUS[over:]
-		a.reps = a.reps[over:]
+		a.dropLocked(over)
 		a.dropped += over
 		a.Metrics.Dropped.Add(int64(over))
-		if a.meta != nil {
-			a.meta = a.meta[over:]
-		}
 	}
 }
 
@@ -171,39 +161,42 @@ func (a *Agent) Dropped() int {
 	return a.dropped
 }
 
-func (a *Agent) peek(max int) [][]byte {
-	out, _ := a.peekBatch(max, "")
+// reportsMessage answers a v1 poll with up to max queued reports and,
+// when tracing, their span events (spanEventsLocked).
+func (a *Agent) reportsMessage(max int, fault string) *Message {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	head := a.queue[:min(max, len(a.queue))]
+	return &Message{Type: frameReports, Reports: rawAll(head), Dropped: uint32(a.dropped), Spans: a.spanEventsLocked(len(head), fault)}
+}
+
+// rawAll returns the v1 encoding of each queued report.
+func rawAll(qs []queued) [][]byte {
+	out := make([][]byte, len(qs))
+	for i, q := range qs {
+		out[i] = q.raw
+	}
 	return out
 }
 
-// peekBatch copies up to max queued reports and, when tracing, builds
-// their tunnel.write span events: one per sampled report, measuring
-// queue dwell (enqueue to wire) with the delivery-attempt count and the
-// connection's fault profile attached. Each call counts as one delivery
-// attempt, so a batch re-sent after a dropped session ships the same
-// spans with Retries incremented (the recorder keeps the latest).
-func (a *Agent) peekBatch(max int, fault string) ([][]byte, []trace.Event) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if max > len(a.queue) {
-		max = len(a.queue)
-	}
-	out := make([][]byte, max)
-	copy(out, a.queue[:max])
-	return out, a.spanEventsLocked(max, fault)
-}
-
 // spanEventsLocked builds the tunnel.write span events for the first n
-// queued reports (those about to ship), counting one delivery attempt
-// each. Caller holds a.mu.
+// queued reports (those about to ship): one per sampled report,
+// measuring queue dwell (enqueue to wire) with the delivery-attempt
+// count and the connection's fault profile attached. Each call counts
+// as one delivery attempt, so a batch re-sent after a dropped session
+// ships the same spans with Retries incremented (the recorder keeps the
+// latest). Caller holds a.mu.
 func (a *Agent) spanEventsLocked(n int, fault string) []trace.Event {
 	if a.traceIDs == nil {
 		return nil
 	}
 	var spans []trace.Event
 	var nowUS int64
-	for i := 0; i < n; i++ {
-		m := &a.meta[i]
+	for _, q := range a.queue[:n] {
+		m := q.meta
+		if m == nil {
+			continue
+		}
 		if a.tracer.Sampled(m.id) {
 			if nowUS == 0 {
 				nowUS = time.Now().UnixMicro()
@@ -219,9 +212,9 @@ func (a *Agent) spanEventsLocked(n int, fault string) []trace.Event {
 				Parent:  trace.StageTunnelWrite.Parent(),
 				Stage:   trace.StageTunnelWrite.String(),
 				Serial:  a.Serial,
-				Seq:     m.seq,
-				StartUS: m.enqUS,
-				DurUS:   nowUS - m.enqUS,
+				Seq:     q.r.SeqNo,
+				StartUS: q.enqUS,
+				DurUS:   nowUS - q.enqUS,
 				Retries: m.attempts,
 				Fault:   fault,
 			}
@@ -238,19 +231,19 @@ func (a *Agent) spanEventsLocked(n int, fault string) []trace.Event {
 func (a *Agent) drop(n int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if n > len(a.queue) {
-		n = len(a.queue)
-	}
+	a.dropLocked(min(n, len(a.queue)))
+}
+
+// dropLocked removes the n oldest queued reports, clearing their slots
+// so the backing array does not pin them. Caller holds a.mu.
+func (a *Agent) dropLocked(n int) {
+	clear(a.queue[:n])
 	a.queue = a.queue[n:]
-	a.enqUS = a.enqUS[n:]
-	a.reps = a.reps[n:]
-	if a.meta != nil {
-		a.meta = a.meta[n:]
-	}
 }
 
 // queueSnapshot is the gob-persisted agent state — what a real device
-// keeps on flash so a reboot resumes where it left off.
+// keeps on flash so a reboot resumes where it left off. Queue holds
+// each report's v1 encoding.
 type queueSnapshot struct {
 	Serial  string
 	Seq     uint64
@@ -276,9 +269,7 @@ var queueCRCTable = crc32.MakeTable(crc32.Castagnoli)
 // (serial, seqno) dedup absorbs.
 func (a *Agent) SaveQueue(w io.Writer) error {
 	a.mu.Lock()
-	snap := queueSnapshot{Serial: a.Serial, Seq: a.seq, Dropped: a.dropped}
-	snap.Queue = make([][]byte, len(a.queue))
-	copy(snap.Queue, a.queue)
+	snap := queueSnapshot{Serial: a.Serial, Seq: a.seq, Dropped: a.dropped, Queue: rawAll(a.queue)}
 	a.mu.Unlock()
 	var payload bytes.Buffer
 	if err := gob.NewEncoder(&payload).Encode(snap); err != nil {
@@ -300,9 +291,10 @@ func (a *Agent) SaveQueue(w io.Writer) error {
 // file, checksum mismatch, undecodable gob — does not error the agent
 // out of its durable-queue semantics: the agent starts with an empty
 // queue and the header's report count (when readable) is added to
-// Dropped, so the loss is accounted like any other queue drop. Only a
-// snapshot that decodes cleanly but belongs to another device is
-// rejected with an error. The sequence counter only moves forward:
+// Dropped, so the loss is accounted like any other queue drop; an
+// entry that no longer decodes is dropped and accounted the same way.
+// Only a snapshot that decodes cleanly but belongs to another device
+// is rejected with an error. The sequence counter only moves forward:
 // restoring a stale snapshot must not re-issue sequence numbers that
 // newer reports may already have used, or the backend would dedup
 // fresh data away.
@@ -312,12 +304,7 @@ func (a *Agent) LoadQueue(r io.Reader) error {
 	corrupt := func() error {
 		a.mu.Lock()
 		a.queue = nil
-		a.enqUS = nil
-		a.reps = nil
 		a.dropped += lostCount
-		if a.meta != nil {
-			a.meta = nil
-		}
 		a.mu.Unlock()
 		a.Metrics.Dropped.Add(int64(lostCount))
 		return nil
@@ -344,50 +331,27 @@ func (a *Agent) LoadQueue(r io.Reader) error {
 	if snap.Serial != "" && snap.Serial != a.Serial {
 		return fmt.Errorf("telemetry: queue snapshot is for %q, agent is %q", snap.Serial, a.Serial)
 	}
+	// Restored entries carry zero enqueue times, which read as ancient:
+	// a restored backlog trips the batch-age override and drains at full
+	// poll width. Their trace IDs ride in the report, but the span
+	// bookkeeping did not survive the reboot, so they ship no
+	// tunnel.write spans.
+	queue := make([]queued, 0, len(snap.Queue))
+	for _, b := range snap.Queue {
+		if rep, err := UnmarshalReport(b); err == nil {
+			queue = append(queue, queued{r: rep, raw: b})
+		}
+	}
+	lost := len(snap.Queue) - len(queue)
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.queue = snap.Queue
-	// Zero enqueue times read as ancient, so a restored backlog trips
-	// the batch-age override and drains at full poll width. Restored
-	// entries have no decoded-report cache; buildBatch decodes lazily.
-	a.enqUS = make([]int64, len(a.queue))
-	a.reps = make([]*Report, len(a.queue))
-	a.dropped = snap.Dropped
-	if a.traceIDs != nil {
-		// Restored reports keep the trace IDs baked into their bytes, but
-		// the agent-side span bookkeeping did not survive the reboot;
-		// zero meta means no tunnel.write spans for them.
-		a.meta = make([]queueMeta, len(a.queue))
-	}
+	a.queue = queue
+	a.dropped = snap.Dropped + lost
+	a.Metrics.Dropped.Add(int64(lost))
 	if snap.Seq > a.seq {
 		a.seq = snap.Seq
 	}
 	return nil
-}
-
-// wireVersion returns the wire version the next session should
-// announce: the configured maximum, demoted to v1 once the fallback
-// latch has tripped.
-func (a *Agent) wireVersion() byte {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.Wire >= WireV2 && !a.wireFallback {
-		return WireV2
-	}
-	return WireV1
-}
-
-// noteFallback latches the sticky v1 fallback after a v2 hello was
-// rejected: the session died before the backend ever polled, which is
-// what a legacy backend's handshake rejection looks like from here.
-func (a *Agent) noteFallback() {
-	a.mu.Lock()
-	latched := !a.wireFallback
-	a.wireFallback = true
-	a.mu.Unlock()
-	if latched {
-		a.Metrics.WireFallbacks.Inc()
-	}
 }
 
 // ServeConn runs the agent protocol over an established connection.
@@ -396,10 +360,7 @@ func (a *Agent) noteFallback() {
 //
 // A WireV2 agent opens with frameHelloV2 and answers each poll in the
 // format the poll requests: framePoll gets a legacy frameReports (the
-// backend negotiated v1), framePollV2 gets a delta-coded frameBatch. If
-// a v2 session dies before the first poll, the agent assumes a legacy
-// backend rejected the hello and falls back to v1 for subsequent
-// sessions (sticky for the process lifetime).
+// backend negotiated v1), framePollV2 gets a delta-coded frameBatch.
 func (a *Agent) ServeConn(conn net.Conn) error {
 	t, err := NewTunnel(conn, a.Key)
 	if err != nil {
@@ -409,53 +370,36 @@ func (a *Agent) ServeConn(conn net.Conn) error {
 	defer t.Close()
 	t.SetTimeout(a.Timeout)
 	fault := connFaultProfile(conn)
-	wire := a.wireVersion()
 	hello := &Message{Type: frameHello, Serial: a.Serial}
-	if wire >= WireV2 {
-		hello = &Message{Type: frameHelloV2, Wire: wire, Serial: a.Serial}
-	}
-	polled := false
-	sessionErr := func(err error) error {
-		if wire >= WireV2 && !polled {
-			a.noteFallback()
-		}
-		return err
+	if a.Wire >= WireV2 {
+		hello = &Message{Type: frameHelloV2, Wire: WireV2, Serial: a.Serial}
 	}
 	if err := t.WriteFrame(EncodeMessage(hello)); err != nil {
-		return sessionErr(err)
+		return err
 	}
 	for {
 		raw, err := t.ReadFrame()
 		if err != nil {
-			return sessionErr(err)
+			return err
 		}
 		m, err := DecodeMessage(raw)
 		if err != nil {
-			return sessionErr(err)
+			return err
 		}
 		switch m.Type {
 		case framePoll:
-			polled = true
-			batch, spans := a.peekBatch(int(m.Max), fault)
-			if err := t.WriteFrame(EncodeMessage(&Message{
-				Type: frameReports, Reports: batch, Dropped: uint32(a.Dropped()), Spans: spans,
-			})); err != nil {
+			if err := t.WriteFrame(EncodeMessage(a.reportsMessage(int(m.Max), fault))); err != nil {
 				return err
 			}
 		case framePollV2:
-			polled = true
-			payload, err := a.buildBatch(int(m.Max), fault)
-			if err != nil {
-				return err
-			}
-			if err := t.WriteFrame(append([]byte{frameBatch}, payload...)); err != nil {
+			if err := t.WriteFrame(append([]byte{frameBatch}, a.buildBatch(int(m.Max), fault)...)); err != nil {
 				return err
 			}
 			a.Metrics.BatchesSent.Inc()
 		case frameAck:
 			a.drop(int(m.Count))
 		default:
-			return sessionErr(ErrBadFrameType)
+			return ErrBadFrameType
 		}
 	}
 }
@@ -464,12 +408,10 @@ func (a *Agent) ServeConn(conn net.Conn) error {
 // up to max reports, delta-coded under the BatchBytes budget unless the
 // oldest report's age trips the BatchMaxAge override. The remaining
 // queue depth rides the frame as the backpressure hint.
-func (a *Agent) buildBatch(max int, fault string) ([]byte, error) {
+func (a *Agent) buildBatch(max int, fault string) []byte {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if max > len(a.queue) {
-		max = len(a.queue)
-	}
+	max = min(max, len(a.queue))
 	budget := a.BatchBytes
 	if budget == 0 {
 		budget = 64 << 10
@@ -479,49 +421,23 @@ func (a *Agent) buildBatch(max int, fault string) ([]byte, error) {
 		maxAge = 30 * time.Second
 	}
 	aged := false
-	if max > 0 && time.Now().UnixMicro()-a.enqUS[0] > maxAge.Microseconds() {
+	if max > 0 && time.Now().UnixMicro()-a.queue[0].enqUS > maxAge.Microseconds() {
 		aged = true
 		budget = 0 // age override: drain at full poll width
 	}
 	be := NewBatchEncoder(budget)
-	sized := false
-	for i := 0; i < max; i++ {
-		r := a.reps[i]
-		if r == nil {
-			var err error
-			if r, err = UnmarshalReport(a.queue[i]); err != nil {
-				// A queue entry that no longer decodes cannot ever ship;
-				// if it heads the queue it would wedge the agent, so drop
-				// and account it. Mid-batch, just stop — the next poll
-				// retries.
-				if i == 0 {
-					a.queue = a.queue[1:]
-					a.enqUS = a.enqUS[1:]
-					a.reps = a.reps[1:]
-					if a.meta != nil {
-						a.meta = a.meta[1:]
-					}
-					a.dropped++
-					a.Metrics.Dropped.Inc()
-				}
-				break
-			}
-			a.reps[i] = r
-		}
-		if !be.Add(r) {
-			sized = true
+	for _, q := range a.queue[:max] {
+		if !be.Add(q.r) {
+			a.Metrics.BatchSizeFlushes.Inc()
 			break
 		}
-	}
-	if sized {
-		a.Metrics.BatchSizeFlushes.Inc()
 	}
 	if aged && be.Len() > 0 {
 		a.Metrics.BatchAgeFlushes.Inc()
 	}
 	spans := a.spanEventsLocked(be.Len(), fault)
 	depth := len(a.queue) - be.Len()
-	return be.Finish(uint32(a.dropped), uint32(depth), spans), nil
+	return be.Finish(uint32(a.dropped), uint32(depth), spans)
 }
 
 // RunWithReconnect keeps the agent connected to addr, retrying with
@@ -531,20 +447,12 @@ func (a *Agent) RunWithReconnect(addr string, stop <-chan struct{}) {
 	a.runReconnect([]string{addr}, stop)
 }
 
-// RunMultiHome keeps the agent connected to one of two datacenters,
-// alternating on every failure — the paper's dual-DC deployment, where
-// a device falls back to its secondary when the primary is unreachable
-// and returns on the next failure. Backoff and jitter behave as in
-// RunWithReconnect.
-func (a *Agent) RunMultiHome(primary, secondary string, stop <-chan struct{}) {
-	a.runReconnect([]string{primary, secondary}, stop)
-}
-
-// RunAddrs generalizes RunMultiHome to any failover chain: the agent
+// RunAddrs keeps the agent connected to one of a failover chain: it
 // connects to addrs[0], moves to the next address on every session
-// failure, and wraps around — the cluster deployment shape, where an
-// agent's chain is its network's shard (by the cluster shard map)
-// followed by whatever fallbacks the operator configured. Backoff and
+// failure, and wraps around — the paper's dual-DC deployment with two
+// addresses, and the cluster deployment shape, where an agent's chain
+// is its network's shard (by the cluster shard map) followed by
+// whatever fallbacks the operator configured. Backoff and
 // jitter behave as in RunWithReconnect. An empty addrs returns
 // immediately.
 func (a *Agent) RunAddrs(addrs []string, stop <-chan struct{}) {
@@ -726,9 +634,6 @@ func AcceptPollerWithTimeout(conn net.Conn, key []byte, timeout time.Duration) (
 	return p, nil
 }
 
-// AgentWire returns the highest wire version the device announced.
-func (p *Poller) AgentWire() byte { return p.agentWire }
-
 // NegotiateWire picks the session's wire version: the minimum of what
 // the backend wants and what the device announced. It returns the
 // version that subsequent Polls will use.
@@ -774,15 +679,22 @@ func (p *Poller) Poll(max int) ([]*Report, error) {
 	return out, err
 }
 
+// poll is one harvest round on either wire. The session's version
+// picks the request frame and the reply it expects — framePoll and a
+// frameReports of v1 messages, or framePollV2 and one delta-coded
+// frameBatch — and the ack hook: a v2 batch goes to BeforeAckFrame
+// whole (the durable store logs it as a single WAL record), everything
+// else to BeforeAck, with nil raw for a v2 batch.
 func (p *Poller) poll(max int) ([]*Report, error) {
-	if p.wire >= WireV2 {
-		return p.pollV2(max)
-	}
 	var pollStart time.Time
 	if p.Trace != nil {
 		pollStart = time.Now()
 	}
-	if err := p.tunnel.WriteFrame(EncodeMessage(&Message{Type: framePoll, Max: uint32(max)})); err != nil {
+	req, want := &Message{Type: framePoll, Max: uint32(max)}, byte(frameReports)
+	if p.wire >= WireV2 {
+		req, want = &Message{Type: framePollV2, Wire: p.wire, Max: uint32(max)}, frameBatch
+	}
+	if err := p.tunnel.WriteFrame(EncodeMessage(req)); err != nil {
 		return nil, err
 	}
 	p.Metrics.FramesOut.Inc()
@@ -795,19 +707,27 @@ func (p *Poller) poll(max int) ([]*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	if m.Type != frameReports {
+	if m.Type != want {
 		return nil, ErrBadFrameType
 	}
 	if p.Health != nil && m.Dropped > 0 {
 		p.Health.SetQueueDrops(p.Serial, int(m.Dropped))
 	}
-	out := make([]*Report, 0, len(m.Reports))
-	for _, rb := range m.Reports {
-		r, err := UnmarshalReport(rb)
-		if err != nil {
-			return nil, err
+	var out []*Report
+	if m.Batch != nil {
+		p.Metrics.BatchFrames.Inc()
+		p.Metrics.BatchBytes.Add(int64(len(raw) - 1))
+		p.queueDepth.Store(m.Batch.QueueDepth)
+		out = m.Batch.Reports
+	} else {
+		out = make([]*Report, 0, len(m.Reports))
+		for _, rb := range m.Reports {
+			r, err := UnmarshalReport(rb)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, r)
 		}
-		out = append(out, r)
 	}
 	if p.Trace != nil {
 		// Agent-side spans riding the batch land in the daemon's
@@ -837,83 +757,13 @@ func (p *Poller) poll(max int) ([]*Report, error) {
 			})
 		}
 	}
-	if p.BeforeAck != nil {
-		if err := p.BeforeAck(out, m.Reports); err != nil {
-			return nil, err
-		}
-	}
-	if err := p.tunnel.WriteFrame(EncodeMessage(&Message{Type: frameAck, Count: uint32(len(m.Reports))})); err != nil {
-		return nil, err
-	}
-	p.Metrics.FramesOut.Inc()
-	return out, nil
-}
-
-// pollV2 is the negotiated-v2 poll: one framePollV2 out, one
-// delta-coded frameBatch back, one WAL append and one ack for the whole
-// batch. BeforeAckFrame gets the raw batch payload (the durable store
-// logs it as a single WAL record); without it BeforeAck runs with nil
-// raw and the durable store re-marshals per report.
-func (p *Poller) pollV2(max int) ([]*Report, error) {
-	var pollStart time.Time
-	if p.Trace != nil {
-		pollStart = time.Now()
-	}
-	if err := p.tunnel.WriteFrame(EncodeMessage(&Message{Type: framePollV2, Wire: p.wire, Max: uint32(max)})); err != nil {
-		return nil, err
-	}
-	p.Metrics.FramesOut.Inc()
-	raw, err := p.tunnel.ReadFrame()
-	if err != nil {
-		return nil, err
-	}
-	p.Metrics.FramesIn.Inc()
-	m, err := DecodeMessage(raw)
-	if err != nil {
-		return nil, err
-	}
-	if m.Type != frameBatch {
-		return nil, ErrBadFrameType
-	}
-	p.Metrics.BatchFrames.Inc()
-	p.Metrics.BatchBytes.Add(int64(len(raw) - 1))
-	p.queueDepth.Store(m.Batch.QueueDepth)
-	if p.Health != nil && m.Batch.Dropped > 0 {
-		p.Health.SetQueueDrops(p.Serial, int(m.Batch.Dropped))
-	}
-	out := m.Batch.Reports
-	if p.Trace != nil {
-		for _, sp := range m.Batch.Spans {
-			p.Trace.RecordEvent(sp)
-		}
-		fault := connFaultProfile(p.tunnel.conn)
-		durUS := time.Since(pollStart).Microseconds()
-		for _, r := range out {
-			id := trace.ID(r.TraceID)
-			if !p.Trace.Sampled(id) {
-				continue
-			}
-			p.Trace.RecordEvent(trace.Event{
-				Trace:   id,
-				Span:    trace.StageDaemonRead.SpanID(),
-				Parent:  trace.StageDaemonRead.Parent(),
-				Stage:   trace.StageDaemonRead.String(),
-				Serial:  r.Serial,
-				Seq:     r.SeqNo,
-				StartUS: pollStart.UnixMicro(),
-				DurUS:   durUS,
-				Fault:   fault,
-			})
-		}
-	}
-	if p.BeforeAckFrame != nil {
-		if err := p.BeforeAckFrame(out, raw[1:]); err != nil {
-			return nil, err
-		}
+	if m.Batch != nil && p.BeforeAckFrame != nil {
+		err = p.BeforeAckFrame(out, raw[1:])
 	} else if p.BeforeAck != nil {
-		if err := p.BeforeAck(out, nil); err != nil {
-			return nil, err
-		}
+		err = p.BeforeAck(out, m.Reports)
+	}
+	if err != nil {
+		return nil, err
 	}
 	if err := p.tunnel.WriteFrame(EncodeMessage(&Message{Type: frameAck, Count: uint32(len(out))})); err != nil {
 		return nil, err

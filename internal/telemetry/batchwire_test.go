@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"wlanscale/internal/dot11"
+	"wlanscale/internal/faultnet"
 )
 
 // variedReport derives a report from sampleReport with index-dependent
@@ -240,8 +241,8 @@ func TestV2AgentV1Backend(t *testing.T) {
 	if p.Wire() != WireV1 {
 		t.Fatalf("negotiated wire = %d, want v1", p.Wire())
 	}
-	if p.AgentWire() != WireV2 {
-		t.Fatalf("agent wire = %d, want v2", p.AgentWire())
+	if p.agentWire != WireV2 {
+		t.Fatalf("agent wire = %d, want v2", p.agentWire)
 	}
 	if len(got) != n {
 		t.Fatalf("harvested %d reports, want %d", len(got), n)
@@ -263,55 +264,82 @@ func TestV1AgentV2Backend(t *testing.T) {
 	}
 }
 
-// TestWireFallbackSticky simulates a legacy backend that rejects the v2
-// hello by closing the connection. The agent's next session must open
-// with a v1 hello and harvest normally.
-func TestWireFallbackSticky(t *testing.T) {
-	a := NewAgent("Q2BV-0002", testKey)
-	a.Wire = WireV2
-	a.Enqueue(sampleReport())
+// TestAgentKeepsV2AfterPrePollFailure: a v2 session that dies before
+// the first poll — the backend hangs up on the hello, or the hello
+// arrives corrupted — is an ordinary session failure. The agent's next
+// session must still open with frameHelloV2 and harvest on v2.
+func TestAgentKeepsV2AfterPrePollFailure(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// wrap wraps the agent's end of the first session's pipe; fail
+		// runs its backend end.
+		wrap func(net.Conn) net.Conn
+		fail func(t *testing.T, backend net.Conn)
+	}{
+		{
+			name: "close after hello",
+			wrap: func(c net.Conn) net.Conn { return c },
+			fail: func(t *testing.T, backend net.Conn) {
+				tun, err := NewTunnel(backend, testKey)
+				if err != nil {
+					t.Fatal(err)
+				}
+				raw, err := tun.ReadFrame()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if raw[0] != frameHelloV2 {
+					t.Fatalf("first hello frame type = %d, want frameHelloV2", raw[0])
+				}
+				tun.Close()
+			},
+		},
+		{
+			name: "corrupted hello",
+			wrap: func(c net.Conn) net.Conn {
+				return faultnet.WrapConn(c, faultnet.Plan{Corrupt: []faultnet.Window{{From: 0, To: 1}}, CorruptProb: 1}, 0)
+			},
+			fail: func(t *testing.T, backend net.Conn) {
+				if p, err := AcceptPollerWithTimeout(backend, testKey, 200*time.Millisecond); err == nil {
+					p.Close()
+					t.Fatal("corrupted hello accepted")
+				}
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := NewAgent("Q2BV-0002", testKey)
+			a.Wire = WireV2
+			a.Timeout = time.Second
+			a.Enqueue(sampleReport())
 
-	// Session 1: "legacy backend" reads the hello, fails to like it,
-	// hangs up before ever polling.
-	c1, c2 := net.Pipe()
-	done := make(chan error, 1)
-	go func() { done <- a.ServeConn(c1) }()
-	legacy, err := NewTunnel(c2, testKey)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := legacy.ReadFrame()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if raw[0] != frameHelloV2 {
-		t.Fatalf("first hello frame type = %d, want frameHelloV2", raw[0])
-	}
-	legacy.Close()
-	if err := <-done; err == nil {
-		t.Fatal("session against legacy backend ended without error")
-	}
-	if w := a.wireVersion(); w != WireV1 {
-		t.Fatalf("wire after rejected v2 hello = %d, want sticky v1", w)
-	}
+			c1, c2 := net.Pipe()
+			done := make(chan error, 1)
+			go func() { done <- a.ServeConn(tc.wrap(c1)) }()
+			tc.fail(t, c2)
+			c2.Close()
+			if err := <-done; err == nil {
+				t.Fatal("failed session ended without error")
+			}
 
-	// Session 2: the agent must speak v1 from the hello on.
-	c3, c4 := net.Pipe()
-	go func() { a.ServeConn(c3) }()
-	p, err := AcceptPoller(c4, testKey)
-	if err != nil {
-		t.Fatalf("v1 accept after fallback: %v", err)
-	}
-	defer p.Close()
-	if p.AgentWire() != WireV1 {
-		t.Fatalf("agent announced wire %d after fallback, want v1", p.AgentWire())
-	}
-	got, err := p.Poll(16)
-	if err != nil {
-		t.Fatalf("Poll after fallback: %v", err)
-	}
-	if len(got) != 1 {
-		t.Fatalf("harvested %d reports after fallback, want 1", len(got))
+			c3, c4 := net.Pipe()
+			go a.ServeConn(c3)
+			p, err := AcceptPoller(c4, testKey)
+			if err != nil {
+				t.Fatalf("accept after failed session: %v", err)
+			}
+			defer p.Close()
+			if w := p.NegotiateWire(WireV2); w != WireV2 {
+				t.Fatalf("agent announced wire %d after a pre-poll failure, want v2", p.agentWire)
+			}
+			got, err := p.Poll(16)
+			if err != nil {
+				t.Fatalf("Poll: %v", err)
+			}
+			if len(got) != 1 {
+				t.Fatalf("harvested %d reports on v2, want 1", len(got))
+			}
+		})
 	}
 }
 
@@ -326,11 +354,7 @@ func TestBatchAgeOverride(t *testing.T) {
 		a.Enqueue(variedReport(i))
 	}
 	time.Sleep(2 * time.Millisecond) // let the head age past BatchMaxAge
-	payload, err := a.buildBatch(64, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := DecodeBatchFrame(payload)
+	f, err := DecodeBatchFrame(a.buildBatch(64, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,11 +371,7 @@ func TestBatchFlushOnSize(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		a.Enqueue(variedReport(i))
 	}
-	payload, err := a.buildBatch(64, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := DecodeBatchFrame(payload)
+	f, err := DecodeBatchFrame(a.buildBatch(64, ""))
 	if err != nil {
 		t.Fatal(err)
 	}

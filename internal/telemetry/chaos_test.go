@@ -149,7 +149,7 @@ func TestChaosConvergesToExactlyOnce(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			a.RunMultiHome(addrP, addrS, st)
+			a.RunAddrs([]string{addrP, addrS}, st)
 		}()
 	}
 

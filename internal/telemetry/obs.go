@@ -61,9 +61,8 @@ type AgentMetrics struct {
 	// counts batches closed because the next report would have burst the
 	// size budget; BatchAgeFlushes counts batches where queue age
 	// overrode that budget to drain a backlog (the adaptive batcher's
-	// two flush signals). WireFallbacks counts sessions downgraded to
-	// wire v1 after a v2 hello was rejected.
-	BatchesSent, BatchSizeFlushes, BatchAgeFlushes, WireFallbacks *obs.Counter
+	// two flush signals).
+	BatchesSent, BatchSizeFlushes, BatchAgeFlushes *obs.Counter
 }
 
 // NewAgentMetrics registers the agent counters ("agent.*") on reg. A
@@ -79,7 +78,6 @@ func NewAgentMetrics(reg *obs.Registry) AgentMetrics {
 		BatchesSent:      reg.Counter("agent.batches_sent"),
 		BatchSizeFlushes: reg.Counter("agent.batch_size_flushes"),
 		BatchAgeFlushes:  reg.Counter("agent.batch_age_flushes"),
-		WireFallbacks:    reg.Counter("agent.wire_fallbacks"),
 	}
 }
 

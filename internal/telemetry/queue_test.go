@@ -2,7 +2,10 @@ package telemetry
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/gob"
 	"hash/crc32"
+	"os"
 	"testing"
 )
 
@@ -103,4 +106,58 @@ func TestLoadQueueUndecodablePayloadValidCRC(t *testing.T) {
 	hdr[14] = byte(crc >> 8)
 	hdr[15] = byte(crc)
 	loadCorrupt(t, "forged", append(hdr, payload...), 3)
+}
+
+// TestLoadQueueCompat loads a snapshot written by the agent when it
+// still queued each report's v1 bytes (testdata/queue-v1.snap: eight
+// variedReports under a six-report limit, then one acked). The queue
+// must restore report for report, and saving it again must reproduce
+// the file byte for byte.
+func TestLoadQueueCompat(t *testing.T) {
+	snap, err := os.ReadFile("testdata/queue-v1.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := NewAgent("Q2XX-ABCD-1234", testKey)
+	if err := a.LoadQueue(bytes.NewReader(snap)); err != nil {
+		t.Fatal(err)
+	}
+	if a.QueueLen() != 5 || a.Dropped() != 2 {
+		t.Fatalf("restored queue = %d, dropped = %d; want 5 and 2", a.QueueLen(), a.Dropped())
+	}
+	for i, b := range a.reportsMessage(5, "").Reports {
+		if want := variedReport(i + 3).Marshal(); !bytes.Equal(b, want) {
+			t.Errorf("restored report %d differs from variedReport(%d)", i, i+3)
+		}
+	}
+	var buf bytes.Buffer
+	if err := a.SaveQueue(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), snap) {
+		t.Error("re-saved snapshot is not byte-identical to the loaded one")
+	}
+}
+
+// TestLoadQueueDropsUndecodableEntry: a snapshot whose CRC and gob are
+// sound but which holds one report that no longer decodes restores the
+// rest, and accounts the bad entry as a queue drop.
+func TestLoadQueueDropsUndecodableEntry(t *testing.T) {
+	good := (&Report{Serial: "Q2XX-BAD1", Timestamp: 1}).Marshal()
+	var payload bytes.Buffer
+	snap := queueSnapshot{Serial: "Q2XX-BAD1", Seq: 3, Dropped: 4, Queue: [][]byte{good, {0xff}, good}}
+	if err := gob.NewEncoder(&payload).Encode(snap); err != nil {
+		t.Fatal(err)
+	}
+	hdr := make([]byte, queueHeaderSize)
+	copy(hdr, queueMagic[:])
+	binary.BigEndian.PutUint32(hdr[8:], 3)
+	binary.BigEndian.PutUint32(hdr[12:], crc32.Checksum(payload.Bytes(), queueCRCTable))
+	a := NewAgent("Q2XX-BAD1", testKey)
+	if err := a.LoadQueue(bytes.NewReader(append(hdr, payload.Bytes()...))); err != nil {
+		t.Fatal(err)
+	}
+	if a.QueueLen() != 2 || a.Dropped() != 5 {
+		t.Errorf("queue = %d, dropped = %d; want 2 and 5", a.QueueLen(), a.Dropped())
+	}
 }

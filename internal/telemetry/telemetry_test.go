@@ -253,7 +253,7 @@ func TestAgentQueueAndDrop(t *testing.T) {
 	}
 	// Remaining reports are the newest, with monotonically increasing
 	// sequence numbers.
-	batch := a.peek(10)
+	batch := a.reportsMessage(10, "").Reports
 	first, err := UnmarshalReport(batch[0])
 	if err != nil {
 		t.Fatal(err)
@@ -522,7 +522,7 @@ func TestSaveLoadQueue(t *testing.T) {
 		t.Errorf("restored queue = %d, want 5", b.QueueLen())
 	}
 	b.Enqueue(&Report{Serial: b.Serial, Timestamp: 5})
-	last, err := UnmarshalReport(b.peek(100)[5])
+	last, err := UnmarshalReport(b.reportsMessage(100, "").Reports[5])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -539,7 +539,7 @@ func TestSaveLoadQueue(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Enqueue(&Report{Serial: c.Serial})
-	fresh, err := UnmarshalReport(c.peek(100)[c.QueueLen()-1])
+	fresh, err := UnmarshalReport(c.reportsMessage(100, "").Reports[c.QueueLen()-1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -622,7 +622,7 @@ func TestMultiHomeFailover(t *testing.T) {
 	}
 	stop := make(chan struct{})
 	defer close(stop)
-	go agent.RunMultiHome(deadAddr, live.Addr().String(), stop)
+	go agent.RunAddrs([]string{deadAddr, live.Addr().String()}, stop)
 
 	conn, err := live.Accept()
 	if err != nil {

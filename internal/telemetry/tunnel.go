@@ -162,10 +162,9 @@ const (
 	// frameHelloV2 carrying its maximum wire version; a v2-capable
 	// backend answers its polls with framePollV2 and the device replies
 	// with delta-coded frameBatch frames. Either side speaking only the
-	// v1 constants above keeps the session byte-identical to v1: a v1
-	// backend rejects frameHelloV2 before the first poll (the agent then
-	// falls back to frameHello on reconnect), and a v1 device never sees
-	// framePollV2 because it never announced v2.
+	// v1 constants above keeps the session byte-identical to v1: a
+	// backend negotiating v1 polls a v2 device with framePoll, and a v1
+	// device never sees framePollV2 because it never announced v2.
 	frameHelloV2 = 5 // device -> backend: version + serial announcement
 	framePollV2  = 6 // backend -> device: poll(maxReports), answer in v2
 	frameBatch   = 7 // device -> backend: delta-coded report batch
