@@ -425,3 +425,62 @@ func TestDigestStability(t *testing.T) {
 		t.Fatal("digest not stable under interleaving/redelivery")
 	}
 }
+
+// TestIngestBatchFrameRecovers drives the v2 durable ingest in
+// process: whole batch payloads go to the WAL through IngestBatchFrame,
+// the store is abandoned without a checkpoint, and replay — which
+// decodes every record through DecodeBatchFrame — must rebuild the
+// control digest. A CRC-valid record that claims to be a batch but
+// does not decode counts as bad and changes nothing.
+func TestIngestBatchFrameRecovers(t *testing.T) {
+	const frames, perFrame = 4, 16
+	dir := t.TempDir()
+	var reports []*telemetry.Report
+	d, _ := mustOpenDurable(t, dir, DurableOptions{})
+	for f := 0; f < frames; f++ {
+		be := telemetry.NewBatchEncoder(0)
+		for i := f * perFrame; i < (f+1)*perFrame; i++ {
+			r := benchReport(i%4, uint64(i/4+1))
+			reports = append(reports, r)
+			be.Add(r)
+		}
+		payload := be.Finish(0, 0, nil)
+		bf, err := telemetry.DecodeBatchFrame(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.IngestBatchFrame(bf.Reports, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := volatileDigest(reports)
+	if d.Digest() != want {
+		t.Fatal("live durable digest diverged from control")
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	d2, stats := mustOpenDurable(t, dir, DurableOptions{})
+	if stats.Replayed != frames || stats.BadRecords != 0 {
+		t.Fatalf("recovery stats = %+v, want %d replayed and no bad records", stats, frames)
+	}
+	if got := d2.Digest(); got != want {
+		t.Fatalf("recovered digest != control\n got %s\nwant %s", got, want)
+	}
+	if _, err := d2.WAL().Append([]byte{telemetry.WireV2, 0xff}); err != nil {
+		t.Fatal(err)
+	}
+	if err := d2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	d3, stats := mustOpenDurable(t, dir, DurableOptions{})
+	defer d3.Close()
+	if stats.BadRecords != 1 {
+		t.Fatalf("recovery stats = %+v, want the undecodable batch counted bad", stats)
+	}
+	if got := d3.Digest(); got != want {
+		t.Fatalf("an undecodable batch record changed the digest\n got %s\nwant %s", got, want)
+	}
+}

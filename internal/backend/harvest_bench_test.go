@@ -183,3 +183,41 @@ func BenchmarkWireEncode(b *testing.B) {
 		b.ReportMetric(float64(bytesOut)/batch, "bytes/report")
 	})
 }
+
+// decodeBatchPayload is the v2 payload BenchmarkDecodeBatch and
+// TestDecodeBatchAllocs decode: 64 benchReports from 16 APs, four
+// consecutive reports per AP, one poll's worth of a harvest drain.
+func decodeBatchPayload() []byte {
+	be := telemetry.NewBatchEncoder(0)
+	for i := 0; i < 64; i++ {
+		be.Add(benchReport(i%16, uint64(i/16+1)))
+	}
+	return be.Finish(0, 0, nil)
+}
+
+// BenchmarkDecodeBatch isolates the daemon-side v2 decode — the call
+// Poller.Poll and OpenDurable's WAL replay both make per batch frame.
+func BenchmarkDecodeBatch(b *testing.B) {
+	payload := decodeBatchPayload()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := telemetry.DecodeBatchFrame(payload); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestDecodeBatchAllocs pins the decode arena's allocation count: one
+// string per dictionary entry and one backing array per record kind,
+// not one allocation per field (12,181 per batch before the arena).
+func TestDecodeBatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	payload := decodeBatchPayload()
+	const ceiling = 1500
+	if got := testing.AllocsPerRun(20, func() { telemetry.DecodeBatchFrame(payload) }); got > ceiling {
+		t.Errorf("DecodeBatchFrame allocated %.0f times per 64-report batch, ceiling %d", got, ceiling)
+	}
+}

@@ -298,7 +298,20 @@ func encodeReportDelta(e *pbwire.Encoder, dict *pbwire.DictBuilder, prev *batchP
 // frame-type byte). It is the attack surface of the v2 protocol —
 // every count, reference, and delta comes off the wire — so it must
 // fail cleanly on arbitrary input (FuzzDecodeBatchFrame) and never
-// allocate proportionally to an unvalidated count.
+// allocate proportionally to an unvalidated count. A count the unread
+// input cannot hold fails as truncation before anything is allocated
+// for it, and one call allocates at most k = 256 bytes per payload
+// byte plus a small constant: a record decodes to at most 120 bytes
+// per byte of its smallest encoding (a trace span, one byte), and a
+// fresh backing array is clamped to the records the unread input can
+// hold.
+//
+// The decoded reports own their memory, independently of payload and
+// of every other call. Each dictionary string or fingerprint is copied
+// out once per batch and shared by every reference to it; one []Report
+// backs the batch, and each list inside a report is a capacity-capped
+// window onto a backing array this call alone fills, so an append to
+// one report's list never writes into a neighbour's.
 func DecodeBatchFrame(payload []byte) (*BatchFrame, error) {
 	if len(payload) < 1 {
 		return nil, io.ErrUnexpectedEOF
@@ -308,36 +321,34 @@ func DecodeBatchFrame(payload []byte) (*BatchFrame, error) {
 	}
 	f := &BatchFrame{Version: payload[0]}
 	d := pbwire.NewDecoder(payload[1:])
-	v, err := d.Uint64()
-	if err != nil {
-		return nil, err
+	r := &batchReader{d: d}
+	f.Dropped = uint32(r.u())
+	f.QueueDepth = uint32(r.u())
+	if r.err != nil {
+		return nil, r.err
 	}
-	f.Dropped = uint32(v)
-	if v, err = d.Uint64(); err != nil {
-		return nil, err
+	if r.dict, r.err = pbwire.DecodeDict(d); r.err != nil {
+		return nil, r.err
 	}
-	f.QueueDepth = uint32(v)
-	dict, err := pbwire.DecodeDict(d)
-	if err != nil {
-		return nil, err
-	}
-	count, err := d.Uint64()
-	if err != nil {
-		return nil, err
-	}
-	var prev batchPrev
-	for i := uint64(0); i < count; i++ {
-		r, err := decodeReportDelta(d, dict, &prev)
-		if err != nil {
-			return nil, err
+	if n := r.count(minReportBytes); n > 0 {
+		reports := make([]Report, n)
+		f.Reports = make([]*Report, n)
+		var prev batchPrev
+		for i := range reports {
+			if r.report(&reports[i], &prev, n-i); r.err != nil {
+				return nil, r.err
+			}
+			f.Reports[i] = &reports[i]
 		}
-		f.Reports = append(f.Reports, r)
 	}
-	nspans, err := d.Uint64()
-	if err != nil {
-		return nil, err
+	nspans := r.count(1)
+	if r.err != nil {
+		return nil, r.err
 	}
-	for i := uint64(0); i < nspans; i++ {
+	if nspans > 0 {
+		f.Spans = make([]trace.Event, 0, nspans)
+	}
+	for i := 0; i < nspans; i++ {
 		sb, err := d.Bytes()
 		if err != nil {
 			return nil, err
@@ -354,332 +365,254 @@ func DecodeBatchFrame(payload []byte) (*BatchFrame, error) {
 	return f, nil
 }
 
-// dictMAC resolves a dictionary reference that must be a 6-byte MAC.
-func dictMAC(dict *pbwire.Dict, ref uint64) (dot11.MAC, error) {
-	b, err := dict.Bytes(ref)
-	if err != nil {
-		return dot11.MAC{}, err
-	}
-	if len(b) != 6 {
-		return dot11.MAC{}, ErrBadMACEntry
-	}
-	var m dot11.MAC
-	copy(m[:], b)
-	return m, nil
+// minReportBytes is the smallest report body: eleven one-byte varints.
+const minReportBytes = 11
+
+// batchReader reads one batch body into its arena. Its error is
+// sticky: after the first failure every read returns zero, so counts
+// read as 0 and loops end, and the caller checks err once.
+type batchReader struct {
+	d    *pbwire.Decoder
+	dict *pbwire.Dict
+	err  error
+
+	// The arena: unused tails of the backing arrays that lists are
+	// carved from.
+	radios  []RadioStats
+	clients []ClientRecord
+	uas     []string
+	fps     [][]byte
+	apps    []AppUsageRecord
+	neigh   []NeighborRecord
+	links   []LinkWindow
+	scans   []ScanSample
+	crashes []CrashRecord
 }
 
-// decodeReportDelta mirrors encodeReportDelta, advancing prev so the
-// next report's deltas resolve.
-func decodeReportDelta(d *pbwire.Decoder, dict *pbwire.Dict, prev *batchPrev) (*Report, error) {
-	r := &Report{}
-	ref, err := d.Uint64()
-	if err != nil {
-		return nil, err
+// u reads a varint and z a zigzag varint.
+func (r *batchReader) u() uint64 {
+	if r.err != nil {
+		return 0
 	}
-	if r.Serial, err = dict.String(ref); err != nil {
-		return nil, err
+	v, err := r.d.Uint64()
+	r.err = err
+	return v
+}
+
+func (r *batchReader) z() int64 {
+	v := r.u()
+	return int64(v>>1) ^ -int64(v&1)
+}
+
+// next reads a field coded as a delta against base, or plainly.
+func (r *batchReader) next(base uint64, delta bool) uint64 {
+	if delta {
+		return base + uint64(r.z())
 	}
-	dv, err := d.Int64()
-	if err != nil {
-		return nil, err
+	return r.u()
+}
+
+// raw resolves a dictionary reference as a view of the payload.
+func (r *batchReader) raw() []byte {
+	ref := r.u()
+	if r.err != nil {
+		return nil
 	}
-	mac := prev.mac + uint64(dv)
-	r.MAC = dot11.MACFromPacked(mac)
-	if dv, err = d.Int64(); err != nil {
-		return nil, err
+	b, err := r.dict.Bytes(ref)
+	r.err = err
+	return b
+}
+
+// mac resolves a dictionary reference that must be a 6-byte MAC.
+func (r *batchReader) mac() (m dot11.MAC) {
+	if b := r.raw(); len(b) == len(m) {
+		copy(m[:], b)
+	} else if r.err == nil {
+		r.err = ErrBadMACEntry
 	}
-	r.Timestamp = prev.ts + uint64(dv)
-	if dv, err = d.Int64(); err != nil {
-		return nil, err
+	return m
+}
+
+func (r *batchReader) str() string {
+	ref := r.u()
+	if r.err != nil {
+		return ""
 	}
-	r.SeqNo = prev.seq + uint64(dv)
-	if r.TraceID, err = d.Uint64(); err != nil {
-		return nil, err
+	s, err := r.dict.String(ref)
+	r.err = err
+	return s
+}
+
+func (r *batchReader) clone() []byte {
+	ref := r.u()
+	if r.err != nil {
+		return nil
+	}
+	b, err := r.dict.Clone(ref)
+	r.err = err
+	return b
+}
+
+// count reads a list count whose elements each encode to at least
+// minSize bytes; a count the unread input cannot hold is truncation.
+func (r *batchReader) count(minSize int) int {
+	n := r.u()
+	if n > uint64(r.d.Remaining()/minSize) {
+		r.err = pbwire.ErrTruncated
+		return 0
+	}
+	return int(n)
+}
+
+// list reads a list count and carves the list from the arena's free
+// tail, nil when the count is zero. The result's capacity is its
+// length. A tail too short gets a fresh backing array sized for lists
+// more lists of this length, clamped to what the unread input holds.
+func list[T any](r *batchReader, free *[]T, minSize, lists int) []T {
+	n := r.count(minSize)
+	if n == 0 {
+		return nil
+	}
+	if len(*free) < n {
+		size := r.d.Remaining() / minSize
+		if lists > 0 && lists <= size/n {
+			size = n * lists
+		}
+		*free = make([]T, size)
+	}
+	out := (*free)[:n:n]
+	*free = (*free)[n:]
+	return out
+}
+
+// trim keeps a carved list's first k elements, nil when k is 0.
+func trim[T any](s []T, k int) []T {
+	if k == 0 {
+		return nil
+	}
+	return s[:k:k]
+}
+
+// report mirrors encodeReportDelta into rep, advancing prev so the
+// next report's deltas resolve. left counts the batch's reports from
+// this one on, to size fresh backing arrays.
+func (r *batchReader) report(rep *Report, prev *batchPrev, left int) {
+	rep.Serial = r.str()
+	mac := prev.mac + uint64(r.z())
+	rep.MAC = dot11.MACFromPacked(mac)
+	rep.Timestamp = prev.ts + uint64(r.z())
+	rep.SeqNo = prev.seq + uint64(r.z())
+	rep.TraceID = r.u()
+
+	rep.Radios = list(r, &r.radios, 7, left)
+	for j := range rep.Radios {
+		rs, dc := &rep.Radios[j], j < len(prev.radios)
+		var pr RadioStats
+		if dc {
+			pr = prev.radios[j]
+		}
+		rs.Band = dot11.Band(r.next(uint64(pr.Band), dc))
+		rs.Channel = int(r.next(uint64(pr.Channel), dc))
+		rs.WidthMHz = int(r.next(uint64(pr.WidthMHz), dc))
+		rs.CycleUS = r.next(pr.CycleUS, dc)
+		rs.RxClearUS = r.next(pr.RxClearUS, dc)
+		rs.Rx11US = r.next(pr.Rx11US, dc)
+		rs.TxUS = r.next(pr.TxUS, dc)
 	}
 
-	n, err := d.Uint64()
-	if err != nil {
-		return nil, err
-	}
-	for j := uint64(0); j < n; j++ {
-		var rs RadioStats
-		if int(j) < len(prev.radios) {
-			pr := prev.radios[j]
-			var ds [7]int64
-			for k := range ds {
-				if ds[k], err = d.Int64(); err != nil {
-					return nil, err
-				}
-			}
-			rs.Band = dot11.Band(uint64(pr.Band) + uint64(ds[0]))
-			rs.Channel = int(uint64(pr.Channel) + uint64(ds[1]))
-			rs.WidthMHz = int(uint64(pr.WidthMHz) + uint64(ds[2]))
-			rs.CycleUS = pr.CycleUS + uint64(ds[3])
-			rs.RxClearUS = pr.RxClearUS + uint64(ds[4])
-			rs.Rx11US = pr.Rx11US + uint64(ds[5])
-			rs.TxUS = pr.TxUS + uint64(ds[6])
-		} else {
-			var vs [7]uint64
-			for k := range vs {
-				if vs[k], err = d.Uint64(); err != nil {
-					return nil, err
-				}
-			}
-			rs.Band = dot11.Band(vs[0])
-			rs.Channel = int(vs[1])
-			rs.WidthMHz = int(vs[2])
-			rs.CycleUS = vs[3]
-			rs.RxClearUS = vs[4]
-			rs.Rx11US = vs[5]
-			rs.TxUS = vs[6]
-		}
-		r.Radios = append(r.Radios, rs)
-	}
-
-	if n, err = d.Uint64(); err != nil {
-		return nil, err
-	}
-	for j := uint64(0); j < n; j++ {
-		var c ClientRecord
-		if ref, err = d.Uint64(); err != nil {
-			return nil, err
-		}
-		if c.MAC, err = dictMAC(dict, ref); err != nil {
-			return nil, err
-		}
-		v, err := d.Uint64()
-		if err != nil {
-			return nil, err
-		}
-		c.Band = dot11.Band(v)
-		sv, err := d.Int64()
-		if err != nil {
-			return nil, err
-		}
-		c.RSSIdB = int32(sv)
-		if ref, err = d.Uint64(); err != nil {
-			return nil, err
-		}
-		cb, err := dict.Bytes(ref)
-		if err != nil {
-			return nil, err
-		}
+	rep.Clients = list(r, &r.clients, 7, left)
+	for j := range rep.Clients {
+		c := &rep.Clients[j]
+		c.MAC = r.mac()
+		c.Band = dot11.Band(r.u())
+		c.RSSIdB = int32(r.z())
 		// Mirror v1's tolerance: a capability blob of the wrong length
 		// is ignored, not fatal. Ignored means "advertises nothing", in
 		// the normalized form every decoded value has, so that
 		// re-encoding the record reproduces it.
 		c.Caps = dot11.Capabilities{}.Normalize()
-		if len(cb) == 2 {
+		if cb := r.raw(); len(cb) == 2 {
 			c.Caps = dot11.UnmarshalCapabilities([2]byte{cb[0], cb[1]})
 		}
-		if n2, err := d.Uint64(); err != nil {
-			return nil, err
-		} else {
-			for k := uint64(0); k < n2; k++ {
-				if ref, err = d.Uint64(); err != nil {
-					return nil, err
-				}
-				s, err := dict.String(ref)
-				if err != nil {
-					return nil, err
-				}
-				// Empty entries are skipped on encode (proto3 presence);
-				// skip them here too so decode∘encode is stable.
-				if s != "" {
-					c.UserAgents = append(c.UserAgents, s)
-				}
+		// Empty user agents and fingerprints are skipped on encode
+		// (proto3 presence); skip them here too so decode∘encode is
+		// stable.
+		more := len(rep.Clients)*left - j // client lists still to come
+		uas, k := list(r, &r.uas, 1, more), 0
+		for range uas {
+			if s := r.str(); s != "" {
+				uas[k] = s
+				k++
 			}
 		}
-		if n2, err := d.Uint64(); err != nil {
-			return nil, err
-		} else {
-			for k := uint64(0); k < n2; k++ {
-				if ref, err = d.Uint64(); err != nil {
-					return nil, err
-				}
-				b, err := dict.Bytes(ref)
-				if err != nil {
-					return nil, err
-				}
-				if len(b) == 0 {
-					continue
-				}
-				fp := make([]byte, len(b))
-				copy(fp, b)
-				c.DHCPFingerprints = append(c.DHCPFingerprints, fp)
+		c.UserAgents = trim(uas, k)
+		fps, k := list(r, &r.fps, 1, more), 0
+		for range fps {
+			if b := r.clone(); len(b) > 0 {
+				fps[k] = b
+				k++
 			}
 		}
-		if n2, err := d.Uint64(); err != nil {
-			return nil, err
-		} else {
-			for k := uint64(0); k < n2; k++ {
-				var a AppUsageRecord
-				if ref, err = d.Uint64(); err != nil {
-					return nil, err
-				}
-				if a.App, err = dict.String(ref); err != nil {
-					return nil, err
-				}
-				if int(j) < len(prev.clients) && int(k) < len(prev.clients[j].Apps) {
-					pa := prev.clients[j].Apps[k]
-					var du, dd int64
-					if du, err = d.Int64(); err != nil {
-						return nil, err
-					}
-					if dd, err = d.Int64(); err != nil {
-						return nil, err
-					}
-					a.UpBytes = pa.UpBytes + uint64(du)
-					a.DownBytes = pa.DownBytes + uint64(dd)
-				} else {
-					if a.UpBytes, err = d.Uint64(); err != nil {
-						return nil, err
-					}
-					if a.DownBytes, err = d.Uint64(); err != nil {
-						return nil, err
-					}
-				}
-				if v, err = d.Uint64(); err != nil {
-					return nil, err
-				}
-				a.Flows = uint32(v)
-				c.Apps = append(c.Apps, a)
+		c.DHCPFingerprints = trim(fps, k)
+		c.Apps = list(r, &r.apps, 4, more)
+		for k := range c.Apps {
+			// App byte counters are the heaviest integers in a report;
+			// they delta against the previous report's same-position app.
+			a, dc := &c.Apps[k], j < len(prev.clients) && k < len(prev.clients[j].Apps)
+			var pa AppUsageRecord
+			if dc {
+				pa = prev.clients[j].Apps[k]
 			}
+			a.App = r.str()
+			a.UpBytes = r.next(pa.UpBytes, dc)
+			a.DownBytes = r.next(pa.DownBytes, dc)
+			a.Flows = uint32(r.u())
 		}
-		r.Clients = append(r.Clients, c)
 	}
 
-	if n, err = d.Uint64(); err != nil {
-		return nil, err
-	}
-	for j := uint64(0); j < n; j++ {
-		var nb NeighborRecord
-		if ref, err = d.Uint64(); err != nil {
-			return nil, err
-		}
-		if nb.BSSID, err = dictMAC(dict, ref); err != nil {
-			return nil, err
-		}
-		if ref, err = d.Uint64(); err != nil {
-			return nil, err
-		}
-		if nb.SSID, err = dict.String(ref); err != nil {
-			return nil, err
-		}
-		v, err := d.Uint64()
-		if err != nil {
-			return nil, err
-		}
-		nb.Band = dot11.Band(v)
-		if v, err = d.Uint64(); err != nil {
-			return nil, err
-		}
-		nb.Channel = int(v)
-		sv, err := d.Int64()
-		if err != nil {
-			return nil, err
-		}
-		nb.RSSIdB = int32(sv)
-		if ref, err = d.Uint64(); err != nil {
-			return nil, err
-		}
-		if nb.Vendor, err = dict.String(ref); err != nil {
-			return nil, err
-		}
-		r.Neighbors = append(r.Neighbors, nb)
+	rep.Neighbors = list(r, &r.neigh, 6, left)
+	for j := range rep.Neighbors {
+		nb := &rep.Neighbors[j]
+		nb.BSSID = r.mac()
+		nb.SSID = r.str()
+		nb.Band = dot11.Band(r.u())
+		nb.Channel = int(r.u())
+		nb.RSSIdB = int32(r.z())
+		nb.Vendor = r.str()
 	}
 
-	if n, err = d.Uint64(); err != nil {
-		return nil, err
-	}
-	for j := uint64(0); j < n; j++ {
-		var l LinkWindow
-		if ref, err = d.Uint64(); err != nil {
-			return nil, err
-		}
-		if l.Peer, err = dictMAC(dict, ref); err != nil {
-			return nil, err
-		}
-		v, err := d.Uint64()
-		if err != nil {
-			return nil, err
-		}
-		l.Band = dot11.Band(v)
-		if v, err = d.Uint64(); err != nil {
-			return nil, err
-		}
-		l.Sent = uint32(v)
-		if v, err = d.Uint64(); err != nil {
-			return nil, err
-		}
-		l.Delivered = uint32(v)
-		r.LinkWindows = append(r.LinkWindows, l)
+	rep.LinkWindows = list(r, &r.links, 4, left)
+	for j := range rep.LinkWindows {
+		l := &rep.LinkWindows[j]
+		l.Peer = r.mac()
+		l.Band = dot11.Band(r.u())
+		l.Sent = uint32(r.u())
+		l.Delivered = uint32(r.u())
 	}
 
-	if n, err = d.Uint64(); err != nil {
-		return nil, err
-	}
-	for j := uint64(0); j < n; j++ {
-		var s ScanSample
-		var vs [4]uint64
-		for k := range vs {
-			if vs[k], err = d.Uint64(); err != nil {
-				return nil, err
-			}
-		}
-		s.Band = dot11.Band(vs[0])
-		s.Channel = int(vs[1])
-		s.BusyPermille = uint32(vs[2])
-		s.DecodablePermille = uint32(vs[3])
-		r.ScanSamples = append(r.ScanSamples, s)
+	rep.ScanSamples = list(r, &r.scans, 4, left)
+	for j := range rep.ScanSamples {
+		s := &rep.ScanSamples[j]
+		s.Band = dot11.Band(r.u())
+		s.Channel = int(r.u())
+		s.BusyPermille = uint32(r.u())
+		s.DecodablePermille = uint32(r.u())
 	}
 
-	if n, err = d.Uint64(); err != nil {
-		return nil, err
-	}
-	for j := uint64(0); j < n; j++ {
-		var c CrashRecord
-		deltaCoded := int(j) < len(prev.crashes)
-		if deltaCoded {
-			dv, err := d.Int64()
-			if err != nil {
-				return nil, err
-			}
-			c.Timestamp = prev.crashes[j].Timestamp + uint64(dv)
-		} else if c.Timestamp, err = d.Uint64(); err != nil {
-			return nil, err
+	rep.Crashes = list(r, &r.crashes, 6, left)
+	for j := range rep.Crashes {
+		c, dc := &rep.Crashes[j], j < len(prev.crashes)
+		var pc CrashRecord
+		if dc {
+			pc = prev.crashes[j]
 		}
-		v, err := d.Uint64()
-		if err != nil {
-			return nil, err
-		}
-		c.Kind = uint8(v)
-		if ref, err = d.Uint64(); err != nil {
-			return nil, err
-		}
-		if c.Firmware, err = dict.String(ref); err != nil {
-			return nil, err
-		}
-		if deltaCoded {
-			dv, err := d.Int64()
-			if err != nil {
-				return nil, err
-			}
-			c.PC = prev.crashes[j].PC + uint64(dv)
-		} else if c.PC, err = d.Uint64(); err != nil {
-			return nil, err
-		}
-		if v, err = d.Uint64(); err != nil {
-			return nil, err
-		}
-		c.FreeKB = uint32(v)
-		if v, err = d.Uint64(); err != nil {
-			return nil, err
-		}
-		c.NeighborCount = uint32(v)
-		r.Crashes = append(r.Crashes, c)
+		c.Timestamp = r.next(pc.Timestamp, dc)
+		c.Kind = uint8(r.u())
+		c.Firmware = r.str()
+		c.PC = r.next(pc.PC, dc)
+		c.FreeKB = uint32(r.u())
+		c.NeighborCount = uint32(r.u())
 	}
 
-	prev.set(mac, r)
-	return r, nil
+	prev.set(mac, rep)
 }

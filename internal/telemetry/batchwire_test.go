@@ -4,11 +4,14 @@ import (
 	"errors"
 	"net"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"wlanscale/internal/dot11"
 	"wlanscale/internal/faultnet"
+	"wlanscale/internal/telemetry/pbwire"
 )
 
 // variedReport derives a report from sampleReport with index-dependent
@@ -35,12 +38,37 @@ func variedReport(i int) *Report {
 	return r
 }
 
+// presenceReports are the empty-list shapes a round trip must keep
+// absent: a report whose every list is empty, and one whose client has
+// empty user-agent, fingerprint and app lists (or only empty entries,
+// which neither wire ships). Both wires decode them to nil lists.
+func presenceReports() []*Report {
+	empty := &Report{
+		Serial: "Q2XX-EMPT-0001", Timestamp: 90000, SeqNo: 9,
+		Radios: []RadioStats{}, Clients: []ClientRecord{}, Neighbors: []NeighborRecord{},
+		LinkWindows: []LinkWindow{}, ScanSamples: []ScanSample{}, Crashes: []CrashRecord{},
+	}
+	bare := variedReport(1)
+	bare.Clients = []ClientRecord{
+		{MAC: dot11.MAC{0xba, 0x4e, 0, 0, 0, 1}, UserAgents: []string{}, DHCPFingerprints: [][]byte{}, Apps: []AppUsageRecord{}},
+		{MAC: dot11.MAC{0xba, 0x4e, 0, 0, 0, 2}, UserAgents: []string{""}, DHCPFingerprints: [][]byte{{}}},
+	}
+	return []*Report{empty, bare}
+}
+
 func TestBatchRoundTrip(t *testing.T) {
 	var want []*Report
 	be := NewBatchEncoder(0)
 	for i := 0; i < 20; i++ {
 		r := variedReport(i)
+		if i == 10 {
+			// The presence shapes sit mid-batch, between delta-coded
+			// neighbours, so a slab handing out s[:0:0] would show.
+			want = append(want, presenceReports()...)
+		}
 		want = append(want, r)
+	}
+	for i, r := range want {
 		if !be.Add(r) {
 			t.Fatalf("unbounded encoder refused report %d", i)
 		}
@@ -160,6 +188,148 @@ func TestDecodeBatchFrameErrors(t *testing.T) {
 	}
 	if _, err := DecodeBatchFrame(append(append([]byte{}, good...), 0x00)); !errors.Is(err, ErrTrailingBytes) {
 		t.Errorf("trailing bytes: err = %v, want ErrTrailingBytes", err)
+	}
+}
+
+// TestDecodeBatchOwnsItsMemory pins the arena's ownership rules: the
+// decoded reports point nowhere into the payload, survive it being
+// overwritten, and an append to one report's list never writes into
+// its neighbour's.
+func TestDecodeBatchOwnsItsMemory(t *testing.T) {
+	be := NewBatchEncoder(0)
+	var want []*Report
+	for i := 0; i < 6; i++ {
+		r := variedReport(i)
+		be.Add(r)
+		v1, err := UnmarshalReport(r.Marshal())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, v1)
+	}
+	payload := be.Finish(0, 0, nil)
+	f, err := DecodeBatchFrame(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	lo := uintptr(unsafe.Pointer(&payload[0]))
+	inPayload := func(what string, p *byte) {
+		if a := uintptr(unsafe.Pointer(p)); a >= lo && a < lo+uintptr(len(payload)) {
+			t.Errorf("%s points into the payload", what)
+		}
+	}
+	str := func(what, s string) {
+		if s != "" {
+			inPayload(what, unsafe.StringData(s))
+		}
+	}
+	for _, r := range f.Reports {
+		str("serial", r.Serial)
+		for _, c := range r.Clients {
+			for _, ua := range c.UserAgents {
+				str("user agent", ua)
+			}
+			for _, fp := range c.DHCPFingerprints {
+				inPayload("fingerprint", &fp[0])
+			}
+			for _, a := range c.Apps {
+				str("app", a.App)
+			}
+		}
+		for _, n := range r.Neighbors {
+			str("ssid", n.SSID)
+			str("vendor", n.Vendor)
+		}
+		for _, c := range r.Crashes {
+			str("firmware", c.Firmware)
+		}
+	}
+
+	for i := range payload {
+		payload[i] = 0xff
+	}
+	for i, r := range f.Reports {
+		if !reflect.DeepEqual(r, want[i]) {
+			t.Fatalf("report %d changed when the payload was overwritten", i)
+		}
+	}
+
+	for i := 0; i+1 < len(f.Reports); i++ {
+		r := f.Reports[i]
+		c := &r.Clients[0]
+		r.Radios = append(r.Radios, RadioStats{Channel: 165})
+		c.Apps = append(c.Apps, AppUsageRecord{App: "intruder", UpBytes: 1})
+		c.UserAgents = append(c.UserAgents, "intruder")
+		c.DHCPFingerprints = append(c.DHCPFingerprints, []byte{0xee})
+		if !reflect.DeepEqual(f.Reports[i+1], want[i+1]) {
+			t.Fatalf("appending to report %d's lists changed report %d", i, i+1)
+		}
+	}
+}
+
+// decodeAllocPerByte is DecodeBatchFrame's documented k: one call
+// allocates at most k bytes per payload byte plus decodeAllocSlack.
+const (
+	decodeAllocPerByte = 256
+	decodeAllocSlack   = 64 << 10
+)
+
+// decodeAllocBytes decodes b and returns the heap bytes the call
+// allocated. Another goroutine may allocate meanwhile, so a reading
+// over limit is retried and the least of three kept.
+func decodeAllocBytes(b []byte, limit uint64) uint64 {
+	least := ^uint64(0)
+	for try := 0; try < 3 && least > limit; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		DecodeBatchFrame(b)
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
+// hugeCountPayloads are batches whose counts declare far more records
+// than their bodies hold: 2^32 reports, 2^20 clients in one report,
+// 2^20 apps on one client, and 580 radios in a report followed by 359
+// more — each count fits the body, a backing array sized for all 360
+// reports' radios would not. The last holds 4096 empty trace spans, the
+// most decoded bytes per input byte a valid batch can carry.
+func hugeCountPayloads() map[string][]byte {
+	var dict pbwire.DictBuilder
+	serial := dict.Ref("Q2XX-HUGE-0001")
+	mac := dict.RefBytes([]byte{2, 0, 0, 0, 0, 1})
+	caps := dict.RefBytes([]byte{0, 0})
+	frame := func(pad int, body ...uint64) []byte {
+		var e pbwire.Encoder
+		e.Append([]byte{WireV2, 0, 0})
+		dict.Encode(&e)
+		for _, v := range body {
+			e.Varint(v)
+		}
+		e.Append(make([]byte, pad)) // a run of zero varints
+		return e.Bytes()
+	}
+	report := []uint64{serial, 0, 0, 0, 0} // serial, MAC, time, seq, trace
+	return map[string][]byte{
+		"reports": frame(48, 1<<32),
+		"clients": frame(48, append([]uint64{1}, append(report, 0, 1<<20)...)...),
+		"apps":    frame(48, append([]uint64{1}, append(report, 0, 1, mac, 0, 0, caps, 0, 0, 1<<20)...)...),
+		"radios":  frame(4096, append([]uint64{360}, append(report, 580)...)...),
+		"spans":   frame(4096, 0, 4096),
+	}
+}
+
+// TestDecodeBatchAllocBound: a count the body cannot hold must not
+// turn into allocation — each huge-count payload errors or decodes
+// within the documented k × input bound.
+func TestDecodeBatchAllocBound(t *testing.T) {
+	for name, b := range hugeCountPayloads() {
+		limit := uint64(decodeAllocPerByte*len(b) + decodeAllocSlack)
+		if got := decodeAllocBytes(b, limit); got > limit {
+			t.Errorf("%s: decode of %d bytes allocated %d, bound %d", name, len(b), got, limit)
+		}
 	}
 }
 

@@ -74,8 +74,9 @@ func mustV1RoundTrip(r *Report) *Report {
 // FuzzDecodeBatchFrame fuzzes the v2 batch decoder directly — the
 // densest new attack surface: every count, dictionary reference, and
 // delta comes off the wire. Properties: no panic, no unbounded
-// allocation (dictionary overflow must be rejected before any
-// proportional allocation), and re-encode/re-decode stability so the
+// allocation (at most DecodeBatchFrame's documented k bytes per input
+// byte; a dictionary overflow is rejected before any proportional
+// allocation), and re-encode/re-decode stability so the
 // delta/dictionary rules cannot silently mutate a report.
 func FuzzDecodeBatchFrame(f *testing.F) {
 	// A healthy multi-report batch with shared dictionary + deltas.
@@ -106,8 +107,16 @@ func FuzzDecodeBatchFrame(f *testing.F) {
 	f.Add(append(append([]byte{}, whole...), sampleReport().Marshal()...))
 	// Bad dictionary refs and a non-6-byte MAC entry.
 	f.Add([]byte{WireV2, 0, 0, 1, 2, 'a', 'b', 1, 0x05, 0, 0, 0, 0})
+	// Counts far beyond what the body holds.
+	for _, b := range hugeCountPayloads() {
+		f.Add(b)
+	}
 
 	f.Fuzz(func(t *testing.T, b []byte) {
+		limit := uint64(decodeAllocPerByte*len(b) + decodeAllocSlack)
+		if got := decodeAllocBytes(b, limit); got > limit {
+			t.Fatalf("decode of %d bytes allocated %d, bound %d", len(b), got, limit)
+		}
 		bf, err := DecodeBatchFrame(b)
 		if err != nil {
 			return

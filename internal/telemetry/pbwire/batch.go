@@ -107,15 +107,25 @@ func (b *DictBuilder) Encode(e *Encoder) {
 	}
 }
 
-// Dict is the decoded dictionary of one batch.
+// Dict is the decoded dictionary of one batch. An entry is a view of
+// the decoder's input until String or Clone first resolves it; each
+// copies the entry out at most once, so every reference in the batch
+// shares that one copy and none pins or aliases the input buffer.
+// Resolving writes the entry, so a Dict is for one goroutine.
 type Dict struct {
-	entries [][]byte
+	entries []dictEntry
 }
 
-// DecodeDict reads a dictionary block. Entry count and total size are
-// bounded by the input length (each entry consumes at least one byte),
-// and the declared count is checked against MaxDictEntries before any
-// allocation proportional to it.
+type dictEntry struct {
+	raw   []byte // view of the input
+	str   string // raw copied out by String
+	owned []byte // raw copied out by Clone
+}
+
+// DecodeDict reads a dictionary block. The declared count is checked
+// against MaxDictEntries and against the unread input (each entry's
+// length prefix takes at least one byte) before any allocation
+// proportional to it.
 func DecodeDict(d *Decoder) (*Dict, error) {
 	n, err := d.Uint64()
 	if err != nil {
@@ -124,31 +134,61 @@ func DecodeDict(d *Decoder) (*Dict, error) {
 	if n > MaxDictEntries {
 		return nil, ErrDictOverflow
 	}
-	dict := &Dict{}
-	for i := uint64(0); i < n; i++ {
-		b, err := d.Bytes()
-		if err != nil {
+	if n > uint64(d.Remaining()) {
+		return nil, ErrTruncated
+	}
+	dict := &Dict{entries: make([]dictEntry, n)}
+	for i := range dict.entries {
+		if dict.entries[i].raw, err = d.Bytes(); err != nil {
 			return nil, err
 		}
-		dict.entries = append(dict.entries, b)
 	}
 	return dict, nil
+}
+
+func (d *Dict) entry(ref uint64) (*dictEntry, error) {
+	if ref >= uint64(len(d.entries)) {
+		return nil, ErrBadDictRef
+	}
+	return &d.entries[ref], nil
 }
 
 // Bytes resolves a reference. The returned slice aliases the decoder's
 // input buffer.
 func (d *Dict) Bytes(ref uint64) ([]byte, error) {
-	if ref >= uint64(len(d.entries)) {
-		return nil, ErrBadDictRef
+	e, err := d.entry(ref)
+	if err != nil {
+		return nil, err
 	}
-	return d.entries[ref], nil
+	return e.raw, nil
 }
 
-// String resolves a reference as a string.
+// String resolves a reference as a string: the entry's one copy, made
+// on its first reference.
 func (d *Dict) String(ref uint64) (string, error) {
-	b, err := d.Bytes(ref)
-	return string(b), err
+	e, err := d.entry(ref)
+	if err != nil {
+		return "", err
+	}
+	if e.str == "" && len(e.raw) > 0 {
+		e.str = string(e.raw)
+	}
+	return e.str, nil
 }
 
-// Len returns the number of entries.
-func (d *Dict) Len() int { return len(d.entries) }
+// Clone resolves a reference as bytes: the entry's one copy, made on
+// its first reference and shared by every later one, so callers must
+// not write through it. Its capacity equals its length, so an append
+// reallocates rather than growing into shared memory. An empty entry
+// resolves to nil.
+func (d *Dict) Clone(ref uint64) ([]byte, error) {
+	e, err := d.entry(ref)
+	if err != nil {
+		return nil, err
+	}
+	if e.owned == nil && len(e.raw) > 0 {
+		e.owned = make([]byte, len(e.raw))
+		copy(e.owned, e.raw)
+	}
+	return e.owned, nil
+}

@@ -139,6 +139,9 @@ func NewDecoder(b []byte) *Decoder { return &Decoder{buf: b} }
 // Done reports whether the decoder has consumed the whole message.
 func (d *Decoder) Done() bool { return d.pos >= len(d.buf) }
 
+// Remaining returns the number of unread bytes.
+func (d *Decoder) Remaining() int { return len(d.buf) - d.pos }
+
 func (d *Decoder) readVarint() (uint64, error) {
 	var v uint64
 	var shift uint
