@@ -52,17 +52,23 @@ bench-baseline:
 
 # wire-compat is the digest-equivalence gate: 10 seeds of v1, v2, and
 # mixed-fleet (v2 agent, v1 backend) harvests must agree byte-for-byte
-# on the store digest, plus a fuzz pass over the batch decoder and the
-# frame demultiplexer, and over the two decoders that read disk: the
-# store snapshot gob (checkpoint, snapshot and absorb all load through
-# it) and WAL replay.
+# on the store digest, plus a 30 s fuzz arm each over the batch decoder
+# (FuzzDecodeBatchFrame), the frame demultiplexer (FuzzDecodeMessage),
+# the v1 report and span decoders against their pre-sticky-error
+# reference (FuzzUnmarshalReport), and the decoders that read disk: the
+# store snapshot gob that checkpoint, snapshot and absorb all load
+# through (FuzzStoreLoad), WAL segment framing (FuzzWALReplay) and
+# replay of one record of every shape into a DurableStore
+# (FuzzDurableReplay).
 wire-compat:
 	go test ./internal/backend -run 'TestWireDigestEquivalence' -count=1 -v
 	go test ./internal/core -run 'TestUsageEpochWireEquivalence' -count=1
 	go test ./internal/telemetry -run xxx -fuzz FuzzDecodeBatchFrame -fuzztime 30s
 	go test ./internal/telemetry -run xxx -fuzz FuzzDecodeMessage -fuzztime 30s
+	go test ./internal/telemetry -run xxx -fuzz FuzzUnmarshalReport -fuzztime 30s
 	go test ./internal/backend -run xxx -fuzz FuzzStoreLoad -fuzztime 30s
 	go test ./internal/wal -run xxx -fuzz FuzzWALReplay -fuzztime 30s
+	go test ./internal/backend -run xxx -fuzz FuzzDurableReplay -fuzztime 30s
 
 # bench-test compiles and tests the benchmark harness. bench/ is its
 # own module, so the root `go test ./...` never builds it against a

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+
+	"wlanscale/internal/telemetry/pbwire"
 )
 
 // Durable rebalance operations. Each migration step on a WAL-backed
@@ -46,32 +48,29 @@ func encodeMigrationRecord(kind byte, token string, ids []uint64, payload []byte
 }
 
 func decodeMigrationRecord(b []byte) (kind byte, token string, ids []uint64, payload []byte, err error) {
-	bad := fmt.Errorf("backend: short migration record (%d bytes)", len(b))
-	if len(b) < 1 {
-		return 0, "", nil, nil, bad
+	if len(b) == 0 {
+		return 0, "", nil, nil, errShortMigration(b)
 	}
-	kind, rest := b[0], b[1:]
-	tlen, n := binary.Uvarint(rest)
-	if n <= 0 || uint64(len(rest)-n) < tlen {
-		return 0, "", nil, nil, bad
-	}
-	token = string(rest[n : n+int(tlen)])
-	rest = rest[n+int(tlen):]
-	count, n := binary.Uvarint(rest)
-	if n <= 0 {
-		return 0, "", nil, nil, bad
-	}
-	rest = rest[n:]
-	ids = make([]uint64, 0, count)
-	for i := uint64(0); i < count; i++ {
-		id, n := binary.Uvarint(rest)
-		if n <= 0 {
-			return 0, "", nil, nil, bad
+	d := pbwire.NewDecoder(b[1:])
+	token = d.String()
+	// Each ID takes at least one byte, so a count the rest of the
+	// record cannot hold is truncation, not an allocation.
+	if n := d.Uint64(); n > uint64(d.Remaining()) {
+		d.Fail(pbwire.ErrTruncated)
+	} else {
+		ids = make([]uint64, n)
+		for i := range ids {
+			ids[i] = d.Uint64()
 		}
-		ids = append(ids, id)
-		rest = rest[n:]
 	}
-	return kind, token, ids, rest, nil
+	if d.Err() != nil {
+		return 0, "", nil, nil, errShortMigration(b)
+	}
+	return b[0], token, ids, b[len(b)-d.Remaining():], nil
+}
+
+func errShortMigration(b []byte) error {
+	return fmt.Errorf("backend: short migration record (%d bytes)", len(b))
 }
 
 // logged appends one migration record to the WAL and then runs apply,

@@ -2,6 +2,7 @@ package backend
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"reflect"
 	"testing"
@@ -323,5 +324,43 @@ func TestMigrationRecordRoundTrip(t *testing.T) {
 			// payload region alone is legal (payload length is implicit).
 			t.Fatalf("truncated record at %d decoded without error", cut)
 		}
+	}
+	// An ID count the record cannot hold is truncation, whatever its
+	// size: it must not reach make (2^60 panics, 2^33 asks 64 GiB).
+	for _, count := range []uint64{1 << 60, 1 << 33, 1} {
+		rec := binary.AppendUvarint([]byte{recPart, 0}, count)
+		if _, _, ids, _, err := decodeMigrationRecord(rec); err == nil {
+			t.Fatalf("count %d with no IDs decoded to %d IDs", count, len(ids))
+		}
+	}
+}
+
+// TestDurableReplaySkipsHugeMigrationCount: a CRC-valid migration
+// record whose ID count runs past its end, logged between two ingested
+// batches, is one bad record; replay goes on and recovers the control
+// digest.
+func TestDurableReplaySkipsHugeMigrationCount(t *testing.T) {
+	reports := durableReports(40)
+	dir := t.TempDir()
+	d, _ := mustOpenDurable(t, dir, DurableOptions{})
+	if err := d.IngestBatch(reports[:20], nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.WAL().Append(binary.AppendUvarint([]byte{recPart, 0}, 1<<60)); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.IngestBatch(reports[20:], nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d2, stats := mustOpenDurable(t, dir, DurableOptions{})
+	defer d2.Close()
+	if stats.BadRecords != 1 {
+		t.Fatalf("recovery stats = %+v, want the huge-count record counted bad", stats)
+	}
+	if got, want := d2.Digest(), volatileDigest(reports); got != want {
+		t.Fatalf("recovered digest != control\n got %s\nwant %s", got, want)
 	}
 }

@@ -321,46 +321,29 @@ func DecodeBatchFrame(payload []byte) (*BatchFrame, error) {
 	}
 	f := &BatchFrame{Version: payload[0]}
 	d := pbwire.NewDecoder(payload[1:])
-	r := &batchReader{d: d}
-	f.Dropped = uint32(r.u())
-	f.QueueDepth = uint32(r.u())
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.dict, r.err = pbwire.DecodeDict(d); r.err != nil {
-		return nil, r.err
-	}
+	f.Dropped = uint32(d.Uint64())
+	f.QueueDepth = uint32(d.Uint64())
+	r := &batchReader{d: d, dict: pbwire.DecodeDict(d)}
 	if n := r.count(minReportBytes); n > 0 {
 		reports := make([]Report, n)
 		f.Reports = make([]*Report, n)
 		var prev batchPrev
 		for i := range reports {
-			if r.report(&reports[i], &prev, n-i); r.err != nil {
-				return nil, r.err
-			}
+			r.report(&reports[i], &prev, n-i)
 			f.Reports[i] = &reports[i]
 		}
 	}
-	nspans := r.count(1)
-	if r.err != nil {
-		return nil, r.err
-	}
-	if nspans > 0 {
-		f.Spans = make([]trace.Event, 0, nspans)
-	}
-	for i := 0; i < nspans; i++ {
-		sb, err := d.Bytes()
-		if err != nil {
-			return nil, err
+	if n := r.count(1); n > 0 {
+		f.Spans = make([]trace.Event, n)
+		for i := range f.Spans {
+			f.Spans[i] = decodeSpan(d.Message())
 		}
-		sp, err := decodeSpan(sb)
-		if err != nil {
-			return nil, err
-		}
-		f.Spans = append(f.Spans, sp)
 	}
-	if !d.Done() {
-		return nil, ErrTrailingBytes
+	if d.More() {
+		d.Fail(ErrTrailingBytes)
+	}
+	if err := d.Err(); err != nil {
+		return nil, err
 	}
 	return f, nil
 }
@@ -368,13 +351,13 @@ func DecodeBatchFrame(payload []byte) (*BatchFrame, error) {
 // minReportBytes is the smallest report body: eleven one-byte varints.
 const minReportBytes = 11
 
-// batchReader reads one batch body into its arena. Its error is
-// sticky: after the first failure every read returns zero, so counts
-// read as 0 and loops end, and the caller checks err once.
+// batchReader reads one batch body into its arena. Every read goes
+// through d, whose error is sticky: after the first failure reads
+// return zero, so counts read as 0 and loops end, and
+// DecodeBatchFrame checks the error once.
 type batchReader struct {
 	d    *pbwire.Decoder
 	dict *pbwire.Dict
-	err  error
 
 	// The arena: unused tails of the backing arrays that lists are
 	// carved from.
@@ -389,76 +372,30 @@ type batchReader struct {
 	crashes []CrashRecord
 }
 
-// u reads a varint and z a zigzag varint.
-func (r *batchReader) u() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, err := r.d.Uint64()
-	r.err = err
-	return v
-}
-
-func (r *batchReader) z() int64 {
-	v := r.u()
-	return int64(v>>1) ^ -int64(v&1)
-}
-
-// next reads a field coded as a delta against base, or plainly.
+// next reads a field coded as a zigzag delta against base, or plainly.
 func (r *batchReader) next(base uint64, delta bool) uint64 {
 	if delta {
-		return base + uint64(r.z())
+		return base + uint64(r.d.Int64())
 	}
-	return r.u()
-}
-
-// raw resolves a dictionary reference as a view of the payload.
-func (r *batchReader) raw() []byte {
-	ref := r.u()
-	if r.err != nil {
-		return nil
-	}
-	b, err := r.dict.Bytes(ref)
-	r.err = err
-	return b
+	return r.d.Uint64()
 }
 
 // mac resolves a dictionary reference that must be a 6-byte MAC.
 func (r *batchReader) mac() (m dot11.MAC) {
-	if b := r.raw(); len(b) == len(m) {
+	if b := r.dict.Bytes(); len(b) == len(m) {
 		copy(m[:], b)
-	} else if r.err == nil {
-		r.err = ErrBadMACEntry
+	} else {
+		r.d.Fail(ErrBadMACEntry)
 	}
 	return m
-}
-
-func (r *batchReader) str() string {
-	ref := r.u()
-	if r.err != nil {
-		return ""
-	}
-	s, err := r.dict.String(ref)
-	r.err = err
-	return s
-}
-
-func (r *batchReader) clone() []byte {
-	ref := r.u()
-	if r.err != nil {
-		return nil
-	}
-	b, err := r.dict.Clone(ref)
-	r.err = err
-	return b
 }
 
 // count reads a list count whose elements each encode to at least
 // minSize bytes; a count the unread input cannot hold is truncation.
 func (r *batchReader) count(minSize int) int {
-	n := r.u()
+	n := r.d.Uint64()
 	if n > uint64(r.d.Remaining()/minSize) {
-		r.err = pbwire.ErrTruncated
+		r.d.Fail(pbwire.ErrTruncated)
 		return 0
 	}
 	return int(n)
@@ -497,12 +434,12 @@ func trim[T any](s []T, k int) []T {
 // next report's deltas resolve. left counts the batch's reports from
 // this one on, to size fresh backing arrays.
 func (r *batchReader) report(rep *Report, prev *batchPrev, left int) {
-	rep.Serial = r.str()
-	mac := prev.mac + uint64(r.z())
+	rep.Serial = r.dict.String()
+	mac := prev.mac + uint64(r.d.Int64())
 	rep.MAC = dot11.MACFromPacked(mac)
-	rep.Timestamp = prev.ts + uint64(r.z())
-	rep.SeqNo = prev.seq + uint64(r.z())
-	rep.TraceID = r.u()
+	rep.Timestamp = prev.ts + uint64(r.d.Int64())
+	rep.SeqNo = prev.seq + uint64(r.d.Int64())
+	rep.TraceID = r.d.Uint64()
 
 	rep.Radios = list(r, &r.radios, 7, left)
 	for j := range rep.Radios {
@@ -524,14 +461,14 @@ func (r *batchReader) report(rep *Report, prev *batchPrev, left int) {
 	for j := range rep.Clients {
 		c := &rep.Clients[j]
 		c.MAC = r.mac()
-		c.Band = dot11.Band(r.u())
-		c.RSSIdB = int32(r.z())
+		c.Band = dot11.Band(r.d.Uint64())
+		c.RSSIdB = int32(r.d.Int64())
 		// Mirror v1's tolerance: a capability blob of the wrong length
 		// is ignored, not fatal. Ignored means "advertises nothing", in
 		// the normalized form every decoded value has, so that
 		// re-encoding the record reproduces it.
 		c.Caps = dot11.Capabilities{}.Normalize()
-		if cb := r.raw(); len(cb) == 2 {
+		if cb := r.dict.Bytes(); len(cb) == 2 {
 			c.Caps = dot11.UnmarshalCapabilities([2]byte{cb[0], cb[1]})
 		}
 		// Empty user agents and fingerprints are skipped on encode
@@ -540,7 +477,7 @@ func (r *batchReader) report(rep *Report, prev *batchPrev, left int) {
 		more := len(rep.Clients)*left - j // client lists still to come
 		uas, k := list(r, &r.uas, 1, more), 0
 		for range uas {
-			if s := r.str(); s != "" {
+			if s := r.dict.String(); s != "" {
 				uas[k] = s
 				k++
 			}
@@ -548,7 +485,7 @@ func (r *batchReader) report(rep *Report, prev *batchPrev, left int) {
 		c.UserAgents = trim(uas, k)
 		fps, k := list(r, &r.fps, 1, more), 0
 		for range fps {
-			if b := r.clone(); len(b) > 0 {
+			if b := r.dict.Clone(); len(b) > 0 {
 				fps[k] = b
 				k++
 			}
@@ -563,10 +500,10 @@ func (r *batchReader) report(rep *Report, prev *batchPrev, left int) {
 			if dc {
 				pa = prev.clients[j].Apps[k]
 			}
-			a.App = r.str()
+			a.App = r.dict.String()
 			a.UpBytes = r.next(pa.UpBytes, dc)
 			a.DownBytes = r.next(pa.DownBytes, dc)
-			a.Flows = uint32(r.u())
+			a.Flows = uint32(r.d.Uint64())
 		}
 	}
 
@@ -574,29 +511,29 @@ func (r *batchReader) report(rep *Report, prev *batchPrev, left int) {
 	for j := range rep.Neighbors {
 		nb := &rep.Neighbors[j]
 		nb.BSSID = r.mac()
-		nb.SSID = r.str()
-		nb.Band = dot11.Band(r.u())
-		nb.Channel = int(r.u())
-		nb.RSSIdB = int32(r.z())
-		nb.Vendor = r.str()
+		nb.SSID = r.dict.String()
+		nb.Band = dot11.Band(r.d.Uint64())
+		nb.Channel = int(r.d.Uint64())
+		nb.RSSIdB = int32(r.d.Int64())
+		nb.Vendor = r.dict.String()
 	}
 
 	rep.LinkWindows = list(r, &r.links, 4, left)
 	for j := range rep.LinkWindows {
 		l := &rep.LinkWindows[j]
 		l.Peer = r.mac()
-		l.Band = dot11.Band(r.u())
-		l.Sent = uint32(r.u())
-		l.Delivered = uint32(r.u())
+		l.Band = dot11.Band(r.d.Uint64())
+		l.Sent = uint32(r.d.Uint64())
+		l.Delivered = uint32(r.d.Uint64())
 	}
 
 	rep.ScanSamples = list(r, &r.scans, 4, left)
 	for j := range rep.ScanSamples {
 		s := &rep.ScanSamples[j]
-		s.Band = dot11.Band(r.u())
-		s.Channel = int(r.u())
-		s.BusyPermille = uint32(r.u())
-		s.DecodablePermille = uint32(r.u())
+		s.Band = dot11.Band(r.d.Uint64())
+		s.Channel = int(r.d.Uint64())
+		s.BusyPermille = uint32(r.d.Uint64())
+		s.DecodablePermille = uint32(r.d.Uint64())
 	}
 
 	rep.Crashes = list(r, &r.crashes, 6, left)
@@ -607,11 +544,11 @@ func (r *batchReader) report(rep *Report, prev *batchPrev, left int) {
 			pc = prev.crashes[j]
 		}
 		c.Timestamp = r.next(pc.Timestamp, dc)
-		c.Kind = uint8(r.u())
-		c.Firmware = r.str()
+		c.Kind = uint8(r.d.Uint64())
+		c.Firmware = r.dict.String()
 		c.PC = r.next(pc.PC, dc)
-		c.FreeKB = uint32(r.u())
-		c.NeighborCount = uint32(r.u())
+		c.FreeKB = uint32(r.d.Uint64())
+		c.NeighborCount = uint32(r.d.Uint64())
 	}
 
 	prev.set(mac, rep)

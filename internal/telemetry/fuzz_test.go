@@ -1,8 +1,12 @@
 package telemetry
 
 import (
+	"bytes"
+	"errors"
 	"reflect"
 	"testing"
+
+	"wlanscale/internal/telemetry/pbwire"
 )
 
 // FuzzDecodeMessage fuzzes the tunnel protocol decoder — including the
@@ -59,6 +63,90 @@ func FuzzDecodeMessage(f *testing.F) {
 			_, _ = UnmarshalReport(rb)
 		}
 	})
+}
+
+// FuzzUnmarshalReport is the oracle for v1 decoding. (a) Differential:
+// on every input UnmarshalReport and decodeSpan give what the reference
+// decoders of refdecode_test.go give — the same value and the same
+// error text — except where the reference panics, where they must fail
+// with ErrTruncated. (b) Stability: a decoded report's Marshal decodes
+// to a report that marshals to the same bytes, so decode∘Marshal is a
+// fixed point after one trip (the first may drop empty strings and
+// fingerprints, which Marshal omits).
+func FuzzUnmarshalReport(f *testing.F) {
+	traced := sampleReport()
+	traced.TraceID = 0xdeadbeefcafe
+	f.Add(sampleReport().Marshal())
+	f.Add(traced.Marshal())
+	f.Add((&Report{}).Marshal())
+	for _, r := range presenceReports() {
+		f.Add(r.Marshal())
+	}
+	for _, sp := range sampleSpans() {
+		f.Add(encodeSpan(sp))
+	}
+	// Unknown fields of every wire type, and a group (wire type 3)
+	// that no reader skips.
+	f.Add(append(sampleReport().Marshal(),
+		12<<3|1, 1, 2, 3, 4, 5, 6, 7, 8, 13<<3|5, 1, 2, 3, 4, 14<<3|2, 1, 'x', 15<<3, 7))
+	f.Add([]byte{fSerial<<3 | 2, 1, 'Q', 15<<3 | 3})
+	// A client whose capability blob is one byte, not two.
+	f.Add([]byte{fClient<<3 | 2, 3, 4<<3 | 2, 1, 0xff})
+	// Cut mid-tag, mid-value and mid-nested-message.
+	whole := sampleReport().Marshal()
+	f.Add([]byte{0x80})
+	f.Add(whole[:1])
+	f.Add(whole[:len(whole)/2])
+	f.Add(whole[:len(whole)-1])
+	// A varint overflow, and a length of 2^64-1, whose read position
+	// wraps in the reference.
+	f.Add([]byte{fTime << 3, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
+	f.Add([]byte{fSerial<<3 | 2, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
+
+	f.Fuzz(func(t *testing.T, b []byte) {
+		got, err := UnmarshalReport(b)
+		sameDecode(t, "UnmarshalReport", got, err, func() (any, error) { return refUnmarshalReport(b) })
+		d := pbwire.NewDecoder(b)
+		sp := decodeSpan(d)
+		sameDecode(t, "decodeSpan", sp, d.Err(), func() (any, error) { return refDecodeSpan(b) })
+		if err != nil {
+			return
+		}
+		raw := got.Marshal()
+		again, err := UnmarshalReport(raw)
+		if err != nil {
+			t.Fatalf("re-decode failed: %v", err)
+		}
+		if !bytes.Equal(again.Marshal(), raw) {
+			t.Fatalf("re-marshal unstable:\nfirst  %+v\nsecond %+v", got, again)
+		}
+	})
+}
+
+// sameDecode fails t unless the live decoder's result (got, err)
+// matches the reference's. The reference panicking on input the live
+// decoder must reject as truncated is the one allowed difference.
+func sameDecode(t *testing.T, name string, got any, err error, ref func() (any, error)) {
+	t.Helper()
+	want, wantErr, panicked := func() (v any, err error, panicked bool) {
+		defer func() {
+			if recover() != nil {
+				panicked = true
+			}
+		}()
+		v, err = ref()
+		return v, err, false
+	}()
+	switch {
+	case panicked:
+		if !errors.Is(err, pbwire.ErrTruncated) {
+			t.Fatalf("%s: reference panicked, live error = %v, want ErrTruncated", name, err)
+		}
+	case (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error():
+		t.Fatalf("%s: error = %v, reference %v", name, err, wantErr)
+	case err == nil && !reflect.DeepEqual(got, want):
+		t.Fatalf("%s: decoded\n %+v\nreference\n %+v", name, got, want)
+	}
 }
 
 // mustV1RoundTrip normalizes a report through the v1 codec, so fuzz

@@ -107,7 +107,9 @@ func (h *HarvestHealth) Observe(err error) {
 	case errors.Is(err, ErrFrameTooBig), errors.Is(err, ErrBadFrameType),
 		errors.Is(err, ErrNotHello), errors.Is(err, io.ErrUnexpectedEOF),
 		errors.Is(err, pbwire.ErrTruncated), errors.Is(err, pbwire.ErrOverflow),
-		errors.Is(err, pbwire.ErrBadWireType):
+		errors.Is(err, pbwire.ErrBadWireType), errors.Is(err, pbwire.ErrDictOverflow),
+		errors.Is(err, pbwire.ErrBadDictRef), errors.Is(err, ErrBadWireVersion),
+		errors.Is(err, ErrBadMACEntry), errors.Is(err, ErrTrailingBytes):
 		h.corruptFrames++
 	}
 }

@@ -74,9 +74,6 @@ func (b *DictBuilder) Ref(s string) uint64 {
 // RefBytes is Ref for a byte slice key.
 func (b *DictBuilder) RefBytes(p []byte) uint64 { return b.Ref(string(p)) }
 
-// Len returns the number of entries assigned so far.
-func (b *DictBuilder) Len() int { return len(b.entries) }
-
 // Mark returns a rollback point: the current entry count.
 func (b *DictBuilder) Mark() int { return len(b.entries) }
 
@@ -107,12 +104,16 @@ func (b *DictBuilder) Encode(e *Encoder) {
 	}
 }
 
-// Dict is the decoded dictionary of one batch. An entry is a view of
-// the decoder's input until String or Clone first resolves it; each
-// copies the entry out at most once, so every reference in the batch
-// shares that one copy and none pins or aliases the input buffer.
-// Resolving writes the entry, so a Dict is for one goroutine.
+// Dict is the decoded dictionary of one batch, bound to the decoder
+// it was read from: each resolver reads a reference from that decoder
+// and fails it with ErrBadDictRef when the reference is out of range.
+// An entry is a view of the decoder's input until String or Clone
+// first resolves it; each copies the entry out at most once, so every
+// reference in the batch shares that one copy and none pins or
+// aliases the input buffer. Resolving writes the entry, so a Dict is
+// for one goroutine.
 type Dict struct {
+	dec     *Decoder
 	entries []dictEntry
 }
 
@@ -122,73 +123,74 @@ type dictEntry struct {
 	owned []byte // raw copied out by Clone
 }
 
-// DecodeDict reads a dictionary block. The declared count is checked
-// against MaxDictEntries and against the unread input (each entry's
-// length prefix takes at least one byte) before any allocation
-// proportional to it.
-func DecodeDict(d *Decoder) (*Dict, error) {
-	n, err := d.Uint64()
-	if err != nil {
-		return nil, err
-	}
+// DecodeDict reads a dictionary block from d. The declared count is
+// checked against MaxDictEntries and against the unread input (each
+// entry's length prefix takes at least one byte) before any
+// allocation proportional to it.
+func DecodeDict(d *Decoder) *Dict {
+	n := d.Uint64()
 	if n > MaxDictEntries {
-		return nil, ErrDictOverflow
+		d.Fail(ErrDictOverflow)
+	} else if n > uint64(d.Remaining()) {
+		d.Fail(ErrTruncated)
 	}
-	if n > uint64(d.Remaining()) {
-		return nil, ErrTruncated
-	}
-	dict := &Dict{entries: make([]dictEntry, n)}
-	for i := range dict.entries {
-		if dict.entries[i].raw, err = d.Bytes(); err != nil {
-			return nil, err
+	dict := &Dict{dec: d}
+	if d.err == nil {
+		dict.entries = make([]dictEntry, n)
+		for i := range dict.entries {
+			dict.entries[i].raw = d.Bytes()
 		}
 	}
-	return dict, nil
+	return dict
 }
 
-func (d *Dict) entry(ref uint64) (*dictEntry, error) {
+// entry reads a reference and resolves it, nil when the read failed.
+func (d *Dict) entry() *dictEntry {
+	ref := d.dec.Uint64()
 	if ref >= uint64(len(d.entries)) {
-		return nil, ErrBadDictRef
+		d.dec.Fail(ErrBadDictRef)
 	}
-	return &d.entries[ref], nil
+	if d.dec.err != nil {
+		return nil
+	}
+	return &d.entries[ref]
 }
 
-// Bytes resolves a reference. The returned slice aliases the decoder's
+// Bytes reads a reference and resolves it to a view of the decoder's
 // input buffer.
-func (d *Dict) Bytes(ref uint64) ([]byte, error) {
-	e, err := d.entry(ref)
-	if err != nil {
-		return nil, err
+func (d *Dict) Bytes() []byte {
+	if e := d.entry(); e != nil {
+		return e.raw
 	}
-	return e.raw, nil
+	return nil
 }
 
-// String resolves a reference as a string: the entry's one copy, made
-// on its first reference.
-func (d *Dict) String(ref uint64) (string, error) {
-	e, err := d.entry(ref)
-	if err != nil {
-		return "", err
+// String reads a reference and resolves it as a string: the entry's
+// one copy, made on its first reference.
+func (d *Dict) String() string {
+	e := d.entry()
+	if e == nil {
+		return ""
 	}
 	if e.str == "" && len(e.raw) > 0 {
 		e.str = string(e.raw)
 	}
-	return e.str, nil
+	return e.str
 }
 
-// Clone resolves a reference as bytes: the entry's one copy, made on
-// its first reference and shared by every later one, so callers must
-// not write through it. Its capacity equals its length, so an append
-// reallocates rather than growing into shared memory. An empty entry
-// resolves to nil.
-func (d *Dict) Clone(ref uint64) ([]byte, error) {
-	e, err := d.entry(ref)
-	if err != nil {
-		return nil, err
+// Clone reads a reference and resolves it as bytes: the entry's one
+// copy, made on its first reference and shared by every later one, so
+// callers must not write through it. Its capacity equals its length,
+// so an append reallocates rather than growing into shared memory. An
+// empty entry resolves to nil.
+func (d *Dict) Clone() []byte {
+	e := d.entry()
+	if e == nil {
+		return nil
 	}
 	if e.owned == nil && len(e.raw) > 0 {
 		e.owned = make([]byte, len(e.raw))
 		copy(e.owned, e.raw)
 	}
-	return e.owned, nil
+	return e.owned
 }

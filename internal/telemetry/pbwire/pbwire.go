@@ -4,12 +4,16 @@
 // "built with Google Protocol Buffers to minimize reporting overhead").
 // It is a from-scratch, stdlib-only implementation of the wire layer —
 // enough to define and evolve the report schema without code generation.
+//
+// Every reader of the repo's varint formats — v1 reports, trace spans,
+// v2 batches (batch.go) and WAL migration records — reads through one
+// Decoder whose error is sticky: a failed read turns every later read
+// into a zero, so a message decoder is a flat sequence of reads with
+// one Err check at the end, and a nested message's failure is its
+// parent's.
 package pbwire
 
-import (
-	"errors"
-	"math"
-)
+import "errors"
 
 // WireType is a protobuf wire type.
 type WireType uint8
@@ -78,28 +82,7 @@ func (e *Encoder) Int64(field int, v int64) {
 	e.varint(uint64(v<<1) ^ uint64(v>>63))
 }
 
-// Bool writes field as a varint 0/1.
-func (e *Encoder) Bool(field int, v bool) {
-	if !v {
-		return
-	}
-	e.tag(field, TypeVarint)
-	e.varint(1)
-}
-
-// Double writes field as a fixed64 IEEE 754 value.
-func (e *Encoder) Double(field int, v float64) {
-	if v == 0 {
-		return
-	}
-	e.tag(field, TypeFixed64)
-	bits := math.Float64bits(v)
-	e.buf = append(e.buf,
-		byte(bits), byte(bits>>8), byte(bits>>16), byte(bits>>24),
-		byte(bits>>32), byte(bits>>40), byte(bits>>48), byte(bits>>56))
-}
-
-// Bytes writes field as a length-delimited payload.
+// BytesField writes field as a length-delimited payload.
 func (e *Encoder) BytesField(field int, v []byte) {
 	if len(v) == 0 {
 		return
@@ -127,129 +110,120 @@ func (e *Encoder) Message(field int, enc *Encoder) {
 	e.buf = append(e.buf, enc.buf...)
 }
 
-// Decoder iterates the fields of an encoded message.
+// Decoder iterates the fields of an encoded message. Its error is
+// sticky: the first failed read records it, every later read returns
+// the zero value and More turns false, so a caller reads a whole
+// message and checks Err once. A decoder from Message records its
+// failure in its parent too.
 type Decoder struct {
-	buf []byte
-	pos int
+	buf    []byte
+	pos    int
+	err    error
+	parent *Decoder
 }
 
 // NewDecoder wraps an encoded message.
 func NewDecoder(b []byte) *Decoder { return &Decoder{buf: b} }
 
-// Done reports whether the decoder has consumed the whole message.
-func (d *Decoder) Done() bool { return d.pos >= len(d.buf) }
+// Err returns the decoder's first failure, or nil.
+func (d *Decoder) Err() error { return d.err }
 
-// Remaining returns the number of unread bytes.
+// Fail records err as the decoder's failure, and its parents', unless
+// one is already recorded, and leaves nothing to read. It is how a
+// caller's own checks (a count past the input, a dangling reference)
+// fail a message the way a wire error does.
+func (d *Decoder) Fail(err error) {
+	for ; d != nil && d.err == nil; d = d.parent {
+		d.err, d.pos = err, len(d.buf)
+	}
+}
+
+// More reports whether unread bytes remain and no read has failed.
+func (d *Decoder) More() bool { return d.err == nil && d.pos < len(d.buf) }
+
+// Remaining returns the number of unread bytes: zero once a read has
+// failed.
 func (d *Decoder) Remaining() int { return len(d.buf) - d.pos }
 
-func (d *Decoder) readVarint() (uint64, error) {
+// Field reads the next field tag. After Field returns, call the typed
+// reader matching the returned wire type (or Skip).
+func (d *Decoder) Field() (field int, wt WireType) {
+	tag := d.Uint64()
+	return int(tag >> 3), WireType(tag & 7)
+}
+
+// Uint64 reads a varint value.
+func (d *Decoder) Uint64() uint64 {
 	var v uint64
-	var shift uint
-	for {
+	for shift := uint(0); ; shift += 7 {
 		if d.pos >= len(d.buf) {
-			return 0, ErrTruncated
+			d.Fail(ErrTruncated)
+			return 0
 		}
 		b := d.buf[d.pos]
 		d.pos++
 		if shift == 63 && b > 1 {
-			return 0, ErrOverflow
+			d.Fail(ErrOverflow)
+			return 0
 		}
 		v |= uint64(b&0x7f) << shift
 		if b < 0x80 {
-			return v, nil
-		}
-		shift += 7
-		if shift > 63 {
-			return 0, ErrOverflow
+			return v
 		}
 	}
 }
-
-// Field reads the next field tag. After Field returns, call the typed
-// reader matching the returned wire type (or Skip).
-func (d *Decoder) Field() (field int, wt WireType, err error) {
-	tag, err := d.readVarint()
-	if err != nil {
-		return 0, 0, err
-	}
-	return int(tag >> 3), WireType(tag & 7), nil
-}
-
-// Uint64 reads a varint value.
-func (d *Decoder) Uint64() (uint64, error) { return d.readVarint() }
 
 // Int64 reads a zigzag-encoded signed value.
-func (d *Decoder) Int64() (int64, error) {
-	v, err := d.readVarint()
-	if err != nil {
-		return 0, err
-	}
-	return int64(v>>1) ^ -int64(v&1), nil
-}
-
-// Bool reads a varint as a boolean.
-func (d *Decoder) Bool() (bool, error) {
-	v, err := d.readVarint()
-	return v != 0, err
-}
-
-// Double reads a fixed64 IEEE 754 value.
-func (d *Decoder) Double() (float64, error) {
-	if d.pos+8 > len(d.buf) {
-		return 0, ErrTruncated
-	}
-	var bits uint64
-	for i := 0; i < 8; i++ {
-		bits |= uint64(d.buf[d.pos+i]) << (8 * i)
-	}
-	d.pos += 8
-	return math.Float64frombits(bits), nil
+func (d *Decoder) Int64() int64 {
+	v := d.Uint64()
+	return int64(v>>1) ^ -int64(v&1)
 }
 
 // Bytes reads a length-delimited payload. The returned slice aliases
 // the input buffer.
-func (d *Decoder) Bytes() ([]byte, error) {
-	n, err := d.readVarint()
-	if err != nil {
-		return nil, err
+func (d *Decoder) Bytes() []byte {
+	n := d.Uint64()
+	if n > uint64(d.Remaining()) {
+		d.Fail(ErrTruncated)
 	}
-	if uint64(d.pos)+n > uint64(len(d.buf)) {
-		return nil, ErrTruncated
+	if d.err != nil {
+		return nil
 	}
 	out := d.buf[d.pos : d.pos+int(n)]
 	d.pos += int(n)
-	return out, nil
+	return out
 }
 
 // String reads a length-delimited payload as a string.
-func (d *Decoder) String() (string, error) {
-	b, err := d.Bytes()
-	return string(b), err
+func (d *Decoder) String() string { return string(d.Bytes()) }
+
+// Message reads a length-delimited payload as a nested message: a
+// decoder over it whose failures are also d's.
+func (d *Decoder) Message() *Decoder {
+	return &Decoder{buf: d.Bytes(), err: d.err, parent: d}
 }
 
 // Skip discards a field of the given wire type — how decoders tolerate
 // schema evolution (the backend "is designed to handle schema changes").
-func (d *Decoder) Skip(wt WireType) error {
+func (d *Decoder) Skip(wt WireType) {
 	switch wt {
 	case TypeVarint:
-		_, err := d.readVarint()
-		return err
+		d.Uint64()
 	case TypeFixed64:
-		if d.pos+8 > len(d.buf) {
-			return ErrTruncated
-		}
-		d.pos += 8
-		return nil
+		d.fixed(8)
 	case TypeBytes:
-		_, err := d.Bytes()
-		return err
+		d.Bytes()
 	case TypeFixed32:
-		if d.pos+4 > len(d.buf) {
-			return ErrTruncated
-		}
-		d.pos += 4
-		return nil
+		d.fixed(4)
 	default:
-		return ErrBadWireType
+		d.Fail(ErrBadWireType)
+	}
+}
+
+func (d *Decoder) fixed(n int) {
+	if d.Remaining() < n {
+		d.Fail(ErrTruncated)
+	} else {
+		d.pos += n
 	}
 }

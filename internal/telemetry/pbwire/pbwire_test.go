@@ -2,6 +2,8 @@ package pbwire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -14,12 +16,9 @@ func TestVarintRoundTrip(t *testing.T) {
 			return e.Len() == 0 // proto3 zero omission
 		}
 		d := NewDecoder(e.Bytes())
-		f, wt, err := d.Field()
-		if err != nil || f != 1 || wt != TypeVarint {
-			return false
-		}
-		got, err := d.Uint64()
-		return err == nil && got == v && d.Done()
+		f, wt := d.Field()
+		got := d.Uint64()
+		return d.Err() == nil && f == 1 && wt == TypeVarint && got == v && !d.More()
 	}, &quick.Config{MaxCount: 1000})
 	if err != nil {
 		t.Error(err)
@@ -34,11 +33,9 @@ func TestZigzagRoundTrip(t *testing.T) {
 			return e.Len() == 0
 		}
 		d := NewDecoder(e.Bytes())
-		if _, _, err := d.Field(); err != nil {
-			return false
-		}
-		got, err := d.Int64()
-		return err == nil && got == v
+		d.Field()
+		got := d.Int64()
+		return d.Err() == nil && got == v
 	}, &quick.Config{MaxCount: 1000})
 	if err != nil {
 		t.Error(err)
@@ -54,19 +51,25 @@ func TestZigzagSmallNegatives(t *testing.T) {
 	}
 }
 
-func TestDoubleRoundTrip(t *testing.T) {
+// fixed64Field hand-builds a fixed64 field (wire type 1): the encoder
+// writes none, but a newer sender may, so the decoder must skip one.
+func fixed64Field(field int, bits uint64) []byte {
+	return binary.LittleEndian.AppendUint64([]byte{byte(field<<3 | int(TypeFixed64))}, bits)
+}
+
+// TestFixed64Skip skips hand-built fixed64 fields (an IEEE 754 double
+// on the wire) of every bit pattern and lands exactly on the next
+// field.
+func TestFixed64Skip(t *testing.T) {
 	err := quick.Check(func(v float64) bool {
-		var e Encoder
-		e.Double(3, v)
-		if v == 0 {
-			return e.Len() == 0
-		}
-		d := NewDecoder(e.Bytes())
-		if _, _, err := d.Field(); err != nil {
-			return false
-		}
-		got, err := d.Double()
-		return err == nil && (got == v || (got != got && v != v)) // NaN-safe
+		b := fixed64Field(3, math.Float64bits(v))
+		b = append(b, 4<<3, 9) // field 4, varint 9
+		d := NewDecoder(b)
+		f, wt := d.Field()
+		d.Skip(wt)
+		f2, _ := d.Field()
+		got := d.Uint64()
+		return d.Err() == nil && f == 3 && wt == TypeFixed64 && f2 == 4 && got == 9 && !d.More()
 	}, &quick.Config{MaxCount: 1000})
 	if err != nil {
 		t.Error(err)
@@ -78,41 +81,37 @@ func TestStringAndBytes(t *testing.T) {
 	e.String(1, "hello")
 	e.BytesField(2, []byte{0, 1, 2})
 	d := NewDecoder(e.Bytes())
-	f, _, _ := d.Field()
-	if f != 1 {
+	if f, _ := d.Field(); f != 1 {
 		t.Fatalf("field = %d", f)
 	}
-	s, err := d.String()
-	if err != nil || s != "hello" {
-		t.Errorf("string = %q, %v", s, err)
+	if s := d.String(); s != "hello" {
+		t.Errorf("string = %q", s)
 	}
-	f, _, _ = d.Field()
-	if f != 2 {
+	if f, _ := d.Field(); f != 2 {
 		t.Fatalf("field = %d", f)
 	}
-	b, err := d.Bytes()
-	if err != nil || !bytes.Equal(b, []byte{0, 1, 2}) {
-		t.Errorf("bytes = %v, %v", b, err)
+	if b := d.Bytes(); !bytes.Equal(b, []byte{0, 1, 2}) {
+		t.Errorf("bytes = %v", b)
 	}
-	if !d.Done() {
-		t.Error("not done")
+	if d.Err() != nil || d.More() {
+		t.Errorf("not done: err %v, %d bytes left", d.Err(), d.Remaining())
 	}
 }
 
+// TestBoolRoundTrip: a proto bool is a varint 0/1, so true travels as
+// 1 and false, a zero, is omitted.
 func TestBoolRoundTrip(t *testing.T) {
 	var e Encoder
-	e.Bool(4, true)
-	e.Bool(5, false) // omitted
+	e.Uint64(4, 1)
+	e.Uint64(5, 0) // omitted
 	d := NewDecoder(e.Bytes())
-	f, _, _ := d.Field()
-	if f != 4 {
+	if f, _ := d.Field(); f != 4 {
 		t.Fatalf("field = %d", f)
 	}
-	v, err := d.Bool()
-	if err != nil || !v {
-		t.Errorf("bool = %v, %v", v, err)
+	if v := d.Uint64() != 0; !v || d.Err() != nil {
+		t.Errorf("bool = %v, %v", v, d.Err())
 	}
-	if !d.Done() {
+	if d.More() {
 		t.Error("false bool was encoded")
 	}
 }
@@ -126,29 +125,70 @@ func TestNestedMessage(t *testing.T) {
 	outer.Uint64(8, 9)
 
 	d := NewDecoder(outer.Bytes())
-	f, wt, _ := d.Field()
+	f, wt := d.Field()
 	if f != 7 || wt != TypeBytes {
 		t.Fatalf("field = %d wt = %d", f, wt)
 	}
-	nb, err := d.Bytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	nd := NewDecoder(nb)
-	f, _, _ = nd.Field()
-	v, _ := nd.Uint64()
-	if f != 1 || v != 42 {
+	nd := d.Message()
+	f, _ = nd.Field()
+	if v := nd.Uint64(); f != 1 || v != 42 {
 		t.Errorf("nested field 1 = %d", v)
 	}
-	f, _, _ = nd.Field()
-	s, _ := nd.String()
-	if f != 2 || s != "nested" {
+	f, _ = nd.Field()
+	if s := nd.String(); f != 2 || s != "nested" {
 		t.Errorf("nested field 2 = %q", s)
 	}
-	f, _, _ = d.Field()
-	v, _ = d.Uint64()
-	if f != 8 || v != 9 {
+	if nd.More() {
+		t.Error("nested message not fully read")
+	}
+	f, _ = d.Field()
+	if v := d.Uint64(); f != 8 || v != 9 {
 		t.Errorf("outer field 8 = %d", v)
+	}
+	if d.Err() != nil {
+		t.Fatal(d.Err())
+	}
+}
+
+// TestNestedFailureReachesParent: a read that fails inside a nested
+// message fails its parent, which then reads nothing more.
+func TestNestedFailureReachesParent(t *testing.T) {
+	var outer Encoder
+	outer.BytesField(7, []byte{1 << 3}) // nested field 1 with no value
+	outer.Uint64(8, 9)
+	d := NewDecoder(outer.Bytes())
+	d.Field()
+	nd := d.Message()
+	nd.Field()
+	if v := nd.Uint64(); v != 0 || nd.Err() != ErrTruncated {
+		t.Fatalf("nested read = %d, %v; want 0, ErrTruncated", v, nd.Err())
+	}
+	if d.Err() != ErrTruncated || d.More() {
+		t.Fatalf("parent after nested failure: err %v, more %v", d.Err(), d.More())
+	}
+	if f, wt := d.Field(); f != 0 || wt != 0 || d.Uint64() != 0 {
+		t.Error("failed parent still reads fields")
+	}
+	if m := d.Message(); m.More() || m.Err() != ErrTruncated {
+		t.Error("message of a failed parent is readable")
+	}
+}
+
+// TestStickyError: the first failure wins and every later read
+// returns the zero value, whatever bytes remain.
+func TestStickyError(t *testing.T) {
+	d := NewDecoder([]byte{1 << 3, 5, 2 << 3, 6}) // two well-formed fields
+	d.Skip(WireType(3))
+	if d.Err() != ErrBadWireType || d.More() || d.Remaining() != 0 {
+		t.Fatalf("after bad wire type: err %v, more %v, remaining %d", d.Err(), d.More(), d.Remaining())
+	}
+	if v, s, b := d.Uint64(), d.String(), d.Bytes(); v != 0 || s != "" || b != nil {
+		t.Errorf("reads after failure = %d %q %v", v, s, b)
+	}
+	d.Skip(TypeFixed32)
+	d.Fail(ErrOverflow)
+	if d.Err() != ErrBadWireType {
+		t.Errorf("err = %v, want the first failure", d.Err())
 	}
 }
 
@@ -156,13 +196,12 @@ func TestEmptyNestedMessagePreserved(t *testing.T) {
 	var inner, outer Encoder
 	outer.Message(3, &inner)
 	d := NewDecoder(outer.Bytes())
-	f, wt, err := d.Field()
-	if err != nil || f != 3 || wt != TypeBytes {
-		t.Fatalf("empty nested message lost: %d %d %v", f, wt, err)
+	f, wt := d.Field()
+	if d.Err() != nil || f != 3 || wt != TypeBytes {
+		t.Fatalf("empty nested message lost: %d %d %v", f, wt, d.Err())
 	}
-	b, err := d.Bytes()
-	if err != nil || len(b) != 0 {
-		t.Errorf("payload = %v", b)
+	if b := d.Bytes(); d.Err() != nil || len(b) != 0 {
+		t.Errorf("payload = %v, %v", b, d.Err())
 	}
 }
 
@@ -170,28 +209,25 @@ func TestSkipUnknownFields(t *testing.T) {
 	// Schema evolution: a v2 sender adds fields a v1 reader skips.
 	var e Encoder
 	e.Uint64(1, 5)
-	e.Double(99, 3.14)      // unknown fixed64
-	e.String(100, "future") // unknown bytes
-	e.Uint64(101, 7)        // unknown varint
+	e.Append(fixed64Field(99, math.Float64bits(3.14))) // unknown fixed64
+	e.String(100, "future")                            // unknown bytes
+	e.Uint64(101, 7)                                   // unknown varint
 	e.Uint64(2, 6)
 
 	d := NewDecoder(e.Bytes())
 	var got1, got2 uint64
-	for !d.Done() {
-		f, wt, err := d.Field()
-		if err != nil {
-			t.Fatal(err)
-		}
-		switch f {
+	for d.More() {
+		switch f, wt := d.Field(); f {
 		case 1:
-			got1, _ = d.Uint64()
+			got1 = d.Uint64()
 		case 2:
-			got2, _ = d.Uint64()
+			got2 = d.Uint64()
 		default:
-			if err := d.Skip(wt); err != nil {
-				t.Fatal(err)
-			}
+			d.Skip(wt)
 		}
+	}
+	if d.Err() != nil {
+		t.Fatal(d.Err())
 	}
 	if got1 != 5 || got2 != 6 {
 		t.Errorf("known fields = %d, %d", got1, got2)
@@ -202,14 +238,12 @@ func TestSkipFixed32(t *testing.T) {
 	// Hand-build a fixed32 field (tag 1, wiretype 5).
 	raw := []byte{1<<3 | 5, 1, 2, 3, 4}
 	d := NewDecoder(raw)
-	_, wt, err := d.Field()
-	if err != nil {
-		t.Fatal(err)
+	_, wt := d.Field()
+	d.Skip(wt)
+	if d.Err() != nil {
+		t.Fatal(d.Err())
 	}
-	if err := d.Skip(wt); err != nil {
-		t.Fatal(err)
-	}
-	if !d.Done() {
+	if d.More() {
 		t.Error("fixed32 not fully skipped")
 	}
 }
@@ -220,45 +254,45 @@ func TestTruncationErrors(t *testing.T) {
 	full := e.Bytes()
 	for cut := 1; cut < len(full); cut++ {
 		d := NewDecoder(full[:cut])
-		_, _, err := d.Field()
-		if err == nil {
-			_, err = d.String()
+		d.Field()
+		if s := d.String(); d.Err() != ErrTruncated || s != "" {
+			t.Errorf("truncation at %d: %q, %v", cut, s, d.Err())
 		}
-		if err == nil {
-			t.Errorf("truncation at %d not detected", cut)
-		}
+	}
+	// A length that would wrap the read position past the end of the
+	// input is truncation too, not a slice past the buffer.
+	d := NewDecoder([]byte{1<<3 | 2, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
+	d.Field()
+	if b := d.Bytes(); b != nil || d.Err() != ErrTruncated {
+		t.Errorf("length 2^64-1 = %v, %v; want ErrTruncated", b, d.Err())
 	}
 }
 
 func TestVarintOverflow(t *testing.T) {
 	raw := []byte{1 << 3, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}
 	d := NewDecoder(raw)
-	if _, _, err := d.Field(); err != nil {
-		t.Fatal(err)
+	d.Field()
+	if d.Err() != nil {
+		t.Fatal(d.Err())
 	}
-	if _, err := d.Uint64(); err != ErrOverflow {
-		t.Errorf("overflow err = %v", err)
+	if v := d.Uint64(); v != 0 || d.Err() != ErrOverflow {
+		t.Errorf("overflow = %d, %v", v, d.Err())
 	}
 }
 
 func TestBadWireTypeSkip(t *testing.T) {
 	d := NewDecoder(nil)
-	if err := d.Skip(WireType(3)); err != ErrBadWireType {
-		t.Errorf("group wire type err = %v", err)
+	if d.Skip(WireType(3)); d.Err() != ErrBadWireType {
+		t.Errorf("group wire type err = %v", d.Err())
 	}
 }
 
 func TestDecoderFuzzNoPanic(t *testing.T) {
 	err := quick.Check(func(b []byte) bool {
 		d := NewDecoder(b)
-		for i := 0; i < 100 && !d.Done(); i++ {
-			_, wt, err := d.Field()
-			if err != nil {
-				return true
-			}
-			if d.Skip(wt) != nil {
-				return true
-			}
+		for i := 0; i < 100 && d.More(); i++ {
+			_, wt := d.Field()
+			d.Skip(wt)
 		}
 		return true
 	}, &quick.Config{MaxCount: 3000})
@@ -277,9 +311,18 @@ func TestEncoderReset(t *testing.T) {
 	e.Uint64(1, 20)
 	d := NewDecoder(e.Bytes())
 	d.Field()
-	if v, _ := d.Uint64(); v != 20 {
+	if v := d.Uint64(); v != 20 {
 		t.Errorf("after reset = %d", v)
 	}
+}
+
+// benchMessage is a four-field message: a varint, a string, a fixed64
+// and a zigzag varint.
+func benchMessage(e *Encoder, i int) {
+	e.Uint64(1, uint64(i))
+	e.String(2, "ap-serial-Q2XX-1234")
+	e.Append(fixed64Field(3, math.Float64bits(0.42)))
+	e.Int64(4, -55)
 }
 
 func BenchmarkEncodeReport(b *testing.B) {
@@ -287,32 +330,24 @@ func BenchmarkEncodeReport(b *testing.B) {
 	var e Encoder
 	for i := 0; i < b.N; i++ {
 		e.Reset()
-		e.Uint64(1, uint64(i))
-		e.String(2, "ap-serial-Q2XX-1234")
-		e.Double(3, 0.42)
-		e.Int64(4, -55)
+		benchMessage(&e, i)
 	}
 }
 
 func BenchmarkDecodeReport(b *testing.B) {
 	var e Encoder
-	e.Uint64(1, 123456)
-	e.String(2, "ap-serial-Q2XX-1234")
-	e.Double(3, 0.42)
-	e.Int64(4, -55)
+	benchMessage(&e, 123456)
 	raw := e.Bytes()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d := NewDecoder(raw)
-		for !d.Done() {
-			_, wt, err := d.Field()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := d.Skip(wt); err != nil {
-				b.Fatal(err)
-			}
+		for d.More() {
+			_, wt := d.Field()
+			d.Skip(wt)
+		}
+		if d.Err() != nil {
+			b.Fatal(d.Err())
 		}
 	}
 }

@@ -214,412 +214,195 @@ func (c *ClientRecord) encode() *pbwire.Encoder {
 func UnmarshalReport(b []byte) (*Report, error) {
 	r := &Report{}
 	d := pbwire.NewDecoder(b)
-	for !d.Done() {
-		f, wt, err := d.Field()
-		if err != nil {
+	for d.More() {
+		f, wt := d.Field()
+		if err := d.Err(); err != nil {
 			return nil, fmt.Errorf("telemetry: report header: %w", err)
 		}
 		switch f {
 		case fSerial:
-			if r.Serial, err = d.String(); err != nil {
-				return nil, err
-			}
+			r.Serial = d.String()
 		case fMAC:
-			v, err := d.Uint64()
-			if err != nil {
-				return nil, err
-			}
-			r.MAC = dot11.MACFromPacked(v)
+			r.MAC = dot11.MACFromPacked(d.Uint64())
 		case fTime:
-			if r.Timestamp, err = d.Uint64(); err != nil {
-				return nil, err
-			}
+			r.Timestamp = d.Uint64()
 		case fSeq:
-			if r.SeqNo, err = d.Uint64(); err != nil {
-				return nil, err
-			}
+			r.SeqNo = d.Uint64()
 		case fTrace:
-			if r.TraceID, err = d.Uint64(); err != nil {
-				return nil, err
-			}
+			r.TraceID = d.Uint64()
 		case fRadio:
-			nb, err := d.Bytes()
-			if err != nil {
-				return nil, err
-			}
-			rs, err := decodeRadio(nb)
-			if err != nil {
-				return nil, err
-			}
-			r.Radios = append(r.Radios, rs)
+			r.Radios = append(r.Radios, decodeRadio(d.Message()))
 		case fClient:
-			nb, err := d.Bytes()
-			if err != nil {
-				return nil, err
-			}
-			c, err := decodeClient(nb)
-			if err != nil {
-				return nil, err
-			}
-			r.Clients = append(r.Clients, c)
+			r.Clients = append(r.Clients, decodeClient(d.Message()))
 		case fNeigh:
-			nb, err := d.Bytes()
-			if err != nil {
-				return nil, err
-			}
-			n, err := decodeNeighbor(nb)
-			if err != nil {
-				return nil, err
-			}
-			r.Neighbors = append(r.Neighbors, n)
+			r.Neighbors = append(r.Neighbors, decodeNeighbor(d.Message()))
 		case fLink:
-			nb, err := d.Bytes()
-			if err != nil {
-				return nil, err
-			}
-			l, err := decodeLink(nb)
-			if err != nil {
-				return nil, err
-			}
-			r.LinkWindows = append(r.LinkWindows, l)
+			r.LinkWindows = append(r.LinkWindows, decodeLink(d.Message()))
 		case fScan:
-			nb, err := d.Bytes()
-			if err != nil {
-				return nil, err
-			}
-			s, err := decodeScan(nb)
-			if err != nil {
-				return nil, err
-			}
-			r.ScanSamples = append(r.ScanSamples, s)
+			r.ScanSamples = append(r.ScanSamples, decodeScan(d.Message()))
 		case fCrash:
-			nb, err := d.Bytes()
-			if err != nil {
-				return nil, err
-			}
-			c, err := decodeCrash(nb)
-			if err != nil {
-				return nil, err
-			}
-			r.Crashes = append(r.Crashes, c)
+			r.Crashes = append(r.Crashes, decodeCrash(d.Message()))
 		default:
-			if err := d.Skip(wt); err != nil {
-				return nil, err
-			}
+			d.Skip(wt)
 		}
+	}
+	if err := d.Err(); err != nil {
+		return nil, err
 	}
 	return r, nil
 }
 
-func decodeRadio(b []byte) (RadioStats, error) {
-	var rs RadioStats
-	d := pbwire.NewDecoder(b)
-	for !d.Done() {
-		f, wt, err := d.Field()
-		if err != nil {
-			return rs, err
-		}
-		var v uint64
-		switch f {
-		case 1, 2, 3, 4, 5, 6, 7:
-			if v, err = d.Uint64(); err != nil {
-				return rs, err
-			}
-		default:
-			if err := d.Skip(wt); err != nil {
-				return rs, err
-			}
-			continue
-		}
-		switch f {
+// The record decoders read one nested message each; a failure is
+// recorded in the report's decoder, which UnmarshalReport checks.
+
+func decodeRadio(d *pbwire.Decoder) (rs RadioStats) {
+	for d.More() {
+		switch f, wt := d.Field(); f {
 		case 1:
-			rs.Band = dot11.Band(v)
+			rs.Band = dot11.Band(d.Uint64())
 		case 2:
-			rs.Channel = int(v)
+			rs.Channel = int(d.Uint64())
 		case 3:
-			rs.WidthMHz = int(v)
+			rs.WidthMHz = int(d.Uint64())
 		case 4:
-			rs.CycleUS = v
+			rs.CycleUS = d.Uint64()
 		case 5:
-			rs.RxClearUS = v
+			rs.RxClearUS = d.Uint64()
 		case 6:
-			rs.Rx11US = v
+			rs.Rx11US = d.Uint64()
 		case 7:
-			rs.TxUS = v
+			rs.TxUS = d.Uint64()
+		default:
+			d.Skip(wt)
 		}
 	}
-	return rs, nil
+	return rs
 }
 
-func decodeClient(b []byte) (ClientRecord, error) {
-	var c ClientRecord
-	d := pbwire.NewDecoder(b)
-	for !d.Done() {
-		f, wt, err := d.Field()
-		if err != nil {
-			return c, err
-		}
-		switch f {
+func decodeClient(d *pbwire.Decoder) (c ClientRecord) {
+	for d.More() {
+		switch f, wt := d.Field(); f {
 		case 1:
-			v, err := d.Uint64()
-			if err != nil {
-				return c, err
-			}
-			c.MAC = dot11.MACFromPacked(v)
+			c.MAC = dot11.MACFromPacked(d.Uint64())
 		case 2:
-			v, err := d.Uint64()
-			if err != nil {
-				return c, err
-			}
-			c.Band = dot11.Band(v)
+			c.Band = dot11.Band(d.Uint64())
 		case 3:
-			v, err := d.Int64()
-			if err != nil {
-				return c, err
-			}
-			c.RSSIdB = int32(v)
+			c.RSSIdB = int32(d.Int64())
 		case 4:
-			nb, err := d.Bytes()
-			if err != nil {
-				return c, err
-			}
 			// A blob of the wrong length is ignored: the client advertises
 			// nothing, in the normalized form every decoded value has.
 			c.Caps = dot11.Capabilities{}.Normalize()
-			if len(nb) == 2 {
+			if nb := d.Bytes(); len(nb) == 2 {
 				c.Caps = dot11.UnmarshalCapabilities([2]byte{nb[0], nb[1]})
 			}
 		case 5:
-			s, err := d.String()
-			if err != nil {
-				return c, err
-			}
-			c.UserAgents = append(c.UserAgents, s)
+			c.UserAgents = append(c.UserAgents, d.String())
 		case 6:
-			nb, err := d.Bytes()
-			if err != nil {
-				return c, err
-			}
-			fp := make([]byte, len(nb))
-			copy(fp, nb)
-			c.DHCPFingerprints = append(c.DHCPFingerprints, fp)
+			fp := d.Bytes()
+			c.DHCPFingerprints = append(c.DHCPFingerprints, append(make([]byte, 0, len(fp)), fp...))
 		case 7:
-			nb, err := d.Bytes()
-			if err != nil {
-				return c, err
-			}
-			a, err := decodeAppUsage(nb)
-			if err != nil {
-				return c, err
-			}
-			c.Apps = append(c.Apps, a)
+			c.Apps = append(c.Apps, decodeAppUsage(d.Message()))
 		default:
-			if err := d.Skip(wt); err != nil {
-				return c, err
-			}
+			d.Skip(wt)
 		}
 	}
-	return c, nil
+	return c
 }
 
-func decodeAppUsage(b []byte) (AppUsageRecord, error) {
-	var a AppUsageRecord
-	d := pbwire.NewDecoder(b)
-	for !d.Done() {
-		f, wt, err := d.Field()
-		if err != nil {
-			return a, err
-		}
-		switch f {
+func decodeAppUsage(d *pbwire.Decoder) (a AppUsageRecord) {
+	for d.More() {
+		switch f, wt := d.Field(); f {
 		case 1:
-			if a.App, err = d.String(); err != nil {
-				return a, err
-			}
+			a.App = d.String()
 		case 2:
-			if a.UpBytes, err = d.Uint64(); err != nil {
-				return a, err
-			}
+			a.UpBytes = d.Uint64()
 		case 3:
-			if a.DownBytes, err = d.Uint64(); err != nil {
-				return a, err
-			}
+			a.DownBytes = d.Uint64()
 		case 4:
-			v, err := d.Uint64()
-			if err != nil {
-				return a, err
-			}
-			a.Flows = uint32(v)
+			a.Flows = uint32(d.Uint64())
 		default:
-			if err := d.Skip(wt); err != nil {
-				return a, err
-			}
+			d.Skip(wt)
 		}
 	}
-	return a, nil
+	return a
 }
 
-func decodeNeighbor(b []byte) (NeighborRecord, error) {
-	var n NeighborRecord
-	d := pbwire.NewDecoder(b)
-	for !d.Done() {
-		f, wt, err := d.Field()
-		if err != nil {
-			return n, err
-		}
-		switch f {
+func decodeNeighbor(d *pbwire.Decoder) (n NeighborRecord) {
+	for d.More() {
+		switch f, wt := d.Field(); f {
 		case 1:
-			v, err := d.Uint64()
-			if err != nil {
-				return n, err
-			}
-			n.BSSID = dot11.MACFromPacked(v)
+			n.BSSID = dot11.MACFromPacked(d.Uint64())
 		case 2:
-			if n.SSID, err = d.String(); err != nil {
-				return n, err
-			}
+			n.SSID = d.String()
 		case 3:
-			v, err := d.Uint64()
-			if err != nil {
-				return n, err
-			}
-			n.Band = dot11.Band(v)
+			n.Band = dot11.Band(d.Uint64())
 		case 4:
-			v, err := d.Uint64()
-			if err != nil {
-				return n, err
-			}
-			n.Channel = int(v)
+			n.Channel = int(d.Uint64())
 		case 5:
-			v, err := d.Int64()
-			if err != nil {
-				return n, err
-			}
-			n.RSSIdB = int32(v)
+			n.RSSIdB = int32(d.Int64())
 		case 6:
-			if n.Vendor, err = d.String(); err != nil {
-				return n, err
-			}
+			n.Vendor = d.String()
 		default:
-			if err := d.Skip(wt); err != nil {
-				return n, err
-			}
+			d.Skip(wt)
 		}
 	}
-	return n, nil
+	return n
 }
 
-func decodeLink(b []byte) (LinkWindow, error) {
-	var l LinkWindow
-	d := pbwire.NewDecoder(b)
-	for !d.Done() {
-		f, wt, err := d.Field()
-		if err != nil {
-			return l, err
-		}
-		var v uint64
-		switch f {
-		case 1, 2, 3, 4:
-			if v, err = d.Uint64(); err != nil {
-				return l, err
-			}
-		default:
-			if err := d.Skip(wt); err != nil {
-				return l, err
-			}
-			continue
-		}
-		switch f {
+func decodeLink(d *pbwire.Decoder) (l LinkWindow) {
+	for d.More() {
+		switch f, wt := d.Field(); f {
 		case 1:
-			l.Peer = dot11.MACFromPacked(v)
+			l.Peer = dot11.MACFromPacked(d.Uint64())
 		case 2:
-			l.Band = dot11.Band(v)
+			l.Band = dot11.Band(d.Uint64())
 		case 3:
-			l.Sent = uint32(v)
+			l.Sent = uint32(d.Uint64())
 		case 4:
-			l.Delivered = uint32(v)
+			l.Delivered = uint32(d.Uint64())
+		default:
+			d.Skip(wt)
 		}
 	}
-	return l, nil
+	return l
 }
 
-func decodeScan(b []byte) (ScanSample, error) {
-	var s ScanSample
-	d := pbwire.NewDecoder(b)
-	for !d.Done() {
-		f, wt, err := d.Field()
-		if err != nil {
-			return s, err
-		}
-		var v uint64
-		switch f {
-		case 1, 2, 3, 4:
-			if v, err = d.Uint64(); err != nil {
-				return s, err
-			}
-		default:
-			if err := d.Skip(wt); err != nil {
-				return s, err
-			}
-			continue
-		}
-		switch f {
+func decodeScan(d *pbwire.Decoder) (s ScanSample) {
+	for d.More() {
+		switch f, wt := d.Field(); f {
 		case 1:
-			s.Band = dot11.Band(v)
+			s.Band = dot11.Band(d.Uint64())
 		case 2:
-			s.Channel = int(v)
+			s.Channel = int(d.Uint64())
 		case 3:
-			s.BusyPermille = uint32(v)
+			s.BusyPermille = uint32(d.Uint64())
 		case 4:
-			s.DecodablePermille = uint32(v)
+			s.DecodablePermille = uint32(d.Uint64())
+		default:
+			d.Skip(wt)
 		}
 	}
-	return s, nil
+	return s
 }
 
-func decodeCrash(b []byte) (CrashRecord, error) {
-	var c CrashRecord
-	d := pbwire.NewDecoder(b)
-	for !d.Done() {
-		f, wt, err := d.Field()
-		if err != nil {
-			return c, err
-		}
-		switch f {
+func decodeCrash(d *pbwire.Decoder) (c CrashRecord) {
+	for d.More() {
+		switch f, wt := d.Field(); f {
 		case 1:
-			if c.Timestamp, err = d.Uint64(); err != nil {
-				return c, err
-			}
+			c.Timestamp = d.Uint64()
 		case 2:
-			v, err := d.Uint64()
-			if err != nil {
-				return c, err
-			}
-			c.Kind = uint8(v)
+			c.Kind = uint8(d.Uint64())
 		case 3:
-			if c.Firmware, err = d.String(); err != nil {
-				return c, err
-			}
+			c.Firmware = d.String()
 		case 4:
-			if c.PC, err = d.Uint64(); err != nil {
-				return c, err
-			}
+			c.PC = d.Uint64()
 		case 5:
-			v, err := d.Uint64()
-			if err != nil {
-				return c, err
-			}
-			c.FreeKB = uint32(v)
+			c.FreeKB = uint32(d.Uint64())
 		case 6:
-			v, err := d.Uint64()
-			if err != nil {
-				return c, err
-			}
-			c.NeighborCount = uint32(v)
+			c.NeighborCount = uint32(d.Uint64())
 		default:
-			if err := d.Skip(wt); err != nil {
-				return c, err
-			}
+			d.Skip(wt)
 		}
 	}
-	return c, nil
+	return c
 }

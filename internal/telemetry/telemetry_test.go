@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"wlanscale/internal/dot11"
+	"wlanscale/internal/telemetry/pbwire"
 )
 
 var testKey = bytes.Repeat([]byte{0x42}, 32)
@@ -662,5 +663,64 @@ func TestHarvestHealthClassification(t *testing.T) {
 	}
 	if s.String() == "" {
 		t.Error("empty health string")
+	}
+}
+
+// TestHarvestHealthClassifiesDecodeErrors pins Observe's classification
+// to the errors the real decoders return: a poll over a pipe whose
+// fake agent answers with a bad frame counts one corrupt frame and
+// acks nothing.
+func TestHarvestHealthClassifiesDecodeErrors(t *testing.T) {
+	report := sampleReport().Marshal()
+	spans := EncodeMessage(&Message{Type: frameReports, Spans: sampleSpans()[:1]})
+	// Shorten the one span entry and its length prefix by a byte.
+	spans = spans[:len(spans)-1]
+	at := len(spans) - len(encodeSpan(sampleSpans()[0])) - 3
+	binary.BigEndian.PutUint32(spans[at:], binary.BigEndian.Uint32(spans[at:])-1)
+	for _, tc := range []struct {
+		name  string
+		wire  byte
+		frame []byte
+		want  error
+	}{
+		{"truncated v1 report", WireV1, EncodeMessage(&Message{Type: frameReports, Reports: [][]byte{report[:len(report)-1]}}), pbwire.ErrTruncated},
+		{"truncated span entry", WireV1, spans, pbwire.ErrTruncated},
+		// One report whose serial references entry 5 of an empty
+		// dictionary, padded to the smallest report body.
+		{"dangling dictionary reference", WireV2, []byte{frameBatch, WireV2, 0, 0, 0, 1, 5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, pbwire.ErrBadDictRef},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c1, c2 := net.Pipe()
+			acked := make(chan bool, 1)
+			go func() {
+				defer c1.Close()
+				tun, err := NewTunnel(c1, testKey)
+				if err != nil {
+					acked <- false
+					return
+				}
+				tun.WriteFrame(EncodeMessage(&Message{Type: frameHelloV2, Wire: tc.wire, Serial: "Q2HC-0001"}))
+				tun.ReadFrame() // the poll
+				tun.WriteFrame(tc.frame)
+				raw, err := tun.ReadFrame()
+				acked <- err == nil && raw[0] == frameAck
+			}()
+			p, err := AcceptPoller(c2, testKey)
+			if err != nil {
+				t.Fatalf("AcceptPoller: %v", err)
+			}
+			p.Health = &HarvestHealth{}
+			p.NegotiateWire(tc.wire)
+			if got, err := p.Poll(16); !errors.Is(err, tc.want) {
+				t.Fatalf("Poll = %d reports, %v; want %v", len(got), err, tc.want)
+			}
+			p.Close()
+			if <-acked {
+				t.Error("the bad frame was acked")
+			}
+			if s := p.Health.Snapshot(); s.CorruptFrames != 1 {
+				t.Errorf("health = %+v, want one corrupt frame", s)
+			}
+		})
 	}
 }

@@ -37,70 +37,35 @@ func encodeSpan(ev trace.Event) []byte {
 	return e.Bytes()
 }
 
-func decodeSpan(b []byte) (trace.Event, error) {
-	var ev trace.Event
-	d := pbwire.NewDecoder(b)
-	for !d.Done() {
-		f, wt, err := d.Field()
-		if err != nil {
-			return ev, err
-		}
-		switch f {
+// decodeSpan reads one span record; a failure is recorded in d.
+func decodeSpan(d *pbwire.Decoder) (ev trace.Event) {
+	for d.More() {
+		switch f, wt := d.Field(); f {
 		case fSpanTrace:
-			v, err := d.Uint64()
-			if err != nil {
-				return ev, err
-			}
-			ev.Trace = trace.ID(v)
+			ev.Trace = trace.ID(d.Uint64())
 		case fSpanSpan:
-			v, err := d.Uint64()
-			if err != nil {
-				return ev, err
-			}
-			ev.Span = uint32(v)
+			ev.Span = uint32(d.Uint64())
 		case fSpanParent:
-			v, err := d.Uint64()
-			if err != nil {
-				return ev, err
-			}
-			ev.Parent = uint32(v)
+			ev.Parent = uint32(d.Uint64())
 		case fSpanSerial:
-			if ev.Serial, err = d.String(); err != nil {
-				return ev, err
-			}
+			ev.Serial = d.String()
 		case fSpanSeq:
-			if ev.Seq, err = d.Uint64(); err != nil {
-				return ev, err
-			}
+			ev.Seq = d.Uint64()
 		case fSpanStartUS:
-			if ev.StartUS, err = d.Int64(); err != nil {
-				return ev, err
-			}
+			ev.StartUS = d.Int64()
 		case fSpanDurUS:
-			if ev.DurUS, err = d.Int64(); err != nil {
-				return ev, err
-			}
+			ev.DurUS = d.Int64()
 		case fSpanRetries:
-			v, err := d.Uint64()
-			if err != nil {
-				return ev, err
-			}
-			ev.Retries = int(v)
+			ev.Retries = int(d.Uint64())
 		case fSpanFault:
-			if ev.Fault, err = d.String(); err != nil {
-				return ev, err
-			}
+			ev.Fault = d.String()
 		case fSpanErr:
-			if ev.Err, err = d.String(); err != nil {
-				return ev, err
-			}
+			ev.Err = d.String()
 		default:
-			if err := d.Skip(wt); err != nil {
-				return ev, err
-			}
+			d.Skip(wt)
 		}
 	}
 	// The stage name travels implicitly as the span ID.
 	ev.Stage = trace.Stage(ev.Span).String()
-	return ev, nil
+	return ev
 }

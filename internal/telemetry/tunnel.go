@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"wlanscale/internal/obs/trace"
+	"wlanscale/internal/telemetry/pbwire"
 )
 
 // Tunnel framing errors.
@@ -298,8 +299,9 @@ func DecodeMessage(b []byte) (*Message, error) {
 				return nil, io.ErrUnexpectedEOF
 			}
 			if inSpans {
-				sp, err := decodeSpan(rest[:n])
-				if err != nil {
+				d := pbwire.NewDecoder(rest[:n])
+				sp := decodeSpan(d)
+				if err := d.Err(); err != nil {
 					return nil, err
 				}
 				m.Spans = append(m.Spans, sp)
