@@ -5,9 +5,11 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"wlanscale/internal/obs"
 	"wlanscale/internal/telemetry"
@@ -46,11 +48,14 @@ type RecoveryStats struct {
 	// decoding (should be zero; nonzero means a writer bug, not disk
 	// damage).
 	BadRecords int
+	// Elapsed is the whole recovery's wall time: checkpoint load, torn
+	// tail repair and WAL replay.
+	Elapsed time.Duration
 }
 
 func (r RecoveryStats) String() string {
-	return fmt.Sprintf("checkpoint_lsn=%d fallbacks=%d replayed=%d skipped=%d torn_bytes=%d bad_records=%d",
-		r.CheckpointLSN, r.Fallbacks, r.Replayed, r.Skipped, r.TornBytes, r.BadRecords)
+	return fmt.Sprintf("checkpoint_lsn=%d fallbacks=%d replayed=%d skipped=%d torn_bytes=%d bad_records=%d elapsed_ms=%d",
+		r.CheckpointLSN, r.Fallbacks, r.Replayed, r.Skipped, r.TornBytes, r.BadRecords, r.Elapsed.Milliseconds())
 }
 
 // DurableStore is a Store whose ingests survive process death: every
@@ -84,6 +89,7 @@ type DurableStore struct {
 	mu       sync.Mutex // serializes Checkpoint; guards ckptLSN
 	ckptLSN  wal.LSN
 	degraded atomic.Bool
+	recovery time.Duration // RecoveryStats.Elapsed, for wal.recovery_ms
 
 	ckptDur          *obs.Histogram
 	ckpts, ckptFails *obs.Counter
@@ -136,8 +142,10 @@ func listCheckpoints(dir string) ([]wal.LSN, error) {
 // running first. A corrupt newest checkpoint falls back one
 // generation — the WAL is only ever truncated below the oldest kept
 // checkpoint, so the fallback generation still has every record it
-// needs ahead of it.
+// needs ahead of it. Replay decodes records ahead on every core and
+// applies them in LSN order on one goroutine (see replay).
 func OpenDurable(dir string, o DurableOptions) (*DurableStore, RecoveryStats, error) {
+	start := time.Now()
 	var stats RecoveryStats
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, stats, err
@@ -180,40 +188,7 @@ func OpenDurable(dir string, o DurableOptions) (*DurableStore, RecoveryStats, er
 		return nil, stats, err
 	}
 	d.log = wlog
-	rstats, err := wlog.Replay(d.ckptLSN, func(_ wal.LSN, payload []byte) error {
-		// Three record shapes share the log: a v1 per-report record is
-		// one pbwire-encoded report, a v2 record is a whole batch
-		// payload (IngestBatchFrame), and a migration record carries a
-		// rebalance operation (migrate.go). The leading byte
-		// discriminates — a batch opens with its version byte (2),
-		// migration records claim 0x03–0x06, and a pbwire tag is always
-		// field<<3|type with field >= 1, so a report record can never
-		// start below 0x08.
-		if isMigrationRecord(payload) {
-			if err := d.replayMigration(payload); err != nil {
-				stats.BadRecords++
-			}
-			return nil
-		}
-		if len(payload) > 0 && payload[0] == telemetry.WireV2 {
-			f, err := telemetry.DecodeBatchFrame(payload)
-			if err != nil {
-				stats.BadRecords++
-				return nil
-			}
-			for _, r := range f.Reports {
-				d.Store.Ingest(r)
-			}
-			return nil
-		}
-		r, err := telemetry.UnmarshalReport(payload)
-		if err != nil {
-			stats.BadRecords++
-			return nil
-		}
-		d.Store.Ingest(r)
-		return nil
-	})
+	rstats, err := d.replay(&stats)
 	if err != nil {
 		wlog.Close()
 		return nil, stats, err
@@ -221,7 +196,107 @@ func OpenDurable(dir string, o DurableOptions) (*DurableStore, RecoveryStats, er
 	stats.Replayed = rstats.Records
 	stats.Skipped = rstats.Skipped
 	stats.TornBytes = rstats.TornBytes + wlog.TornAtOpen()
+	stats.Elapsed = time.Since(start)
+	d.recovery = stats.Elapsed
 	return d, stats, nil
+}
+
+// replayRecord is one WAL record decoded ahead of the apply step: the
+// reports to ingest, a migration step to apply, or neither when the
+// payload did not decode.
+type replayRecord struct {
+	reports []*telemetry.Report
+	mig     *migration
+	bad     bool
+}
+
+// decodeRecord decodes one WAL payload without touching the store, so
+// any number may run at once. Three record shapes share the log: a v1
+// per-report record is one pbwire-encoded report, a v2 record is a
+// whole batch payload (IngestBatchFrame), and a migration record
+// carries a rebalance operation (durable_migrate.go). The leading byte
+// discriminates — a batch opens with its version byte (2), migration
+// records claim 0x03–0x06, and a pbwire tag is always field<<3|type
+// with field >= 1, so a report record can never start below 0x08.
+func decodeRecord(payload []byte) replayRecord {
+	switch {
+	case isMigrationRecord(payload):
+		m, err := decodeMigrationRecord(payload)
+		if err != nil {
+			return replayRecord{bad: true}
+		}
+		return replayRecord{mig: &m}
+	case len(payload) > 0 && payload[0] == telemetry.WireV2:
+		f, err := telemetry.DecodeBatchFrame(payload)
+		if err != nil {
+			return replayRecord{bad: true}
+		}
+		return replayRecord{reports: f.Reports}
+	}
+	r, err := telemetry.UnmarshalReport(payload)
+	if err != nil {
+		return replayRecord{bad: true}
+	}
+	return replayRecord{reports: []*telemetry.Report{r}}
+}
+
+// replay re-applies the WAL above the checkpoint through an ordered
+// pipeline. The caller's goroutine reads and CRC-checks records in LSN
+// order (wal.Replay); GOMAXPROCS workers decode them, since decoding is
+// pure; one apply goroutine takes each record's decode in LSN order and
+// applies it. Applying stays serial because a migration record is a
+// barrier — an absorb or drop acts on every ingest before it, and the
+// ingests after it build on its result. At most 4×GOMAXPROCS records
+// wait decoded or decoding ahead of the apply step, which bounds a
+// recovering daemon's memory whatever the log's length. On a read
+// error every goroutine finishes its in-flight records and exits
+// before replay returns.
+func (d *DurableStore) replay(stats *RecoveryStats) (wal.ReplayStats, error) {
+	type job struct {
+		payload []byte
+		out     chan replayRecord
+	}
+	workers := runtime.GOMAXPROCS(0)
+	jobs := make(chan job, 4*workers)
+	order := make(chan chan replayRecord, 4*workers)
+	var wg sync.WaitGroup
+	wg.Add(workers + 1)
+	for range workers {
+		go func() {
+			defer wg.Done()
+			for j := range jobs {
+				j.out <- decodeRecord(j.payload)
+			}
+		}()
+	}
+	go func() {
+		defer wg.Done()
+		for out := range order {
+			rec := <-out
+			switch {
+			case rec.bad:
+				stats.BadRecords++
+			case rec.mig != nil:
+				if err := d.applyMigration(*rec.mig); err != nil {
+					stats.BadRecords++
+				}
+			default:
+				for _, r := range rec.reports {
+					d.Store.Ingest(r)
+				}
+			}
+		}
+	}()
+	rstats, err := d.log.Replay(d.ckptLSN, func(_ wal.LSN, payload []byte) error {
+		out := make(chan replayRecord, 1)
+		order <- out
+		jobs <- job{payload, out}
+		return nil
+	})
+	close(jobs)
+	close(order)
+	wg.Wait()
+	return rstats, err
 }
 
 // WAL exposes the underlying log (metrics registration, tests).
@@ -350,7 +425,8 @@ func (d *DurableStore) Checkpoint() error {
 
 // EnableDurableObs registers the durability metrics on reg —
 // checkpoint.duration_us, checkpoint.count, checkpoint.failures,
-// checkpoint.lsn, wal.write_failures, wal.degraded — alongside the
+// checkpoint.lsn, wal.write_failures, wal.degraded, and
+// wal.recovery_ms (how long OpenDurable took) — alongside the
 // WAL's own wal.* metrics and the store's store.* set.
 func (d *DurableStore) EnableDurableObs(reg *obs.Registry) {
 	if reg == nil {
@@ -363,6 +439,7 @@ func (d *DurableStore) EnableDurableObs(reg *obs.Registry) {
 	d.ckptFails = reg.Counter("checkpoint.failures")
 	d.walFails = reg.Counter("wal.write_failures")
 	reg.RegisterFunc("checkpoint.lsn", func() int64 { return int64(d.CheckpointLSN()) })
+	reg.RegisterFunc("wal.recovery_ms", func() int64 { return d.recovery.Milliseconds() })
 	reg.RegisterFunc("wal.degraded", func() int64 {
 		if d.Degraded() {
 			return 1

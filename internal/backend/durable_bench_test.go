@@ -92,3 +92,73 @@ func BenchmarkDurableIngest(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkDurableReplay times recovery: OpenDurable over a WAL built
+// once, off the clock, with no checkpoint, so every record replays.
+// The v1 arm logs one record per report; the v2 arm logs one record
+// per 64-report batch. Both hold the same 2,048 reports (16 APs ×
+// consecutive benchReports). ns/record is the wall time of one replay
+// divided by its record count.
+func BenchmarkDurableReplay(b *testing.B) {
+	const aps, perAP, batch = 16, 128, 64
+	reports := make([]*telemetry.Report, 0, aps*perAP)
+	for seq := uint64(1); seq <= perAP; seq++ {
+		for ap := 0; ap < aps; ap++ {
+			reports = append(reports, benchReport(ap, seq))
+		}
+	}
+	opts := DurableOptions{WAL: wal.Options{Policy: wal.PolicyOff}}
+	for _, arm := range []struct {
+		name    string
+		records int
+		write   func(*DurableStore) error
+	}{
+		{"v1", len(reports), func(d *DurableStore) error {
+			for i := 0; i < len(reports); i += benchBatchSize {
+				if err := d.IngestBatch(reports[i:i+benchBatchSize], nil); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+		{"v2", len(reports) / batch, func(d *DurableStore) error {
+			for i := 0; i < len(reports); i += batch {
+				be := telemetry.NewBatchEncoder(0)
+				for _, r := range reports[i : i+batch] {
+					be.Add(r)
+				}
+				if err := d.IngestBatchFrame(reports[i:i+batch], be.Finish(0, 0, nil)); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			dir := b.TempDir()
+			d, _, err := OpenDurable(dir, opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := arm.write(d); err != nil {
+				b.Fatal(err)
+			}
+			if err := d.Close(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				d, stats, err := OpenDurable(dir, opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if stats.Replayed != arm.records || stats.BadRecords != 0 {
+					b.Fatalf("recovery stats = %+v, want %d records replayed", stats, arm.records)
+				}
+				d.Close()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*arm.records), "ns/record")
+		})
+	}
+}

@@ -47,26 +47,36 @@ func encodeMigrationRecord(kind byte, token string, ids []uint64, payload []byte
 	return append(buf, payload...)
 }
 
-func decodeMigrationRecord(b []byte) (kind byte, token string, ids []uint64, payload []byte, err error) {
+// migration is one decoded migration record.
+type migration struct {
+	kind  byte
+	token string
+	ids   []uint64
+	slice []byte // the operation payload: the gob slice for absorb, empty otherwise
+}
+
+func decodeMigrationRecord(b []byte) (migration, error) {
 	if len(b) == 0 {
-		return 0, "", nil, nil, errShortMigration(b)
+		return migration{}, errShortMigration(b)
 	}
+	m := migration{kind: b[0]}
 	d := pbwire.NewDecoder(b[1:])
-	token = d.String()
+	m.token = d.String()
 	// Each ID takes at least one byte, so a count the rest of the
 	// record cannot hold is truncation, not an allocation.
 	if n := d.Uint64(); n > uint64(d.Remaining()) {
 		d.Fail(pbwire.ErrTruncated)
 	} else {
-		ids = make([]uint64, n)
-		for i := range ids {
-			ids[i] = d.Uint64()
+		m.ids = make([]uint64, n)
+		for i := range m.ids {
+			m.ids[i] = d.Uint64()
 		}
 	}
 	if d.Err() != nil {
-		return 0, "", nil, nil, errShortMigration(b)
+		return migration{}, errShortMigration(b)
 	}
-	return b[0], token, ids, b[len(b)-d.Remaining():], nil
+	m.slice = b[len(b)-d.Remaining():]
+	return m, nil
 }
 
 func errShortMigration(b []byte) error {
@@ -127,24 +137,20 @@ func (d *DurableStore) UnpartNetworks(ids []uint64) error {
 	return d.logged(recUnpart, "", ids, nil, func() { d.Store.Unpart(ids) })
 }
 
-// replayMigration re-applies one migration record during recovery.
+// applyMigration re-applies one migration record during recovery.
 // Absorb's token dedup and Part/Unpart/Drop's natural idempotence make
 // replay safe whether or not the checkpoint already covers the record.
-func (d *DurableStore) replayMigration(payload []byte) error {
-	kind, token, ids, rest, err := decodeMigrationRecord(payload)
-	if err != nil {
-		return err
-	}
-	switch kind {
+func (d *DurableStore) applyMigration(m migration) error {
+	switch m.kind {
 	case recAbsorb:
-		_, err := d.Store.Absorb(token, ids, bytes.NewReader(rest), NetworkOfSerial)
+		_, err := d.Store.Absorb(m.token, m.ids, bytes.NewReader(m.slice), NetworkOfSerial)
 		return err
 	case recDrop:
-		d.Store.Drop(token, ids, NetworkOfSerial)
+		d.Store.Drop(m.token, m.ids, NetworkOfSerial)
 	case recPart:
-		d.Store.Part(ids)
+		d.Store.Part(m.ids)
 	case recUnpart:
-		d.Store.Unpart(ids)
+		d.Store.Unpart(m.ids)
 	}
 	return nil
 }

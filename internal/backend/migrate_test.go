@@ -311,15 +311,15 @@ func TestMigrationRecordRoundTrip(t *testing.T) {
 	if !isMigrationRecord(rec) {
 		t.Fatal("isMigrationRecord = false")
 	}
-	kind, tok, ids, rest, err := decodeMigrationRecord(rec)
+	m, err := decodeMigrationRecord(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kind != recAbsorb || tok != "epoch3-2to3.s0d2" || !reflect.DeepEqual(ids, []uint64{1, 200, 1 << 40}) || !bytes.Equal(rest, payload) {
-		t.Fatalf("round trip = %d %q %v %q", kind, tok, ids, rest)
+	if m.kind != recAbsorb || m.token != "epoch3-2to3.s0d2" || !reflect.DeepEqual(m.ids, []uint64{1, 200, 1 << 40}) || !bytes.Equal(m.slice, payload) {
+		t.Fatalf("round trip = %d %q %v %q", m.kind, m.token, m.ids, m.slice)
 	}
 	for cut := 1; cut < len(rec)-len(payload); cut++ {
-		if _, _, _, _, err := decodeMigrationRecord(rec[:cut]); err == nil && cut < len(rec)-len(payload) {
+		if _, err := decodeMigrationRecord(rec[:cut]); err == nil && cut < len(rec)-len(payload) {
 			// Truncations inside the header must error; truncating the
 			// payload region alone is legal (payload length is implicit).
 			t.Fatalf("truncated record at %d decoded without error", cut)
@@ -329,8 +329,8 @@ func TestMigrationRecordRoundTrip(t *testing.T) {
 	// size: it must not reach make (2^60 panics, 2^33 asks 64 GiB).
 	for _, count := range []uint64{1 << 60, 1 << 33, 1} {
 		rec := binary.AppendUvarint([]byte{recPart, 0}, count)
-		if _, _, ids, _, err := decodeMigrationRecord(rec); err == nil {
-			t.Fatalf("count %d with no IDs decoded to %d IDs", count, len(ids))
+		if m, err := decodeMigrationRecord(rec); err == nil {
+			t.Fatalf("count %d with no IDs decoded to %d IDs", count, len(m.ids))
 		}
 	}
 }

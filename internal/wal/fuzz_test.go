@@ -48,6 +48,12 @@ func FuzzWALReplay(f *testing.F) {
 	huge := validSegment(1)
 	huge = append(huge, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0)
 	f.Add(huge)
+	// A length claim just under maxRecord on a short tail: a tear that
+	// must be classified without allocating the claim.
+	claim := validSegment(1, []byte("intact"))
+	claim = binary.BigEndian.AppendUint32(claim, maxRecord-1)
+	claim = append(claim, 0xde, 0xad, 0xbe, 0xef, 1, 2, 3)
+	f.Add(claim)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -101,6 +102,9 @@ const (
 	// differs from any torn prefix of it.
 	frameEnd           = 1
 	frameSentinel byte = 0xA5
+	// scanBuffer is the read buffer scanSegment reads a segment through:
+	// one read(2) covers many small records instead of three per record.
+	scanBuffer = 64 << 10
 	// maxRecord bounds a single payload; replay rejects larger claimed
 	// lengths as corruption rather than allocating them.
 	maxRecord = 16 << 20
@@ -685,9 +689,10 @@ type ReplayStats struct {
 }
 
 // Replay walks every record in LSN order, calling fn for each record
-// with LSN >= from. A short or CRC-failing frame at the tail of the
-// final segment is a torn tail: replay stops there and reports the
-// discarded byte count in the stats. The same damage in any earlier
+// with LSN >= from; fn owns the payload it is handed and may keep it.
+// A short or CRC-failing frame at the tail of the final segment is a
+// torn tail: replay stops there and reports the discarded byte count
+// in the stats. The same damage in any earlier
 // segment is real corruption and returns ErrCorrupt. Replay reads the
 // segment files independently of the append path; call it during
 // recovery, before the first Append.
@@ -742,18 +747,21 @@ func (l *Log) Replay(from LSN, fn func(LSN, []byte) error) (ReplayStats, error) 
 // at exact EOF, or at a zero frame header (the terminator a pre-sized
 // mapped segment's untouched tail reads as). A header that fails
 // validation is an error; a bad record merely ends the scan early with
-// clean=false (a torn or corrupt tail).
+// clean=false (a torn or corrupt tail). Each payload handed to fn is
+// freshly allocated, so fn may keep it; with fn nil one buffer serves
+// every record.
 func scanSegment(path string, fn func([]byte) error) (count int, validSize, fileSize int64, clean bool, err error) {
-	f, err := os.Open(path)
+	file, err := os.Open(path)
 	if err != nil {
 		return 0, 0, 0, false, err
 	}
-	defer f.Close()
-	fi, err := f.Stat()
+	defer file.Close()
+	fi, err := file.Stat()
 	if err != nil {
 		return 0, 0, 0, false, err
 	}
 	fileSize = fi.Size()
+	f := bufio.NewReaderSize(file, scanBuffer)
 	var hdr [headerSize]byte
 	if _, err := io.ReadFull(f, hdr[:]); err != nil {
 		return 0, 0, fileSize, false, fmt.Errorf("wal: %s: short header: %w", filepath.Base(path), err)
@@ -766,6 +774,7 @@ func scanSegment(path string, fn func([]byte) error) (count int, validSize, file
 	}
 	validSize = headerSize
 	var frame [frameOverhead]byte
+	var scratch []byte
 	for {
 		if _, rerr := io.ReadFull(f, frame[:]); rerr != nil {
 			return count, validSize, fileSize, rerr == io.EOF, nil // exact EOF is clean; a partial header is a tear
@@ -775,18 +784,27 @@ func scanSegment(path string, fn func([]byte) error) (count int, validSize, file
 		if n == 0 && crc == 0 {
 			return count, validSize, fileSize, true, nil // zero terminator: clean end of a pre-sized segment
 		}
-		if n > maxRecord {
-			return count, validSize, fileSize, false, nil // corrupt length claim: treat as tear
+		if n > maxRecord || int64(n)+frameEnd > fileSize-validSize-frameOverhead {
+			// A claim the segment cannot hold is a tear, caught before
+			// it is allocated: a garbage length must not cost 16 MiB.
+			return count, validSize, fileSize, false, nil
 		}
-		payload := make([]byte, n)
+		var payload []byte
+		if fn != nil {
+			payload = make([]byte, n)
+		} else {
+			if uint32(cap(scratch)) < n {
+				scratch = make([]byte, n)
+			}
+			payload = scratch[:n]
+		}
 		if _, rerr := io.ReadFull(f, payload); rerr != nil {
 			return count, validSize, fileSize, false, nil // torn payload
 		}
 		if crc32.Checksum(payload, crcTable) != crc {
 			return count, validSize, fileSize, false, nil // bit rot or tear across the CRC
 		}
-		var end [frameEnd]byte
-		if _, rerr := io.ReadFull(f, end[:]); rerr != nil || end[0] != frameSentinel {
+		if end, rerr := f.ReadByte(); rerr != nil || end != frameSentinel {
 			return count, validSize, fileSize, false, nil // frame never closed: torn write
 		}
 		if fn != nil {

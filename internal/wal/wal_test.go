@@ -1,9 +1,12 @@
 package wal
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -153,6 +156,68 @@ func TestOpenRepairsTornTail(t *testing.T) {
 	lsn, err := l2.Append([]byte("replacement"))
 	if err != nil || lsn != 10 {
 		t.Fatalf("append after repair: lsn=%d err=%v", lsn, err)
+	}
+}
+
+// TestTornLengthClaimAllocatesNothing: a torn tail whose frame header
+// claims 15 MiB in a segment of a few KiB is a tear, found without
+// allocating the claim — by the scan a Replay callback sees and by
+// Open's repair scan alike.
+func TestTornLengthClaimAllocatesNothing(t *testing.T) {
+	recs := make([][]byte, 20)
+	for i := range recs {
+		recs[i] = bytes.Repeat([]byte{byte(i + 1)}, 200)
+	}
+	seg := validSegment(1, recs...)
+	valid := int64(len(seg))
+	seg = binary.BigEndian.AppendUint32(seg, 15<<20)
+	seg = append(seg, 0xde, 0xad, 0xbe, 0xef, 1, 2, 3, 4, 5)
+	tail := int64(len(seg)) - valid
+	dir := t.TempDir()
+	path := filepath.Join(dir, segName(1))
+	if err := os.WriteFile(path, seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	allocated := func(fn func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+
+	var count int
+	var validSize int64
+	var clean bool
+	var err error
+	got := allocated(func() {
+		count, validSize, _, clean, err = scanSegment(path, func([]byte) error { return nil })
+	})
+	if err != nil || count != len(recs) || validSize != valid || clean {
+		t.Fatalf("scan = %d records, valid %d, clean %v, err %v; want %d, %d, torn",
+			count, validSize, clean, err, len(recs), valid)
+	}
+	if got >= 1<<20 {
+		t.Fatalf("scanning the torn claim allocated %d bytes", got)
+	}
+
+	var l *Log
+	var stats ReplayStats
+	got = allocated(func() {
+		if l, err = Open(dir, Options{Policy: PolicyOff, NoMmap: true}); err != nil {
+			return
+		}
+		stats, err = l.Replay(0, func(LSN, []byte) error { return nil })
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if l.TornAtOpen() != tail || stats.Records != len(recs) {
+		t.Fatalf("torn at open %d, replayed %d; want %d, %d", l.TornAtOpen(), stats.Records, tail, len(recs))
+	}
+	if got >= 1<<20 {
+		t.Fatalf("open and replay over the torn claim allocated %d bytes", got)
 	}
 }
 
