@@ -53,13 +53,14 @@ bench-baseline:
 # wire-compat is the digest-equivalence gate: 10 seeds of v1, v2, and
 # mixed-fleet (v2 agent, v1 backend) harvests must agree byte-for-byte
 # on the store digest, plus a 30 s fuzz arm each over the batch decoder
-# (FuzzDecodeBatchFrame), the frame demultiplexer (FuzzDecodeMessage),
-# the v1 report and span decoders against their pre-sticky-error
-# reference (FuzzUnmarshalReport), and the decoders that read disk: the
-# store snapshot gob that checkpoint, snapshot and absorb all load
-# through (FuzzStoreLoad), WAL segment framing (FuzzWALReplay) and
-# replay of one record of every shape into a DurableStore
-# (FuzzDurableReplay).
+# (FuzzDecodeBatchFrame, which also checks that a reused BatchDecoder
+# decodes every input exactly as a fresh one), the frame demultiplexer
+# (FuzzDecodeMessage), the v1 report and span decoders against their
+# pre-sticky-error reference (FuzzUnmarshalReport), and the decoders
+# that read disk: the store snapshot gob that checkpoint, snapshot and
+# absorb all load through (FuzzStoreLoad), WAL segment framing
+# (FuzzWALReplay) and replay of one record of every shape into a
+# DurableStore (FuzzDurableReplay).
 wire-compat:
 	go test ./internal/backend -run 'TestWireDigestEquivalence' -count=1 -v
 	go test ./internal/core -run 'TestUsageEpochWireEquivalence' -count=1

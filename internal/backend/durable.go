@@ -203,11 +203,13 @@ func OpenDurable(dir string, o DurableOptions) (*DurableStore, RecoveryStats, er
 
 // replayRecord is one WAL record decoded ahead of the apply step: the
 // reports to ingest, a migration step to apply, or neither when the
-// payload did not decode.
+// payload did not decode. A v2 batch's reports live in dec's arena,
+// which goes back to the replay's pool once they are ingested.
 type replayRecord struct {
 	reports []*telemetry.Report
 	mig     *migration
 	bad     bool
+	dec     *telemetry.BatchDecoder
 }
 
 // decodeRecord decodes one WAL payload without touching the store, so
@@ -217,8 +219,9 @@ type replayRecord struct {
 // carries a rebalance operation (durable_migrate.go). The leading byte
 // discriminates — a batch opens with its version byte (2), migration
 // records claim 0x03–0x06, and a pbwire tag is always field<<3|type
-// with field >= 1, so a report record can never start below 0x08.
-func decodeRecord(payload []byte) replayRecord {
+// with field >= 1, so a report record can never start below 0x08. A
+// batch decodes with a decoder from decoders.
+func decodeRecord(payload []byte, decoders *sync.Pool) replayRecord {
 	switch {
 	case isMigrationRecord(payload):
 		m, err := decodeMigrationRecord(payload)
@@ -227,11 +230,13 @@ func decodeRecord(payload []byte) replayRecord {
 		}
 		return replayRecord{mig: &m}
 	case len(payload) > 0 && payload[0] == telemetry.WireV2:
-		f, err := telemetry.DecodeBatchFrame(payload)
+		dec := decoders.Get().(*telemetry.BatchDecoder)
+		f, err := dec.Decode(payload)
 		if err != nil {
+			decoders.Put(dec)
 			return replayRecord{bad: true}
 		}
-		return replayRecord{reports: f.Reports}
+		return replayRecord{reports: f.Reports, dec: dec}
 	}
 	r, err := telemetry.UnmarshalReport(payload)
 	if err != nil {
@@ -248,14 +253,19 @@ func decodeRecord(payload []byte) replayRecord {
 // barrier — an absorb or drop acts on every ingest before it, and the
 // ingests after it build on its result. At most 4×GOMAXPROCS records
 // wait decoded or decoding ahead of the apply step, which bounds a
-// recovering daemon's memory whatever the log's length. On a read
-// error every goroutine finishes its in-flight records and exits
-// before replay returns.
+// recovering daemon's memory whatever the log's length. Batch records
+// decode into arenas from a pool that lives as long as the replay: a
+// worker takes one, the apply step returns it after ingesting, and an
+// empty pool makes a new one rather than wait, so the pool cannot stall
+// the pipeline and never holds more arenas than records were in flight
+// at once. On a read error every goroutine finishes its in-flight
+// records and exits before replay returns.
 func (d *DurableStore) replay(stats *RecoveryStats) (wal.ReplayStats, error) {
 	type job struct {
 		payload []byte
 		out     chan replayRecord
 	}
+	decoders := sync.Pool{New: func() any { return new(telemetry.BatchDecoder) }}
 	workers := runtime.GOMAXPROCS(0)
 	jobs := make(chan job, 4*workers)
 	order := make(chan chan replayRecord, 4*workers)
@@ -265,7 +275,7 @@ func (d *DurableStore) replay(stats *RecoveryStats) (wal.ReplayStats, error) {
 		go func() {
 			defer wg.Done()
 			for j := range jobs {
-				j.out <- decodeRecord(j.payload)
+				j.out <- decodeRecord(j.payload, &decoders)
 			}
 		}()
 	}
@@ -283,6 +293,9 @@ func (d *DurableStore) replay(stats *RecoveryStats) (wal.ReplayStats, error) {
 			default:
 				for _, r := range rec.reports {
 					d.Store.Ingest(r)
+				}
+				if rec.dec != nil {
+					decoders.Put(rec.dec)
 				}
 			}
 		}

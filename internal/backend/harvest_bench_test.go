@@ -3,6 +3,7 @@ package backend
 import (
 	"fmt"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -208,9 +209,26 @@ func BenchmarkDecodeBatch(b *testing.B) {
 	}
 }
 
+// BenchmarkDecodeBatchReuse is BenchmarkDecodeBatch through one
+// BatchDecoder, the way a draining Poller and each WAL replay worker
+// decode batch after batch.
+func BenchmarkDecodeBatchReuse(b *testing.B) {
+	payload := decodeBatchPayload()
+	var dec telemetry.BatchDecoder
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := dec.Decode(payload); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // TestDecodeBatchAllocs pins the decode arena's allocation count: one
 // string per dictionary entry and one backing array per record kind,
-// not one allocation per field (12,181 per batch before the arena).
+// not one allocation per field (12,181 per batch before the arena). A
+// reused decoder allocates only the batch's strings and fingerprints:
+// at most a tenth of a fresh decode's bytes.
 func TestDecodeBatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -219,5 +237,26 @@ func TestDecodeBatchAllocs(t *testing.T) {
 	const ceiling = 1500
 	if got := testing.AllocsPerRun(20, func() { telemetry.DecodeBatchFrame(payload) }); got > ceiling {
 		t.Errorf("DecodeBatchFrame allocated %.0f times per 64-report batch, ceiling %d", got, ceiling)
+	}
+
+	allocBytes := func(decode func()) uint64 {
+		const runs = 20
+		// Warm up: a reused decoder grows its slabs at the start of
+		// its second decode.
+		decode()
+		decode()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			decode()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	var dec telemetry.BatchDecoder
+	fresh := allocBytes(func() { telemetry.DecodeBatchFrame(payload) })
+	reused := allocBytes(func() { dec.Decode(payload) })
+	if reused*10 > fresh {
+		t.Errorf("a reused decoder allocated %d B per batch, fresh %d B: want at most a tenth", reused, fresh)
 	}
 }

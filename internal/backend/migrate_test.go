@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"wlanscale/internal/dot11"
@@ -58,6 +60,20 @@ func netStore(nets []int, aps int, reps uint64) *Store {
 	return s
 }
 
+// networkOfSerialSplit is NetworkOfSerial written with strings.Split,
+// the reference its allocation-free form must match exactly.
+func networkOfSerialSplit(serial string) (uint64, bool) {
+	parts := strings.Split(serial, "-")
+	if len(parts) < 3 || parts[1] == "" {
+		return 0, false
+	}
+	id, err := strconv.ParseUint(parts[1], 10, 64)
+	if err != nil {
+		return 0, false
+	}
+	return id, true
+}
+
 func TestNetworkOfSerial(t *testing.T) {
 	cases := []struct {
 		serial string
@@ -67,17 +83,49 @@ func TestNetworkOfSerial(t *testing.T) {
 		{"Q2XX-0005-0002", 5, true},
 		{"Q2CL-100-0", 100, true},
 		{"A-0-B", 0, true},
+		{"A-7-", 7, true},
+		{"-7-B", 7, true},
+		{"A-7-B-C", 7, true},
+		{"A-18446744073709551615-B", 1<<64 - 1, true},
+		{"", 0, false},
 		{"NODASH", 0, false},
 		{"A-B", 0, false},
+		{"A-7", 0, false},
 		{"A--C", 0, false},
+		{"--", 0, false},
 		{"A-12x-C", 0, false},
+		{"A-+7-C", 0, false},
+		{"A-18446744073709551616-B", 0, false},
 	}
 	for _, c := range cases {
 		id, ok := NetworkOfSerial(c.serial)
 		if id != c.id || ok != c.ok {
 			t.Errorf("NetworkOfSerial(%q) = %d,%v want %d,%v", c.serial, id, ok, c.id, c.ok)
 		}
+		if rid, rok := networkOfSerialSplit(c.serial); id != rid || ok != rok {
+			t.Errorf("NetworkOfSerial(%q) = %d,%v, Split form %d,%v", c.serial, id, ok, rid, rok)
+		}
 	}
+	if raceEnabled {
+		return
+	}
+	if n := testing.AllocsPerRun(100, func() { NetworkOfSerial("Q2XX-0005-0002") }); n != 0 {
+		t.Errorf("NetworkOfSerial allocated %.0f times per parseable serial, want 0", n)
+	}
+}
+
+// FuzzNetworkOfSerial: for every input the Cut form accepts and
+// returns exactly what the Split form does.
+func FuzzNetworkOfSerial(f *testing.F) {
+	for _, s := range []string{"Q2XX-0005-0002", "A-7-", "A--C", "A-7", "-1-2-3", "x-99999999999999999999-y"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, serial string) {
+		id, ok := NetworkOfSerial(serial)
+		if rid, rok := networkOfSerialSplit(serial); id != rid || ok != rok {
+			t.Fatalf("NetworkOfSerial(%q) = %d,%v, Split form %d,%v", serial, id, ok, rid, rok)
+		}
+	})
 }
 
 func TestNetworksListsEveryNetwork(t *testing.T) {

@@ -18,13 +18,16 @@ type NetworkFunc func(serial string) (id uint64, ok bool)
 // synthesizes (synth.GenerateFleet, the cluster tests, the fleettest
 // harness). Serials that don't follow the convention report ok=false
 // and are then never extracted, deleted, or refused — unparseable data
-// stays put, which is the safe failure mode for a migration.
+// stays put, which is the safe failure mode for a migration. A
+// parseable serial costs no allocation: merakid checks every harvested
+// report's network before it is admitted.
 func NetworkOfSerial(serial string) (uint64, bool) {
-	parts := strings.Split(serial, "-")
-	if len(parts) < 3 || parts[1] == "" {
+	_, rest, ok := strings.Cut(serial, "-")
+	mid, _, ok2 := strings.Cut(rest, "-")
+	if !ok || !ok2 || mid == "" {
 		return 0, false
 	}
-	id, err := strconv.ParseUint(parts[1], 10, 64)
+	id, err := strconv.ParseUint(mid, 10, 64)
 	if err != nil {
 		return 0, false
 	}

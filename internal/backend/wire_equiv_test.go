@@ -81,6 +81,65 @@ func harvestDigest(t *testing.T, agentWire, pollerWire byte, reports []*telemetr
 	return s.Digest(), wire
 }
 
+// TestBacklogHarvestThroughBeforeAckFrame drains a v2 backlog over
+// several polls into a durable store through BeforeAckFrame, the way
+// merakid's drain mode does: every poll that leaves the device
+// backlogged hands its decode arena to the next, which overwrites the
+// reports the store just ingested. The live store and its WAL replay
+// must both land on the control digest.
+func TestBacklogHarvestThroughBeforeAckFrame(t *testing.T) {
+	reports := seedReports(3)
+	key := make([]byte, 32)
+	agent := telemetry.NewAgent("Q2EQ-0002", key)
+	agent.Wire = telemetry.WireV2
+	for _, r := range reports {
+		agent.Enqueue(r)
+	}
+	c1, c2 := net.Pipe()
+	go agent.ServeConn(c1)
+	p, err := telemetry.AcceptPoller(c2, key)
+	if err != nil {
+		t.Fatalf("accept: %v", err)
+	}
+	defer p.Close()
+	if w := p.NegotiateWire(telemetry.WireV2); w != telemetry.WireV2 {
+		t.Fatalf("negotiated wire %d, want v2", w)
+	}
+	dir := t.TempDir()
+	d, _ := mustOpenDurable(t, dir, DurableOptions{})
+	p.BeforeAckFrame = d.IngestBatchFrame
+
+	backlogged := 0
+	for got := 0; got < len(reports); {
+		rs, err := p.Poll(7)
+		if err != nil {
+			t.Fatalf("poll: %v", err)
+		}
+		if len(rs) == 0 {
+			t.Fatalf("harvest stalled at %d/%d reports", got, len(reports))
+		}
+		got += len(rs)
+		if p.QueueDepth() > 0 {
+			backlogged++
+		}
+	}
+	if backlogged < 2 {
+		t.Fatalf("only %d polls left the device backlogged; the arena was never reused", backlogged)
+	}
+	want := volatileDigest(reports) // as stamped by Enqueue
+	if got := d.Digest(); got != want {
+		t.Fatalf("drained store digest != control\n got %s\nwant %s", got, want)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d2, _ := mustOpenDurable(t, dir, DurableOptions{})
+	defer d2.Close()
+	if got := d2.Digest(); got != want {
+		t.Fatalf("replayed digest != control\n got %s\nwant %s", got, want)
+	}
+}
+
 // TestWireDigestEquivalence is the acceptance proof for wire v2: over
 // ten seeds, a pure v1 harvest, a pure v2 harvest, and a mixed fleet
 // (a v2 agent polled by a backend that negotiates v1) must land the

@@ -552,6 +552,11 @@ type Poller struct {
 	// queueDepth is the device's remaining queue depth from the last v2
 	// batch — the backpressure hint merakid's drain mode reads.
 	queueDepth atomic.Uint32
+	// dec is the v2 batch decoder a poll that left the device
+	// backlogged hands to the next poll, which drain mode issues at
+	// once. The poll that finds the queue empty, or fails, drops it,
+	// so a caught-up connection holds no decode arena.
+	dec *BatchDecoder
 	// Health, when set, receives the poller's error counters and the
 	// device's piggybacked queue-drop totals.
 	Health *HarvestHealth
@@ -574,7 +579,9 @@ type Poller struct {
 	// with the decoded batch and the raw batch payload so a durable
 	// backend can append the whole frame to its write-ahead log as one
 	// record instead of re-marshaling per report. When nil, v2 polls
-	// fall back to BeforeAck with nil raw.
+	// fall back to BeforeAck with nil raw. The reports live in the
+	// poller's decode arena (see Poll): the hook may read them and
+	// keep their strings, but must copy anything else it keeps.
 	BeforeAckFrame func(reports []*Report, payload []byte) error
 }
 
@@ -663,6 +670,12 @@ func (p *Poller) Close() error { return p.tunnel.Close() }
 // returns the decoded reports. The ack-after-receive ordering means a
 // crash between receive and ack re-delivers reports rather than losing
 // them; the backend deduplicates by (serial, seqno).
+//
+// A v2 poll's reports are valid until the next Poll on this poller:
+// while the device reports a backlog, the next poll decodes into the
+// same arena (BatchDecoder) and overwrites them. Their strings stay
+// valid for good; copy anything else that must outlive the next Poll.
+// v1 reports are the caller's to keep.
 func (p *Poller) Poll(max int) ([]*Report, error) {
 	p.Metrics.Polls.Inc()
 	sp := obs.StartSpan(p.Metrics.PollDur)
@@ -686,6 +699,8 @@ func (p *Poller) Poll(max int) ([]*Report, error) {
 // whole (the durable store logs it as a single WAL record), everything
 // else to BeforeAck, with nil raw for a v2 batch.
 func (p *Poller) poll(max int) ([]*Report, error) {
+	dec := p.dec
+	p.dec = nil
 	var pollStart time.Time
 	if p.Trace != nil {
 		pollStart = time.Now()
@@ -703,7 +718,10 @@ func (p *Poller) poll(max int) ([]*Report, error) {
 		return nil, err
 	}
 	p.Metrics.FramesIn.Inc()
-	m, err := DecodeMessage(raw)
+	if dec == nil && p.wire >= WireV2 {
+		dec = new(BatchDecoder)
+	}
+	m, err := decodeMessage(raw, dec)
 	if err != nil {
 		return nil, err
 	}
@@ -769,5 +787,8 @@ func (p *Poller) poll(max int) ([]*Report, error) {
 		return nil, err
 	}
 	p.Metrics.FramesOut.Inc()
+	if m.Batch != nil && m.Batch.QueueDepth > 0 {
+		p.dec = dec
+	}
 	return out, nil
 }

@@ -295,130 +295,183 @@ func encodeReportDelta(e *pbwire.Encoder, dict *pbwire.DictBuilder, prev *batchP
 }
 
 // DecodeBatchFrame decodes a v2 batch payload (everything after the
-// frame-type byte). It is the attack surface of the v2 protocol —
-// every count, reference, and delta comes off the wire — so it must
-// fail cleanly on arbitrary input (FuzzDecodeBatchFrame) and never
-// allocate proportionally to an unvalidated count. A count the unread
-// input cannot hold fails as truncation before anything is allocated
-// for it, and one call allocates at most k = 256 bytes per payload
-// byte plus a small constant: a record decodes to at most 120 bytes
-// per byte of its smallest encoding (a trace span, one byte), and a
-// fresh backing array is clamped to the records the unread input can
-// hold.
-//
-// The decoded reports own their memory, independently of payload and
-// of every other call. Each dictionary string or fingerprint is copied
-// out once per batch and shared by every reference to it; one []Report
-// backs the batch, and each list inside a report is a capacity-capped
-// window onto a backing array this call alone fills, so an append to
-// one report's list never writes into a neighbour's.
+// frame-type byte) with a decoder of its own, so the result shares
+// nothing with any other call: new(BatchDecoder).Decode(payload).
 func DecodeBatchFrame(payload []byte) (*BatchFrame, error) {
+	return new(BatchDecoder).Decode(payload)
+}
+
+// BatchDecoder decodes v2 batch payloads into an arena it keeps
+// between calls: the report array, one slab per record kind, and the
+// dictionary's entry slice. A harvest drain decodes batch after batch
+// of near-identical shape, so a reused decoder allocates only the
+// batch's strings and fingerprints once it has seen one batch. The
+// zero value is ready to use; a BatchDecoder is for one goroutine.
+//
+// Decode is the attack surface of the v2 protocol — every count,
+// reference, and delta comes off the wire — so it must fail cleanly on
+// arbitrary input (FuzzDecodeBatchFrame) and never allocate
+// proportionally to an unvalidated count. A count the unread input
+// cannot hold fails as truncation before anything is allocated for it,
+// and a fresh decoder's call (DecodeBatchFrame) allocates at most k =
+// 256 bytes per payload byte plus a small constant: a record decodes
+// to at most 120 bytes per byte of its smallest encoding (a trace
+// span, one byte), and a fresh backing array is clamped to the records
+// the unread input can hold. A slab an earlier call outgrew is
+// enlarged at the start of the next call, to what that earlier call
+// used, so a decoder used once never pays for an array it will not
+// reuse.
+//
+// The decoded reports point nowhere into payload. Each dictionary
+// string or fingerprint is copied out once per batch, shared by every
+// reference to it, and never reused. Everything else — the reports and
+// each list inside them — is valid until this decoder's next Decode,
+// which overwrites it. Each list is a capacity-capped window onto a
+// slab, so an append to one report's list never writes into a
+// neighbour's.
+type BatchDecoder struct {
+	d       pbwire.Decoder
+	dict    pbwire.Dict
+	prev    batchPrev
+	reports []Report
+	ptrs    []*Report
+
+	radios  slab[RadioStats]
+	clients slab[ClientRecord]
+	uas     slab[string]
+	fps     slab[[]byte]
+	apps    slab[AppUsageRecord]
+	neigh   slab[NeighborRecord]
+	links   slab[LinkWindow]
+	scans   slab[ScanSample]
+	crashes slab[CrashRecord]
+}
+
+// Decode decodes one batch payload into the decoder's arena, ending
+// the lifetime of the previous Decode's reports.
+func (b *BatchDecoder) Decode(payload []byte) (*BatchFrame, error) {
 	if len(payload) < 1 {
 		return nil, io.ErrUnexpectedEOF
 	}
 	if payload[0] != WireV2 {
 		return nil, fmt.Errorf("%w: %d", ErrBadWireVersion, payload[0])
 	}
+	b.reset(payload[1:])
 	f := &BatchFrame{Version: payload[0]}
-	d := pbwire.NewDecoder(payload[1:])
-	f.Dropped = uint32(d.Uint64())
-	f.QueueDepth = uint32(d.Uint64())
-	r := &batchReader{d: d, dict: pbwire.DecodeDict(d)}
-	if n := r.count(minReportBytes); n > 0 {
-		reports := make([]Report, n)
-		f.Reports = make([]*Report, n)
-		var prev batchPrev
-		for i := range reports {
-			r.report(&reports[i], &prev, n-i)
-			f.Reports[i] = &reports[i]
+	f.Dropped = uint32(b.d.Uint64())
+	f.QueueDepth = uint32(b.d.Uint64())
+	b.dict.Decode(&b.d)
+	if n := b.count(minReportBytes); n > 0 {
+		if len(b.reports) < n {
+			b.reports = make([]Report, n)
+			b.ptrs = make([]*Report, n)
 		}
+		for i := range n {
+			rep := &b.reports[i]
+			b.report(rep, n-i)
+			b.ptrs[i] = rep
+		}
+		f.Reports = b.ptrs[:n:n]
 	}
-	if n := r.count(1); n > 0 {
+	if n := b.count(1); n > 0 {
 		f.Spans = make([]trace.Event, n)
 		for i := range f.Spans {
-			f.Spans[i] = decodeSpan(d.Message())
+			f.Spans[i] = decodeSpan(b.d.Message())
 		}
 	}
-	if d.More() {
-		d.Fail(ErrTrailingBytes)
+	if b.d.More() {
+		b.d.Fail(ErrTrailingBytes)
 	}
-	if err := d.Err(); err != nil {
+	if err := b.d.Err(); err != nil {
 		return nil, err
 	}
 	return f, nil
 }
 
+// reset readies the arena for a payload body: every slab rewinds to
+// its start, grown first to what the last Decode carved from it.
+func (b *BatchDecoder) reset(body []byte) {
+	b.d.Reset(body)
+	b.prev.set(0, &Report{}) // the first report's deltas start from zero
+	b.radios.reset()
+	b.clients.reset()
+	b.uas.reset()
+	b.fps.reset()
+	b.apps.reset()
+	b.neigh.reset()
+	b.links.reset()
+	b.scans.reset()
+	b.crashes.reset()
+}
+
 // minReportBytes is the smallest report body: eleven one-byte varints.
 const minReportBytes = 11
 
-// batchReader reads one batch body into its arena. Every read goes
-// through d, whose error is sticky: after the first failure reads
-// return zero, so counts read as 0 and loops end, and
-// DecodeBatchFrame checks the error once.
-type batchReader struct {
-	d    *pbwire.Decoder
-	dict *pbwire.Dict
+// slab is one record kind's arena: buf is the backing array kept
+// between decodes, free the unused tail lists are carved from, and
+// used the records carved since the last reset.
+type slab[T any] struct {
+	buf, free []T
+	used      int
+}
 
-	// The arena: unused tails of the backing arrays that lists are
-	// carved from.
-	radios  []RadioStats
-	clients []ClientRecord
-	uas     []string
-	fps     [][]byte
-	apps    []AppUsageRecord
-	neigh   []NeighborRecord
-	links   []LinkWindow
-	scans   []ScanSample
-	crashes []CrashRecord
+// reset rewinds the slab, first growing buf to the last decode's use
+// when that decode outgrew it.
+func (s *slab[T]) reset() {
+	if s.used > len(s.buf) {
+		s.buf = make([]T, s.used)
+	}
+	s.free, s.used = s.buf, 0
 }
 
 // next reads a field coded as a zigzag delta against base, or plainly.
-func (r *batchReader) next(base uint64, delta bool) uint64 {
+func (b *BatchDecoder) next(base uint64, delta bool) uint64 {
 	if delta {
-		return base + uint64(r.d.Int64())
+		return base + uint64(b.d.Int64())
 	}
-	return r.d.Uint64()
+	return b.d.Uint64()
 }
 
 // mac resolves a dictionary reference that must be a 6-byte MAC.
-func (r *batchReader) mac() (m dot11.MAC) {
-	if b := r.dict.Bytes(); len(b) == len(m) {
-		copy(m[:], b)
+func (b *BatchDecoder) mac() (m dot11.MAC) {
+	if v := b.dict.Bytes(); len(v) == len(m) {
+		copy(m[:], v)
 	} else {
-		r.d.Fail(ErrBadMACEntry)
+		b.d.Fail(ErrBadMACEntry)
 	}
 	return m
 }
 
 // count reads a list count whose elements each encode to at least
 // minSize bytes; a count the unread input cannot hold is truncation.
-func (r *batchReader) count(minSize int) int {
-	n := r.d.Uint64()
-	if n > uint64(r.d.Remaining()/minSize) {
-		r.d.Fail(pbwire.ErrTruncated)
+func (b *BatchDecoder) count(minSize int) int {
+	n := b.d.Uint64()
+	if n > uint64(b.d.Remaining()/minSize) {
+		b.d.Fail(pbwire.ErrTruncated)
 		return 0
 	}
 	return int(n)
 }
 
-// list reads a list count and carves the list from the arena's free
-// tail, nil when the count is zero. The result's capacity is its
-// length. A tail too short gets a fresh backing array sized for lists
-// more lists of this length, clamped to what the unread input holds.
-func list[T any](r *batchReader, free *[]T, minSize, lists int) []T {
-	n := r.count(minSize)
+// list reads a list count and carves the list from s's free tail, nil
+// when the count is zero. The result's capacity is its length. A tail
+// too short gets a fresh backing array sized for lists more lists of
+// this length, clamped to what the unread input holds.
+func list[T any](b *BatchDecoder, s *slab[T], minSize, lists int) []T {
+	n := b.count(minSize)
 	if n == 0 {
 		return nil
 	}
-	if len(*free) < n {
-		size := r.d.Remaining() / minSize
+	if len(s.free) < n {
+		size := b.d.Remaining() / minSize
 		if lists > 0 && lists <= size/n {
 			size = n * lists
 		}
-		*free = make([]T, size)
+		s.free = make([]T, size)
 	}
-	out := (*free)[:n:n]
-	*free = (*free)[n:]
+	out := s.free[:n:n]
+	s.free = s.free[n:]
+	s.used += n
 	return out
 }
 
@@ -430,68 +483,69 @@ func trim[T any](s []T, k int) []T {
 	return s[:k:k]
 }
 
-// report mirrors encodeReportDelta into rep, advancing prev so the
+// report mirrors encodeReportDelta into rep, advancing b.prev so the
 // next report's deltas resolve. left counts the batch's reports from
 // this one on, to size fresh backing arrays.
-func (r *batchReader) report(rep *Report, prev *batchPrev, left int) {
-	rep.Serial = r.dict.String()
-	mac := prev.mac + uint64(r.d.Int64())
+func (b *BatchDecoder) report(rep *Report, left int) {
+	prev := &b.prev
+	rep.Serial = b.dict.String()
+	mac := prev.mac + uint64(b.d.Int64())
 	rep.MAC = dot11.MACFromPacked(mac)
-	rep.Timestamp = prev.ts + uint64(r.d.Int64())
-	rep.SeqNo = prev.seq + uint64(r.d.Int64())
-	rep.TraceID = r.d.Uint64()
+	rep.Timestamp = prev.ts + uint64(b.d.Int64())
+	rep.SeqNo = prev.seq + uint64(b.d.Int64())
+	rep.TraceID = b.d.Uint64()
 
-	rep.Radios = list(r, &r.radios, 7, left)
+	rep.Radios = list(b, &b.radios, 7, left)
 	for j := range rep.Radios {
 		rs, dc := &rep.Radios[j], j < len(prev.radios)
 		var pr RadioStats
 		if dc {
 			pr = prev.radios[j]
 		}
-		rs.Band = dot11.Band(r.next(uint64(pr.Band), dc))
-		rs.Channel = int(r.next(uint64(pr.Channel), dc))
-		rs.WidthMHz = int(r.next(uint64(pr.WidthMHz), dc))
-		rs.CycleUS = r.next(pr.CycleUS, dc)
-		rs.RxClearUS = r.next(pr.RxClearUS, dc)
-		rs.Rx11US = r.next(pr.Rx11US, dc)
-		rs.TxUS = r.next(pr.TxUS, dc)
+		rs.Band = dot11.Band(b.next(uint64(pr.Band), dc))
+		rs.Channel = int(b.next(uint64(pr.Channel), dc))
+		rs.WidthMHz = int(b.next(uint64(pr.WidthMHz), dc))
+		rs.CycleUS = b.next(pr.CycleUS, dc)
+		rs.RxClearUS = b.next(pr.RxClearUS, dc)
+		rs.Rx11US = b.next(pr.Rx11US, dc)
+		rs.TxUS = b.next(pr.TxUS, dc)
 	}
 
-	rep.Clients = list(r, &r.clients, 7, left)
+	rep.Clients = list(b, &b.clients, 7, left)
 	for j := range rep.Clients {
 		c := &rep.Clients[j]
-		c.MAC = r.mac()
-		c.Band = dot11.Band(r.d.Uint64())
-		c.RSSIdB = int32(r.d.Int64())
+		c.MAC = b.mac()
+		c.Band = dot11.Band(b.d.Uint64())
+		c.RSSIdB = int32(b.d.Int64())
 		// Mirror v1's tolerance: a capability blob of the wrong length
 		// is ignored, not fatal. Ignored means "advertises nothing", in
 		// the normalized form every decoded value has, so that
 		// re-encoding the record reproduces it.
 		c.Caps = dot11.Capabilities{}.Normalize()
-		if cb := r.dict.Bytes(); len(cb) == 2 {
+		if cb := b.dict.Bytes(); len(cb) == 2 {
 			c.Caps = dot11.UnmarshalCapabilities([2]byte{cb[0], cb[1]})
 		}
 		// Empty user agents and fingerprints are skipped on encode
 		// (proto3 presence); skip them here too so decode∘encode is
 		// stable.
 		more := len(rep.Clients)*left - j // client lists still to come
-		uas, k := list(r, &r.uas, 1, more), 0
+		uas, k := list(b, &b.uas, 1, more), 0
 		for range uas {
-			if s := r.dict.String(); s != "" {
+			if s := b.dict.String(); s != "" {
 				uas[k] = s
 				k++
 			}
 		}
 		c.UserAgents = trim(uas, k)
-		fps, k := list(r, &r.fps, 1, more), 0
+		fps, k := list(b, &b.fps, 1, more), 0
 		for range fps {
-			if b := r.dict.Clone(); len(b) > 0 {
+			if b := b.dict.Clone(); len(b) > 0 {
 				fps[k] = b
 				k++
 			}
 		}
 		c.DHCPFingerprints = trim(fps, k)
-		c.Apps = list(r, &r.apps, 4, more)
+		c.Apps = list(b, &b.apps, 4, more)
 		for k := range c.Apps {
 			// App byte counters are the heaviest integers in a report;
 			// they delta against the previous report's same-position app.
@@ -500,55 +554,55 @@ func (r *batchReader) report(rep *Report, prev *batchPrev, left int) {
 			if dc {
 				pa = prev.clients[j].Apps[k]
 			}
-			a.App = r.dict.String()
-			a.UpBytes = r.next(pa.UpBytes, dc)
-			a.DownBytes = r.next(pa.DownBytes, dc)
-			a.Flows = uint32(r.d.Uint64())
+			a.App = b.dict.String()
+			a.UpBytes = b.next(pa.UpBytes, dc)
+			a.DownBytes = b.next(pa.DownBytes, dc)
+			a.Flows = uint32(b.d.Uint64())
 		}
 	}
 
-	rep.Neighbors = list(r, &r.neigh, 6, left)
+	rep.Neighbors = list(b, &b.neigh, 6, left)
 	for j := range rep.Neighbors {
 		nb := &rep.Neighbors[j]
-		nb.BSSID = r.mac()
-		nb.SSID = r.dict.String()
-		nb.Band = dot11.Band(r.d.Uint64())
-		nb.Channel = int(r.d.Uint64())
-		nb.RSSIdB = int32(r.d.Int64())
-		nb.Vendor = r.dict.String()
+		nb.BSSID = b.mac()
+		nb.SSID = b.dict.String()
+		nb.Band = dot11.Band(b.d.Uint64())
+		nb.Channel = int(b.d.Uint64())
+		nb.RSSIdB = int32(b.d.Int64())
+		nb.Vendor = b.dict.String()
 	}
 
-	rep.LinkWindows = list(r, &r.links, 4, left)
+	rep.LinkWindows = list(b, &b.links, 4, left)
 	for j := range rep.LinkWindows {
 		l := &rep.LinkWindows[j]
-		l.Peer = r.mac()
-		l.Band = dot11.Band(r.d.Uint64())
-		l.Sent = uint32(r.d.Uint64())
-		l.Delivered = uint32(r.d.Uint64())
+		l.Peer = b.mac()
+		l.Band = dot11.Band(b.d.Uint64())
+		l.Sent = uint32(b.d.Uint64())
+		l.Delivered = uint32(b.d.Uint64())
 	}
 
-	rep.ScanSamples = list(r, &r.scans, 4, left)
+	rep.ScanSamples = list(b, &b.scans, 4, left)
 	for j := range rep.ScanSamples {
 		s := &rep.ScanSamples[j]
-		s.Band = dot11.Band(r.d.Uint64())
-		s.Channel = int(r.d.Uint64())
-		s.BusyPermille = uint32(r.d.Uint64())
-		s.DecodablePermille = uint32(r.d.Uint64())
+		s.Band = dot11.Band(b.d.Uint64())
+		s.Channel = int(b.d.Uint64())
+		s.BusyPermille = uint32(b.d.Uint64())
+		s.DecodablePermille = uint32(b.d.Uint64())
 	}
 
-	rep.Crashes = list(r, &r.crashes, 6, left)
+	rep.Crashes = list(b, &b.crashes, 6, left)
 	for j := range rep.Crashes {
 		c, dc := &rep.Crashes[j], j < len(prev.crashes)
 		var pc CrashRecord
 		if dc {
 			pc = prev.crashes[j]
 		}
-		c.Timestamp = r.next(pc.Timestamp, dc)
-		c.Kind = uint8(r.d.Uint64())
-		c.Firmware = r.dict.String()
-		c.PC = r.next(pc.PC, dc)
-		c.FreeKB = uint32(r.d.Uint64())
-		c.NeighborCount = uint32(r.d.Uint64())
+		c.Timestamp = b.next(pc.Timestamp, dc)
+		c.Kind = uint8(b.d.Uint64())
+		c.Firmware = b.dict.String()
+		c.PC = b.next(pc.PC, dc)
+		c.FreeKB = uint32(b.d.Uint64())
+		c.NeighborCount = uint32(b.d.Uint64())
 	}
 
 	prev.set(mac, rep)

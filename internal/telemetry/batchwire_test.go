@@ -401,6 +401,57 @@ func TestHarvestV2BackpressureHint(t *testing.T) {
 	}
 }
 
+// TestPollArenaLifetime: a poller hands its decode arena from poll to
+// poll only while the device reports a backlog. The poll that drains
+// the queue drops it, so that poll's reports survive the next poll,
+// and a caught-up poller holds no arena.
+func TestPollArenaLifetime(t *testing.T) {
+	a := NewAgent("Q2BV-0004", testKey)
+	a.Wire = WireV2
+	var want []*Report
+	for i := 0; i < 10; i++ {
+		r := variedReport(i)
+		a.Enqueue(r)
+		want = append(want, mustV1RoundTrip(r))
+	}
+	c1, c2 := net.Pipe()
+	go a.ServeConn(c1)
+	p, err := AcceptPoller(c2, testKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	p.NegotiateWire(WireV2)
+
+	var last []*Report
+	for polls, depth := 0, 10; depth > 0; polls++ {
+		if last, err = p.Poll(4); err != nil {
+			t.Fatal(err)
+		}
+		depth = p.QueueDepth()
+		if held := p.dec != nil; held != (depth > 0) {
+			t.Fatalf("poll %d: queue depth %d, poller holds an arena: %v", polls, depth, held)
+		}
+	}
+	want = want[8:]
+	if !reflect.DeepEqual(last, want) {
+		t.Fatal("last poll's reports differ from what was queued")
+	}
+
+	a.Enqueue(variedReport(20))
+	a.Enqueue(variedReport(21))
+	next, err := p.Poll(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(next) != 2 || p.dec != nil {
+		t.Fatalf("follow-up poll got %d reports, arena held %v; want 2, false", len(next), p.dec != nil)
+	}
+	if !reflect.DeepEqual(last, want) {
+		t.Fatal("a later poll overwrote the reports of the poll that emptied the queue")
+	}
+}
+
 // TestV2AgentV1Backend pins the negotiation matrix row where the
 // backend declines v2: a v2 agent must answer plain framePoll with a
 // legacy frameReports and the harvest must be lossless.

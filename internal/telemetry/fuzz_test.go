@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -164,8 +165,10 @@ func mustV1RoundTrip(r *Report) *Report {
 // delta comes off the wire. Properties: no panic, no unbounded
 // allocation (at most DecodeBatchFrame's documented k bytes per input
 // byte; a dictionary overflow is rejected before any proportional
-// allocation), and re-encode/re-decode stability so the
-// delta/dictionary rules cannot silently mutate a report.
+// allocation), re-encode/re-decode stability so the delta/dictionary
+// rules cannot silently mutate a report, and reuse transparency: a
+// BatchDecoder that decoded other batches first returns exactly what a
+// fresh one does.
 func FuzzDecodeBatchFrame(f *testing.F) {
 	// A healthy multi-report batch with shared dictionary + deltas.
 	be := NewBatchEncoder(0)
@@ -175,7 +178,16 @@ func FuzzDecodeBatchFrame(f *testing.F) {
 		r.SeqNo = uint64(i + 1)
 		be.Add(r)
 	}
-	f.Add(be.Finish(3, 17, sampleSpans()))
+	healthy := be.Finish(3, 17, sampleSpans())
+	f.Add(healthy)
+	// A healthy batch whose dictionary and list shapes differ from the
+	// one above: decoded after it, it lands on the same arena slots
+	// with other contents.
+	other := NewBatchEncoder(0)
+	for _, r := range append(presenceReports(), variedReport(1), variedReport(3)) {
+		other.Add(r)
+	}
+	f.Add(other.Finish(0, 0, nil))
 	// Empty batch.
 	f.Add(NewBatchEncoder(0).Finish(0, 0, nil))
 	// Dictionary overflow: declares 2^16+1 entries (varint 0x81 0x80
@@ -204,6 +216,15 @@ func FuzzDecodeBatchFrame(f *testing.F) {
 		limit := uint64(decodeAllocPerByte*len(b) + decodeAllocSlack)
 		if got := decodeAllocBytes(b, limit); got > limit {
 			t.Fatalf("decode of %d bytes allocated %d, bound %d", len(b), got, limit)
+		}
+		// One decoder takes the healthy batch, the input, then the
+		// healthy batch again; nothing a decode leaves in the arena may
+		// show in the next one's result or error.
+		dec := new(BatchDecoder)
+		for i, in := range [][]byte{healthy, b, healthy} {
+			got, err := dec.Decode(in)
+			sameDecode(t, fmt.Sprintf("reused decoder, decode %d", i), got, err,
+				func() (any, error) { return DecodeBatchFrame(in) })
 		}
 		bf, err := DecodeBatchFrame(b)
 		if err != nil {

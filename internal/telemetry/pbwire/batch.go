@@ -123,25 +123,32 @@ type dictEntry struct {
 	owned []byte // raw copied out by Clone
 }
 
-// DecodeDict reads a dictionary block from d. The declared count is
-// checked against MaxDictEntries and against the unread input (each
-// entry's length prefix takes at least one byte) before any
-// allocation proportional to it.
-func DecodeDict(d *Decoder) *Dict {
+// Decode reads a dictionary block from d into dict and binds dict to
+// d. The declared count is checked against MaxDictEntries and against
+// the unread input (each entry's length prefix takes at least one
+// byte) before any allocation proportional to it. The entry slice of
+// an earlier Decode is reused when it is large enough; every entry is
+// overwritten whole, so nothing an earlier batch resolved survives
+// into this one.
+func (dict *Dict) Decode(d *Decoder) {
 	n := d.Uint64()
 	if n > MaxDictEntries {
 		d.Fail(ErrDictOverflow)
 	} else if n > uint64(d.Remaining()) {
 		d.Fail(ErrTruncated)
 	}
-	dict := &Dict{dec: d}
-	if d.err == nil {
-		dict.entries = make([]dictEntry, n)
-		for i := range dict.entries {
-			dict.entries[i].raw = d.Bytes()
-		}
+	dict.dec = d
+	if d.err != nil {
+		dict.entries = dict.entries[:0]
+		return
 	}
-	return dict
+	if uint64(cap(dict.entries)) < n {
+		dict.entries = make([]dictEntry, n)
+	}
+	dict.entries = dict.entries[:n]
+	for i := range dict.entries {
+		dict.entries[i] = dictEntry{raw: d.Bytes()}
+	}
 }
 
 // entry reads a reference and resolves it, nil when the read failed.

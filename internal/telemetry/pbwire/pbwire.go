@@ -125,6 +125,9 @@ type Decoder struct {
 // NewDecoder wraps an encoded message.
 func NewDecoder(b []byte) *Decoder { return &Decoder{buf: b} }
 
+// Reset makes d read b from the start, as NewDecoder(b) would.
+func (d *Decoder) Reset(b []byte) { *d = Decoder{buf: b} }
+
 // Err returns the decoder's first failure, or nil.
 func (d *Decoder) Err() error { return d.err }
 

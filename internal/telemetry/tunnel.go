@@ -79,39 +79,37 @@ func (t *Tunnel) armWrite() {
 	}
 }
 
-// WriteFrame encrypts and sends one message.
+// WriteFrame encrypts and sends one message. The payload is encrypted
+// straight into the outgoing frame buffer, the one copy it makes.
 func (t *Tunnel) WriteFrame(payload []byte) error {
 	if len(payload) > MaxFrameBytes {
 		return ErrFrameTooBig
 	}
-	var iv [16]byte
-	if _, err := rand.Read(iv[:]); err != nil {
+	// Frame: len(4) | iv(16) | ciphertext | hmac(32).
+	n := 16 + len(payload) + 32
+	frame := make([]byte, 4+n-32, 4+n)
+	binary.BigEndian.PutUint32(frame, uint32(n))
+	iv := frame[4:20]
+	if _, err := rand.Read(iv); err != nil {
 		return fmt.Errorf("telemetry: iv: %w", err)
 	}
 	block, err := aes.NewCipher(t.encKey[:])
 	if err != nil {
 		return err
 	}
-	ct := make([]byte, len(payload))
-	cipher.NewCTR(block, iv[:]).XORKeyStream(ct, payload)
+	cipher.NewCTR(block, iv).XORKeyStream(frame[20:], payload)
 
 	mac := hmac.New(sha256.New, t.macKey[:])
-	mac.Write(iv[:])
-	mac.Write(ct)
-	tag := mac.Sum(nil)
-
-	// Frame: len(4) | iv(16) | ciphertext | hmac(32).
-	frame := make([]byte, 4, 4+16+len(ct)+32)
-	binary.BigEndian.PutUint32(frame, uint32(16+len(ct)+32))
-	frame = append(frame, iv[:]...)
-	frame = append(frame, ct...)
-	frame = append(frame, tag...)
+	mac.Write(frame[4:]) // iv | ciphertext
+	frame = mac.Sum(frame)
 	t.armWrite()
 	_, err = t.conn.Write(frame)
 	return err
 }
 
-// ReadFrame receives and decrypts one message.
+// ReadFrame receives and decrypts one message. The ciphertext is
+// decrypted in place, so the returned plaintext is a window onto the
+// one buffer the frame was read into.
 func (t *Tunnel) ReadFrame() ([]byte, error) {
 	var hdr [4]byte
 	t.armRead()
@@ -131,7 +129,7 @@ func (t *Tunnel) ReadFrame() ([]byte, error) {
 		return nil, err
 	}
 	iv := body[:16]
-	ct := body[16 : n-32]
+	ct := body[16 : n-32 : n-32]
 	tag := body[n-32:]
 
 	mac := hmac.New(sha256.New, t.macKey[:])
@@ -144,9 +142,8 @@ func (t *Tunnel) ReadFrame() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	pt := make([]byte, len(ct))
-	cipher.NewCTR(block, iv).XORKeyStream(pt, ct)
-	return pt, nil
+	cipher.NewCTR(block, iv).XORKeyStream(ct, ct)
+	return ct, nil
 }
 
 // Protocol frame types. The backend pulls: it sends polls, the device
@@ -237,8 +234,13 @@ func EncodeMessage(m *Message) []byte {
 	return out
 }
 
-// DecodeMessage parses a protocol message.
-func DecodeMessage(b []byte) (*Message, error) {
+// DecodeMessage parses a protocol message; a batch frame gets a decoder
+// of its own (DecodeBatchFrame).
+func DecodeMessage(b []byte) (*Message, error) { return decodeMessage(b, nil) }
+
+// decodeMessage parses a protocol message, decoding a batch frame with
+// dec, or with a decoder of its own when dec is nil.
+func decodeMessage(b []byte, dec *BatchDecoder) (*Message, error) {
 	if len(b) == 0 {
 		return nil, io.ErrUnexpectedEOF
 	}
@@ -260,7 +262,10 @@ func DecodeMessage(b []byte) (*Message, error) {
 		m.Wire = rest[0]
 		m.Max = binary.BigEndian.Uint32(rest[1:])
 	case frameBatch:
-		bf, err := DecodeBatchFrame(rest)
+		if dec == nil {
+			dec = new(BatchDecoder)
+		}
+		bf, err := dec.Decode(rest)
 		if err != nil {
 			return nil, err
 		}
