@@ -77,15 +77,16 @@ wire-compat:
 bench-test:
 	go -C bench vet ./... && go -C bench test ./...
 
-# docs is the documentation gate: every package in the module must
-# carry exactly one package comment (scripts/checkdocs), the generated
-# CLI flag reference docs/FLAGS.md must match the flag registrations in
-# cmd/* (scripts/flagdoc -check), and the generated query-command
-# reference docs/COMMANDS.md must match merakid's command table
-# (TestCommandsDoc) — change a flag or a command without running
-# `make docs-gen` and CI fails.
+# docs is the documentation gate: the generated CLI flag reference
+# docs/FLAGS.md must match the flag registrations in cmd/*
+# (scripts/flagdoc -check), and the generated query-command reference
+# docs/COMMANDS.md must match merakid's command table (TestCommandsDoc)
+# — change a flag or a command without running `make docs-gen` and CI
+# fails. That every package carries exactly one package comment is
+# TestEveryPackageHasOneDocComment in the root docs_test.go, which
+# `test` already runs.
 docs:
-	go vet ./... && go run ./scripts/checkdocs
+	go vet ./...
 	go run ./scripts/flagdoc -check docs/FLAGS.md
 	go test ./cmd/merakid -run TestCommandsDoc -count=1
 

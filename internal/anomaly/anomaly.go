@@ -91,8 +91,7 @@ func (e *ErrOOM) Error() string {
 }
 
 // Observe inserts a BSSID (keyed by its packed form). When the budget
-// is exceeded it returns *ErrOOM — the bug as shipped. Real fixes bound
-// the table; see ObserveBounded.
+// is exceeded it returns *ErrOOM — the bug as shipped.
 func (t *NeighborTable) Observe(bssid uint64) error {
 	t.entries[bssid] = true
 	if t.UsedKB() > t.BudgetKB {
@@ -119,18 +118,6 @@ func (t *NeighborTable) OOMCrash(serial string, ts uint64, firmware string, pc u
 		FreeKB:        free,
 		NeighborCount: t.Len(),
 	}
-}
-
-// ObserveBounded inserts with an entry cap (the post-incident fix):
-// when full, new entries are dropped and the device survives.
-func (t *NeighborTable) ObserveBounded(bssid uint64, maxEntries int) (dropped bool) {
-	if len(t.entries) >= maxEntries {
-		if !t.entries[bssid] {
-			return true
-		}
-	}
-	t.entries[bssid] = true
-	return false
 }
 
 // Detector aggregates crash reports and per-device telemetry to surface
@@ -231,20 +218,6 @@ func (d *Detector) NeighborOutliers(k float64) []Outlier {
 	return out
 }
 
-// CrashesByFirmware tallies crashes per firmware revision, the first
-// pivot a debugging engineer reaches for.
-func (d *Detector) CrashesByFirmware() map[string]int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make(map[string]int)
-	for _, list := range d.crashes {
-		for _, r := range list {
-			out[r.Firmware]++
-		}
-	}
-	return out
-}
-
 func median(v []float64) float64 {
 	cp := make([]float64, len(v))
 	copy(cp, v)
@@ -257,57 +230,4 @@ func median(v []float64) float64 {
 		return cp[n/2]
 	}
 	return (cp[n/2-1] + cp[n/2]) / 2
-}
-
-// SpikeDetector finds sudden fleet-wide surges in one application's
-// usage — Section 6.2's OS-update downloads that "drive large downloads
-// across large numbers of clients, sometimes causing sudden increases
-// totaling tens or hundreds of gigabytes".
-type SpikeDetector struct {
-	// Window is the number of trailing samples forming the baseline.
-	Window int
-	// Factor is how many times the baseline mean a sample must exceed
-	// to count as a spike.
-	Factor float64
-
-	history map[string][]float64
-}
-
-// NewSpikeDetector builds a detector with the given baseline window and
-// spike factor.
-func NewSpikeDetector(window int, factor float64) *SpikeDetector {
-	if window < 1 {
-		window = 1
-	}
-	if factor <= 1 {
-		factor = 2
-	}
-	return &SpikeDetector{Window: window, Factor: factor, history: make(map[string][]float64)}
-}
-
-// Add ingests one interval's fleet-wide byte total for an application
-// and reports whether it is a spike relative to the trailing baseline.
-// The spike sample is not added to the baseline (a surge should not
-// normalize itself).
-func (s *SpikeDetector) Add(app string, bytes float64) bool {
-	h := s.history[app]
-	spike := false
-	if len(h) >= s.Window {
-		var sum float64
-		for _, v := range h[len(h)-s.Window:] {
-			sum += v
-		}
-		baseline := sum / float64(s.Window)
-		if baseline > 0 && bytes > baseline*s.Factor {
-			spike = true
-		}
-	}
-	if !spike {
-		h = append(h, bytes)
-		if len(h) > s.Window*4 {
-			h = h[len(h)-s.Window*4:]
-		}
-		s.history[app] = h
-	}
-	return spike
 }

@@ -1,14 +1,13 @@
 // Package anomaly implements the operational-telemetry machinery of
-// paper Section 6: crash reports carrying firmware and program-counter
-// state (Section 6.1's out-of-memory reboots), a neighbor-table memory
-// model that reproduces the skyscraper/bus failure mode, detection of
-// those outliers in the backend, and the Section 6.2 usage-spike
-// detector for fleet-wide software-update surges.
+// paper Section 6.1: crash reports carrying firmware and program-counter
+// state, a neighbor-table memory model that reproduces the
+// skyscraper/bus out-of-memory reboots, and detection of those devices
+// in the backend.
 //
 // The AP side is NeighborTable (bounded memory that fills — and
 // eventually OOMs — as beacons from dense environments accumulate) and
 // CrashReport, the record an AP uploads after a watchdog reboot. The
-// backend side is Detector, which clusters crash reports by firmware
-// and program counter to surface Outliers, and SpikeDetector, which
-// flags fleet-wide upload surges against a trailing baseline.
+// backend side is Detector, fed from the store's crash records and
+// neighbor counts, which surfaces reboot loops and the devices whose
+// neighbor count is a robust outlier against the fleet median.
 package anomaly
