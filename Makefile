@@ -60,7 +60,12 @@ bench-baseline:
 # that read disk: the store snapshot gob that checkpoint, snapshot and
 # absorb all load through (FuzzStoreLoad), WAL segment framing
 # (FuzzWALReplay) and replay of one record of every shape into a
-# DurableStore (FuzzDurableReplay).
+# DurableStore (FuzzDurableReplay) — and a 60 s arm of FuzzStoreOps,
+# which holds Store and DurableStore to the naive model in
+# internal/backend/model_test.go over fuzzed op sequences. One of its
+# inputs takes tens of milliseconds, so it minimizes a new input for at
+# most 5 s instead of the default 60 s, which would spend the whole arm
+# on the first few.
 wire-compat:
 	go test ./internal/backend -run 'TestWireDigestEquivalence' -count=1 -v
 	go test ./internal/core -run 'TestUsageEpochWireEquivalence' -count=1
@@ -70,6 +75,7 @@ wire-compat:
 	go test ./internal/backend -run xxx -fuzz FuzzStoreLoad -fuzztime 30s
 	go test ./internal/wal -run xxx -fuzz FuzzWALReplay -fuzztime 30s
 	go test ./internal/backend -run xxx -fuzz FuzzDurableReplay -fuzztime 30s
+	go test ./internal/backend -run xxx -fuzz FuzzStoreOps -fuzztime 60s -fuzzminimizetime 5s
 
 # bench-test compiles and tests the benchmark harness. bench/ is its
 # own module, so the root `go test ./...` never builds it against a
@@ -78,23 +84,23 @@ bench-test:
 	go -C bench vet ./... && go -C bench test ./...
 
 # docs is the documentation gate: the generated CLI flag reference
-# docs/FLAGS.md must match the flag registrations in cmd/*
-# (scripts/flagdoc -check), and the generated query-command reference
+# docs/FLAGS.md must match the flag registrations in cmd/* (TestFlagsDoc
+# in the root docs_test.go), and the generated query-command reference
 # docs/COMMANDS.md must match merakid's command table (TestCommandsDoc)
 # — change a flag or a command without running `make docs-gen` and CI
-# fails. That every package carries exactly one package comment is
-# TestEveryPackageHasOneDocComment in the root docs_test.go, which
-# `test` already runs.
+# fails. `test` runs both too, like TestEveryPackageHasOneDocComment,
+# the one-package-comment floor; -count=1 here re-reads the docs past
+# the test cache.
+DOC_TESTS = go test . ./cmd/merakid -run 'TestFlagsDoc|TestCommandsDoc' -count=1
+
 docs:
 	go vet ./...
-	go run ./scripts/flagdoc -check docs/FLAGS.md
-	go test ./cmd/merakid -run TestCommandsDoc -count=1
+	$(DOC_TESTS)
 
 # docs-gen regenerates docs/FLAGS.md and docs/COMMANDS.md after a flag
 # or command change.
 docs-gen:
-	go run ./scripts/flagdoc -out docs/FLAGS.md
-	go test ./cmd/merakid -run TestCommandsDoc -count=1 -update
+	$(DOC_TESTS) -update
 
 # loc prints the tracked Go line counts outside bench/ — the non-test
 # number is the one the ROADMAP north star says should go down — and

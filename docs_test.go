@@ -1,13 +1,19 @@
 package wlanscale
 
 import (
+	"bytes"
+	"flag"
+	"fmt"
+	"go/ast"
 	"go/parser"
+	"go/printer"
 	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -140,4 +146,142 @@ func TestDesignIndexesEveryExperiment(t *testing.T) {
 	for name := range rows {
 		t.Errorf("DESIGN.md §3 indexes %s, which core.Experiments does not list", name)
 	}
+}
+
+var updateFlagsDoc = flag.Bool("update", false, "rewrite docs/FLAGS.md from the flag registrations in cmd/*")
+
+// TestFlagsDoc keeps the CLI flag reference docs/FLAGS.md generated
+// from the flag.String/Int/Duration/... registrations of every command
+// under cmd/: `go test . -run TestFlagsDoc -update` (make docs-gen)
+// rewrites it, and the test fails while it is stale. The registrations
+// are parsed, not scraped from -help, so each default shows as its
+// source expression and runtime.GOMAXPROCS(0) does not bake one
+// machine's core count into the reference.
+func TestFlagsDoc(t *testing.T) {
+	entries, err := os.ReadDir("cmd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The header still names scripts/flagdoc, the command this test
+	// replaced, so that the move left the reference unchanged.
+	var b bytes.Buffer
+	b.WriteString("# CLI flag reference\n\n" +
+		"<!-- Generated by scripts/flagdoc. Do not edit: run `make docs-gen` after changing a flag. -->\n\n" +
+		"Defaults are shown as their source expressions, so values like\n" +
+		"`runtime.GOMAXPROCS(0)` stay symbolic instead of baking in one\n" +
+		"machine's core count. Flags appear in declaration order.\n")
+	for _, e := range entries { // ReadDir sorts by name
+		if e.IsDir() {
+			writeCommandFlags(t, &b, e.Name())
+		}
+	}
+	const path = "docs/FLAGS.md"
+	if *updateFlagsDoc {
+		if err := os.WriteFile(path, b.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	have, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(have, b.Bytes()) {
+		t.Fatalf("%s is stale: flags changed without regenerating it; run `make docs-gen`", path)
+	}
+}
+
+// flagTypes maps the flag constructors the reference understands to
+// the type it prints. The *Var forms are not used in this repo, and a
+// registration through one fails the test rather than going missing.
+var flagTypes = map[string]string{
+	"Bool": "bool", "Duration": "duration", "Float64": "float", "Int": "int",
+	"Int64": "int", "Uint": "uint", "Uint64": "uint", "String": "string",
+}
+
+// writeCommandFlags appends command cmd/name's section: the first
+// sentence of its package comment, then one table row per flag in
+// declaration order, files taken in name order.
+func writeCommandFlags(t *testing.T, b *bytes.Buffer, name string) {
+	fset := token.NewFileSet()
+	// Test files register test-binary flags (cmd/merakid's -update), not
+	// flags of the command.
+	notTest := func(fi fs.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }
+	pkgs, err := parser.ParseDir(fset, filepath.Join("cmd", name), notTest, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	summary, rows := "", []string{}
+	for _, pkg := range pkgs {
+		files := make([]string, 0, len(pkg.Files))
+		for file := range pkg.Files {
+			files = append(files, file)
+		}
+		sort.Strings(files)
+		for _, file := range files {
+			f := pkg.Files[file]
+			if f.Doc != nil && summary == "" {
+				summary = strings.Join(strings.Fields(f.Doc.Text()), " ")
+				if i := strings.Index(summary, ". "); i >= 0 {
+					summary = summary[:i+1]
+				}
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					if row, ok := flagRow(t, fset, call); ok {
+						rows = append(rows, row)
+					}
+				}
+				return true
+			})
+		}
+	}
+	fmt.Fprintf(b, "\n## %s\n\n", name)
+	if summary != "" {
+		fmt.Fprintf(b, "%s\n\n", summary)
+	}
+	if len(rows) == 0 {
+		b.WriteString("(no flags)\n")
+		return
+	}
+	b.WriteString("| Flag | Type | Default | Description |\n|------|------|---------|-------------|\n")
+	b.WriteString(strings.Join(rows, ""))
+}
+
+// flagRow renders a flag.<Ctor>(name, default, usage) call as a table
+// row, and reports false for any other call. A flag registration it
+// cannot render faithfully fails the test.
+func flagRow(t *testing.T, fset *token.FileSet, call *ast.CallExpr) (string, bool) {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return "", false
+	}
+	if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
+		return "", false
+	}
+	where := fset.Position(call.Pos())
+	typ, ok := flagTypes[sel.Sel.Name]
+	switch {
+	case !ok && strings.HasSuffix(sel.Sel.Name, "Var"):
+		t.Fatalf("%s: flag.%s is not supported by the flag reference", where, sel.Sel.Name)
+	case !ok:
+		return "", false
+	case len(call.Args) != 3:
+		t.Fatalf("%s: flag.%s with %d args", where, sel.Sel.Name, len(call.Args))
+	}
+	var def bytes.Buffer
+	printer.Fprint(&def, fset, call.Args[1])
+	cell := strings.NewReplacer("|", "\\|", "\n", " ")
+	return fmt.Sprintf("| `-%s` | %s | `%s` | %s |\n", stringLit(t, where, call.Args[0]), typ,
+		cell.Replace(def.String()), cell.Replace(stringLit(t, where, call.Args[2]))), true
+}
+
+// stringLit unquotes a flag name or usage, which must be a literal.
+func stringLit(t *testing.T, where token.Position, e ast.Expr) string {
+	if lit, ok := e.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+		if s, err := strconv.Unquote(lit.Value); err == nil {
+			return s
+		}
+	}
+	t.Fatalf("%s: a flag name or usage that is not a string literal", where)
+	return ""
 }

@@ -83,12 +83,6 @@ func NewClassifier() *Classifier {
 // the paper's "about 200 application identification rules".
 func (c *Classifier) RuleCount() int { return c.ruleCount }
 
-// AppByName returns the catalog entry for an application name.
-func (c *Classifier) AppByName(name string) (AppInfo, bool) {
-	a, ok := c.byName[name]
-	return a, ok
-}
-
 // lookupHost finds the most specific (longest-suffix) host rule for a
 // hostname: it tries the full name, then strips leading labels.
 func (c *Classifier) lookupHost(host string) (AppInfo, bool) {

@@ -80,10 +80,10 @@ type DurableStore struct {
 	keep int
 
 	// flight makes "in the WAL" and "in the store" one step as far as
-	// Checkpoint can tell: IngestBatch and the migration operations hold
-	// the read side across append+apply, and Checkpoint takes the write
-	// side to read the next LSN and capture the store together, so the
-	// snapshot holds every record below that LSN and none at or above it.
+	// Checkpoint can tell: logged holds the read side across
+	// append+apply, and Checkpoint takes the write side to read the next
+	// LSN and capture the store together, so the snapshot holds every
+	// record below that LSN and none at or above it.
 	flight sync.RWMutex
 
 	mu       sync.Mutex // serializes Checkpoint; guards ckptLSN
@@ -340,26 +340,13 @@ func (d *DurableStore) IngestBatch(reports []*telemetry.Report, raw [][]byte) er
 	if len(reports) == 0 {
 		return nil
 	}
-	if d.degraded.Load() {
-		return ErrDegraded
-	}
 	if raw == nil {
 		raw = make([][]byte, len(reports))
 		for i, r := range reports {
 			raw[i] = r.Marshal()
 		}
 	}
-	d.flight.RLock()
-	defer d.flight.RUnlock()
-	if _, err := d.log.AppendBatch(raw); err != nil {
-		d.degraded.Store(true)
-		d.walFails.Inc()
-		return fmt.Errorf("backend: wal append: %w", err)
-	}
-	for _, r := range reports {
-		d.Store.Ingest(r)
-	}
-	return nil
+	return d.logged(raw, func() { d.ingest(reports) })
 }
 
 // IngestBatchFrame is the v2-harvest counterpart of IngestBatch: the
@@ -372,19 +359,33 @@ func (d *DurableStore) IngestBatchFrame(reports []*telemetry.Report, payload []b
 	if len(reports) == 0 {
 		return nil
 	}
+	return d.logged([][]byte{payload}, func() { d.ingest(reports) })
+}
+
+func (d *DurableStore) ingest(reports []*telemetry.Report) {
+	for _, r := range reports {
+		d.Store.Ingest(r)
+	}
+}
+
+// logged is the store's one write path, shared by report batches and
+// migration steps: it appends records to the WAL in one write and then
+// runs apply, both under the flight read lock, so a checkpoint's cut
+// never falls between a record and its effect. A failed append flips
+// the store to degraded, and from then on every call returns
+// ErrDegraded without touching the WAL or the store.
+func (d *DurableStore) logged(records [][]byte, apply func()) error {
 	if d.degraded.Load() {
 		return ErrDegraded
 	}
 	d.flight.RLock()
 	defer d.flight.RUnlock()
-	if _, err := d.log.AppendBatch([][]byte{payload}); err != nil {
+	if _, err := d.log.AppendBatch(records); err != nil {
 		d.degraded.Store(true)
 		d.walFails.Inc()
 		return fmt.Errorf("backend: wal append: %w", err)
 	}
-	for _, r := range reports {
-		d.Store.Ingest(r)
-	}
+	apply()
 	return nil
 }
 

@@ -10,7 +10,7 @@ import (
 
 // Durable rebalance operations. Each migration step on a WAL-backed
 // shard is its own WAL record, appended before the in-memory state
-// changes (the same WAL-before-ack discipline IngestBatch follows), so
+// changes through logged, the write path report batches take too, so
 // a shard SIGKILLed mid-migration replays to exactly the state it
 // acknowledged: an absorbed slice stays absorbed (token-deduplicated
 // against the checkpoint), a parted network stays parted, a dropped
@@ -83,25 +83,6 @@ func errShortMigration(b []byte) error {
 	return fmt.Errorf("backend: short migration record (%d bytes)", len(b))
 }
 
-// logged appends one migration record to the WAL and then runs apply,
-// both under the flight lock — the same durability path as report
-// batches, so a checkpoint's cut never falls between a migration step's
-// record and its effect.
-func (d *DurableStore) logged(kind byte, token string, ids []uint64, payload []byte, apply func()) error {
-	if d.degraded.Load() {
-		return ErrDegraded
-	}
-	d.flight.RLock()
-	defer d.flight.RUnlock()
-	if _, err := d.log.AppendBatch([][]byte{encodeMigrationRecord(kind, token, ids, payload)}); err != nil {
-		d.degraded.Store(true)
-		d.walFails.Inc()
-		return fmt.Errorf("backend: wal append: %w", err)
-	}
-	apply()
-	return nil
-}
-
 // AbsorbSnapshot durably applies a migration slice: the whole slice
 // rides one WAL record, then Store.Absorb folds it in. Returns false
 // when the token was already absorbed (the slice is not re-logged).
@@ -110,7 +91,7 @@ func (d *DurableStore) AbsorbSnapshot(token string, ids []uint64, slice []byte) 
 		return false, nil
 	}
 	var applyErr error
-	if err := d.logged(recAbsorb, token, ids, slice, func() {
+	if err := d.logged([][]byte{encodeMigrationRecord(recAbsorb, token, ids, slice)}, func() {
 		applied, applyErr = d.Store.Absorb(token, ids, bytes.NewReader(slice), NetworkOfSerial)
 	}); err != nil {
 		return false, err
@@ -121,7 +102,7 @@ func (d *DurableStore) AbsorbSnapshot(token string, ids []uint64, slice []byte) 
 // DropNetworks durably removes migrated networks (and forgets the
 // token, Store.Drop's contract).
 func (d *DurableStore) DropNetworks(token string, ids []uint64) (networks, entries int, err error) {
-	err = d.logged(recDrop, token, ids, nil, func() {
+	err = d.logged([][]byte{encodeMigrationRecord(recDrop, token, ids, nil)}, func() {
 		networks, entries = d.Store.Drop(token, ids, NetworkOfSerial)
 	})
 	return networks, entries, err
@@ -129,12 +110,12 @@ func (d *DurableStore) DropNetworks(token string, ids []uint64) (networks, entri
 
 // PartNetworks durably marks networks as refusing ingestion.
 func (d *DurableStore) PartNetworks(ids []uint64) error {
-	return d.logged(recPart, "", ids, nil, func() { d.Store.Part(ids) })
+	return d.logged([][]byte{encodeMigrationRecord(recPart, "", ids, nil)}, func() { d.Store.Part(ids) })
 }
 
 // UnpartNetworks durably clears the parted mark.
 func (d *DurableStore) UnpartNetworks(ids []uint64) error {
-	return d.logged(recUnpart, "", ids, nil, func() { d.Store.Unpart(ids) })
+	return d.logged([][]byte{encodeMigrationRecord(recUnpart, "", ids, nil)}, func() { d.Store.Unpart(ids) })
 }
 
 // applyMigration re-applies one migration record during recovery.

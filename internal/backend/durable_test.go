@@ -9,7 +9,6 @@ import (
 
 	"wlanscale/internal/dot11"
 	"wlanscale/internal/telemetry"
-	"wlanscale/internal/wal"
 )
 
 // durableReports builds n deterministic reports across a few serials,
@@ -54,59 +53,6 @@ func mustOpenDurable(t *testing.T, dir string, o DurableOptions) (*DurableStore,
 	return d, stats
 }
 
-func TestDurableEmptyWAL(t *testing.T) {
-	dir := t.TempDir()
-	d, stats := mustOpenDurable(t, dir, DurableOptions{})
-	defer d.Close()
-	if stats.CheckpointLSN != 0 || stats.Replayed != 0 || stats.Fallbacks != 0 {
-		t.Fatalf("fresh dir recovery stats = %+v, want all zero", stats)
-	}
-	if d.NumClients() != 0 {
-		t.Fatal("fresh durable store not empty")
-	}
-}
-
-func TestDurableReplayMatchesControl(t *testing.T) {
-	dir := t.TempDir()
-	reports := durableReports(90)
-	want := volatileDigest(reports)
-
-	d, _ := mustOpenDurable(t, dir, DurableOptions{})
-	// Mix single and batched ingests, checkpoint midway so recovery
-	// exercises checkpoint + replay together.
-	for i := 0; i < len(reports); i += 10 {
-		if err := d.IngestBatch(reports[i:i+10], nil); err != nil {
-			t.Fatal(err)
-		}
-		if i == 40 {
-			if err := d.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if d.Digest() != want {
-		t.Fatal("live durable digest diverged from control")
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	d2, stats := mustOpenDurable(t, dir, DurableOptions{})
-	defer d2.Close()
-	if stats.CheckpointLSN == 0 {
-		t.Fatalf("recovery ignored the checkpoint: %+v", stats)
-	}
-	if stats.Replayed == 0 {
-		t.Fatalf("recovery replayed nothing: %+v", stats)
-	}
-	if stats.BadRecords != 0 {
-		t.Fatalf("recovery hit undecodable records: %+v", stats)
-	}
-	if got := d2.Digest(); got != want {
-		t.Fatalf("recovered digest != control\n got %s\nwant %s", got, want)
-	}
-}
-
 // TestDurableTornTailOnly covers a WAL whose only content beyond the
 // header is a torn record: recovery must come up empty-but-healthy.
 func TestDurableTornTailOnly(t *testing.T) {
@@ -146,61 +92,6 @@ func TestDurableTornTailOnly(t *testing.T) {
 	defer d3.Close()
 	if d3.Digest() != want {
 		t.Fatal("redelivery after torn tail did not converge to control")
-	}
-}
-
-// TestDurableCheckpointNewerThanWAL: checkpoint covers everything and
-// the WAL has been truncated past its end — replay must be a no-op,
-// not an error.
-func TestDurableCheckpointNewerThanWAL(t *testing.T) {
-	dir := t.TempDir()
-	reports := durableReports(30)
-	want := volatileDigest(reports)
-
-	d, _ := mustOpenDurable(t, dir, DurableOptions{KeepCheckpoints: 1})
-	if err := d.IngestBatch(reports, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	d.Close()
-
-	d2, stats := mustOpenDurable(t, dir, DurableOptions{KeepCheckpoints: 1})
-	defer d2.Close()
-	if stats.Replayed != 0 {
-		t.Fatalf("replayed %d records the checkpoint already covers", stats.Replayed)
-	}
-	if d2.Digest() != want {
-		t.Fatal("checkpoint-only recovery diverged from control")
-	}
-}
-
-// TestDurableReplayIdempotent: recover, recover again without any new
-// writes — digests identical, no double-counting.
-func TestDurableReplayIdempotent(t *testing.T) {
-	dir := t.TempDir()
-	reports := durableReports(45)
-	want := volatileDigest(reports)
-
-	d, _ := mustOpenDurable(t, dir, DurableOptions{})
-	if err := d.IngestBatch(reports[:20], nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.IngestBatch(reports[20:], nil); err != nil {
-		t.Fatal(err)
-	}
-	d.Close()
-
-	for pass := 1; pass <= 3; pass++ {
-		d2, _ := mustOpenDurable(t, dir, DurableOptions{})
-		if got := d2.Digest(); got != want {
-			t.Fatalf("pass %d digest diverged", pass)
-		}
-		d2.Close() // no checkpoint, no writes: next pass replays the same WAL
 	}
 }
 
@@ -286,47 +177,6 @@ func TestDurableAllCheckpointsCorrupt(t *testing.T) {
 	}
 }
 
-// TestDurableCrashPlanSeeds is the in-process half of the kill
-// harness: a seeded tear strikes a random append, the batch fails (so
-// in production it would not be acked), and recovery yields exactly
-// the acked prefix — compare against a control fed the same prefix.
-func TestDurableCrashPlanSeeds(t *testing.T) {
-	const horizon = 40
-	for seed := uint64(1); seed <= 12; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			dir := t.TempDir()
-			reports := durableReports(horizon)
-			plan := wal.NewCrashPlan(seed, horizon)
-			d, _ := mustOpenDurable(t, dir, DurableOptions{WAL: wal.Options{Crash: plan}})
-
-			acked := 0
-			for _, r := range reports {
-				if err := d.IngestBatch([]*telemetry.Report{r}, nil); err != nil {
-					break // crashed mid-append: this report was NOT acked
-				}
-				acked++
-			}
-			if fired, at := plan.Fired(); !fired || at != acked {
-				t.Fatalf("plan fired=%t at=%d, acked=%d", fired, at, acked)
-			}
-			// Degraded after the write failure: refuses further acks.
-			if !d.Degraded() {
-				t.Fatal("store not degraded after WAL crash")
-			}
-			if err := d.IngestBatch(reports[acked:acked+1], nil); err == nil {
-				t.Fatal("degraded store accepted a batch")
-			}
-
-			d2, _ := mustOpenDurable(t, dir, DurableOptions{})
-			defer d2.Close()
-			if got, want := d2.Digest(), volatileDigest(reports[:acked]); got != want {
-				t.Fatalf("recovered digest != acked-prefix control (acked=%d)", acked)
-			}
-		})
-	}
-}
-
 // TestDurableIgnoresCheckpointTempHusk: a SIGKILL inside SaveFile
 // leaves "checkpoint-XXX.gob.tmp-NNN" behind; recovery must neither
 // mistake it for a generation (Sscanf tolerates trailing input) nor
@@ -400,87 +250,5 @@ func TestSaveFileAtomic(t *testing.T) {
 	// snapshot elsewhere.
 	if err := s.SaveFile(filepath.Join(dir, "no-such-subdir", "x.gob")); err == nil {
 		t.Fatal("SaveFile into missing directory succeeded")
-	}
-}
-
-func TestDigestStability(t *testing.T) {
-	reports := durableReports(50)
-	want := volatileDigest(reports)
-
-	// Cross-serial interleaving independence: ingest grouped by serial
-	// (per-serial seqno order preserved — the watermark dedup requires
-	// it) with each report redelivered once. Same end state.
-	s := NewStore()
-	for ap := 0; ap < 3; ap++ {
-		serial := fmt.Sprintf("AP-%d", ap)
-		for _, r := range reports {
-			if r.Serial != serial {
-				continue
-			}
-			s.Ingest(r)
-			s.Ingest(r) // redelivery, absorbed by seqno watermark
-		}
-	}
-	if s.Digest() != want {
-		t.Fatal("digest not stable under interleaving/redelivery")
-	}
-}
-
-// TestIngestBatchFrameRecovers drives the v2 durable ingest in
-// process: whole batch payloads go to the WAL through IngestBatchFrame,
-// the store is abandoned without a checkpoint, and replay — which
-// decodes every record through DecodeBatchFrame — must rebuild the
-// control digest. A CRC-valid record that claims to be a batch but
-// does not decode counts as bad and changes nothing.
-func TestIngestBatchFrameRecovers(t *testing.T) {
-	const frames, perFrame = 4, 16
-	dir := t.TempDir()
-	var reports []*telemetry.Report
-	d, _ := mustOpenDurable(t, dir, DurableOptions{})
-	for f := 0; f < frames; f++ {
-		be := telemetry.NewBatchEncoder(0)
-		for i := f * perFrame; i < (f+1)*perFrame; i++ {
-			r := benchReport(i%4, uint64(i/4+1))
-			reports = append(reports, r)
-			be.Add(r)
-		}
-		payload := be.Finish(0, 0, nil)
-		bf, err := telemetry.DecodeBatchFrame(payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := d.IngestBatchFrame(bf.Reports, payload); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := volatileDigest(reports)
-	if d.Digest() != want {
-		t.Fatal("live durable digest diverged from control")
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	d2, stats := mustOpenDurable(t, dir, DurableOptions{})
-	if stats.Replayed != frames || stats.BadRecords != 0 {
-		t.Fatalf("recovery stats = %+v, want %d replayed and no bad records", stats, frames)
-	}
-	if got := d2.Digest(); got != want {
-		t.Fatalf("recovered digest != control\n got %s\nwant %s", got, want)
-	}
-	if _, err := d2.WAL().Append([]byte{telemetry.WireV2, 0xff}); err != nil {
-		t.Fatal(err)
-	}
-	if err := d2.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	d3, stats := mustOpenDurable(t, dir, DurableOptions{})
-	defer d3.Close()
-	if stats.BadRecords != 1 {
-		t.Fatalf("recovery stats = %+v, want the undecodable batch counted bad", stats)
-	}
-	if got := d3.Digest(); got != want {
-		t.Fatalf("an undecodable batch record changed the digest\n got %s\nwant %s", got, want)
 	}
 }

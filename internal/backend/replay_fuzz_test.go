@@ -2,6 +2,7 @@ package backend
 
 import (
 	"bytes"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -36,7 +37,9 @@ func FuzzDurableReplay(f *testing.F) {
 	}
 	f.Add(be.Finish(0, 0, nil))
 	var slice bytes.Buffer
-	if err := netStore([]int{5}, 1, 1).Save(&slice); err != nil {
+	s := NewStore()
+	s.Ingest(randomReport(rand.New(rand.NewSource(5)), 5, 0, 1))
+	if err := s.Save(&slice); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(encodeMigrationRecord(recAbsorb, "tok-f", []uint64{5}, slice.Bytes()))

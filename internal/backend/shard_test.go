@@ -198,96 +198,3 @@ func TestLoadIsAtomic(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestMergeEqualsDirectIngest: partitioning a report stream into
-// partial stores and merging them must be indistinguishable from
-// ingesting the whole stream into one store.
-func TestMergeEqualsDirectIngest(t *testing.T) {
-	const nDevices = 48
-	direct := NewStore()
-	for n := 0; n < nDevices; n++ {
-		direct.Ingest(fullReport(n, 1))
-		direct.Ingest(fullReport(n, 2))
-	}
-
-	merged := NewStore()
-	const parts = 5
-	for p := 0; p < parts; p++ {
-		part := NewStore()
-		for n := p; n < nDevices; n += parts {
-			part.Ingest(fullReport(n, 1))
-			part.Ingest(fullReport(n, 2))
-		}
-		merged.Merge(part)
-	}
-
-	di, dd := direct.Stats()
-	mi, md := merged.Stats()
-	if di != mi || dd != md {
-		t.Errorf("stats differ: %d/%d vs %d/%d", di, dd, mi, md)
-	}
-	dc, mc := direct.Clients(), merged.Clients()
-	if len(dc) != len(mc) {
-		t.Fatalf("client counts differ: %d vs %d", len(dc), len(mc))
-	}
-	for i := range dc {
-		if dc[i].MAC != mc[i].MAC || dc[i].Total() != mc[i].Total() ||
-			len(dc[i].UserAgents) != len(mc[i].UserAgents) {
-			t.Fatalf("client %d differs: %+v vs %+v", i, dc[i], mc[i])
-		}
-	}
-	dl, ml := direct.Links(), merged.Links()
-	if len(dl) != len(ml) {
-		t.Fatalf("link counts differ: %d vs %d", len(dl), len(ml))
-	}
-	for i := range dl {
-		if dl[i].Key != ml[i].Key || fmt.Sprint(dl[i].Deliver) != fmt.Sprint(ml[i].Deliver) {
-			t.Fatalf("link %d differs: %+v vs %+v", i, dl[i], ml[i])
-		}
-	}
-	for n := 0; n < nDevices; n++ {
-		serial := fmt.Sprintf("AP-%04d", n)
-		if got, want := len(merged.RadioSeries(serial)), len(direct.RadioSeries(serial)); got != want {
-			t.Errorf("%s radio series %d, want %d", serial, got, want)
-		}
-	}
-	// Dedup high-water marks must survive the merge.
-	merged.Ingest(fullReport(0, 2))
-	if _, dup := merged.Stats(); dup != 1 {
-		t.Error("merge lost dedup state")
-	}
-}
-
-// TestMergeOverlappingClients: the same client roaming across partials
-// must aggregate exactly as roaming across APs in one store does.
-func TestMergeOverlappingClients(t *testing.T) {
-	mac := dot11.MAC{0xac, 0xbc, 0x32, 0, 0, 7}
-	mk := func(serial string) *Store {
-		p := NewStore()
-		p.Ingest(&telemetry.Report{
-			Serial: serial, SeqNo: 1,
-			Clients: []telemetry.ClientRecord{{
-				MAC: mac, Band: dot11.Band5, RSSIdB: 30,
-				UserAgents: []string{"shared-ua"},
-				Apps:       []telemetry.AppUsageRecord{{App: "YouTube", UpBytes: 5, DownBytes: 50, Flows: 1}},
-			}},
-		})
-		return p
-	}
-	s := NewStore()
-	s.Merge(mk("AP-A"))
-	s.Merge(mk("AP-B"))
-	if s.NumClients() != 1 {
-		t.Fatalf("clients = %d, want 1", s.NumClients())
-	}
-	c := s.Clients()[0]
-	if c.Total() != 110 || appOf(c, "YouTube").Flows != 2 {
-		t.Errorf("merged usage = %+v", appOf(c, "YouTube"))
-	}
-	if len(c.APs) != 2 {
-		t.Errorf("AP set = %v, want 2 entries", c.APs)
-	}
-	if len(c.UserAgents) != 1 {
-		t.Errorf("user agents not deduplicated: %v", c.UserAgents)
-	}
-}

@@ -151,38 +151,6 @@ func TestCheckpointIsExactCut(t *testing.T) {
 	}
 }
 
-// TestAbsorbIntoEmptyDurableStore: the first WAL record of a fresh
-// rebalance destination is the absorbed slice, which can be larger than
-// a whole segment.
-func TestAbsorbIntoEmptyDurableStore(t *testing.T) {
-	src := netStore([]int{5}, 3, 250)
-	var slice bytes.Buffer
-	if err := src.Save(&slice); err != nil {
-		t.Fatal(err)
-	}
-	const segment = 64 << 10
-	if slice.Len() <= segment {
-		t.Fatalf("slice is %d bytes; the test needs one above the %d-byte segment", slice.Len(), segment)
-	}
-
-	dir := t.TempDir()
-	opts := DurableOptions{}
-	opts.WAL.SegmentBytes = segment
-	d, _ := mustOpenDurable(t, dir, opts)
-	ok, err := d.AbsorbSnapshot("tok-1", []uint64{5}, slice.Bytes())
-	if err != nil || !ok {
-		t.Fatalf("absorb into empty store: applied=%t err=%v", ok, err)
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-	d2, _ := mustOpenDurable(t, dir, opts)
-	defer d2.Close()
-	if d2.Digest() != src.Digest() {
-		t.Fatal("absorbed slice did not survive recovery")
-	}
-}
-
 // TestLoadLegacySnapshot: testdata/snapshot-pr12.gob was written by the
 // last build whose ClientAggregate held Apps and APs as maps (20
 // durableReports, network 7 parted, token "tok-legacy" absorbed). After
@@ -239,32 +207,6 @@ func TestLoadRefusesUnsortedClient(t *testing.T) {
 		if s.NumClients() != 1 {
 			t.Errorf("%s: refused load changed the store", name)
 		}
-	}
-}
-
-// TestIngestUnsortedApps: records that arrive out of name order (no AP
-// sends them so, but the wire allows it) fold to the same aggregate as
-// sorted ones, repeats included.
-func TestIngestUnsortedApps(t *testing.T) {
-	apps := []telemetry.AppUsageRecord{
-		{App: "m", UpBytes: 1, Flows: 1}, {App: "z", UpBytes: 2, Flows: 1}, {App: "a", UpBytes: 3, Flows: 1},
-		{App: "m", UpBytes: 4, Flows: 1}, {App: "b", UpBytes: 5, Flows: 1}, {App: "z", UpBytes: 6, Flows: 1},
-	}
-	sorted := append([]telemetry.AppUsageRecord(nil), apps...)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].App < sorted[j].App })
-	digest := func(in []telemetry.AppUsageRecord) string {
-		s := NewStore()
-		for seq := uint64(1); seq <= 2; seq++ {
-			s.Ingest(&telemetry.Report{Serial: "AP-1", SeqNo: seq, Clients: []telemetry.ClientRecord{{MAC: clientA, Apps: in}}})
-		}
-		c := s.Clients()[0]
-		if len(c.Apps) != 4 || appOf(c, "m").UpBytes != 10 || appOf(c, "z").UpBytes != 16 {
-			t.Fatalf("folded apps = %+v", c.Apps)
-		}
-		return s.Digest()
-	}
-	if digest(apps) != digest(sorted) {
-		t.Fatal("unsorted app records fold differently from sorted ones")
 	}
 }
 

@@ -463,7 +463,12 @@ func lessLinkKey(a, b LinkKey) bool {
 	return a.To.Uint64() < b.To.Uint64()
 }
 
-// Stats summarizes ingestion.
+// Stats returns how many reports were folded in and how many were
+// dropped as re-deliveries since the store was built or last loaded. A
+// snapshot carries no counters: Load starts them from zero, a merged
+// partial adds its own, and a booted DurableStore counts its WAL replay
+// above the checkpoint plus what it ingests after boot, not the
+// reports the checkpoint holds.
 func (s *Store) Stats() (ingests, dupes int) {
 	return int(s.ingests.Load()), int(s.dupes.Load())
 }
@@ -773,7 +778,8 @@ func (snap *snapshot) upgrade() error {
 
 // Load replaces the store contents from a gob snapshot. The swap is
 // one exclusive section, so readers and captures see the store either
-// wholly before or wholly after the load.
+// wholly before or wholly after the load. The Stats counters restart
+// from zero, since a snapshot carries none.
 //
 // The bytes may be damaged (a checkpoint on a failing disk) or hostile
 // (an absorb payload from the query port), and gob sizes every map it
@@ -781,13 +787,56 @@ func (snap *snapshot) upgrade() error {
 // a few bad bytes could demand gigabytes. Load therefore first decodes
 // the stream into an empty struct: gob skips every field, keeps
 // nothing, and fails unless every count is backed by entries that are
-// really there.
+// really there. Before that, every gob message must fit in the bytes
+// that follow its length: gob reads a message into a buffer of the
+// length it claims, up to 10 MiB at a time, before it finds the bytes
+// missing, so six bytes could cost ten megabytes.
 func (s *Store) Load(r io.Reader) error {
+	// io.Copy hands over an in-memory reader's bytes in one write, so
+	// the buffer is allocated once at their size.
 	var buf bytes.Buffer
-	if err := gob.NewDecoder(io.TeeReader(r, &buf)).Decode(new(struct{})); err != nil {
+	if _, err := io.Copy(&buf, r); err != nil {
 		return fmt.Errorf("backend: load: %w", err)
 	}
-	return s.load(&buf)
+	return s.loadBytes(buf.Bytes())
+}
+
+// loadBytes is Load of a snapshot already in memory.
+func (s *Store) loadBytes(b []byte) error {
+	err := checkGobFrames(b)
+	if err == nil {
+		err = gob.NewDecoder(bytes.NewReader(b)).Decode(new(struct{}))
+	}
+	if err != nil {
+		return fmt.Errorf("backend: load: %w", err)
+	}
+	return s.load(bytes.NewReader(b))
+}
+
+// checkGobFrames walks a gob stream's message framing — a length in
+// gob's unsigned encoding, then that many bytes — and fails on a length
+// that runs past the end of b.
+func checkGobFrames(b []byte) error {
+	for len(b) > 0 {
+		n, w := uint64(b[0]), 1
+		if n > 0x7f {
+			// A negated byte count, then the length in that many bytes,
+			// big-endian.
+			w += -int(int8(b[0]))
+			if w > 9 || w > len(b) {
+				return io.ErrUnexpectedEOF
+			}
+			n = 0
+			for _, c := range b[1:w] {
+				n = n<<8 | uint64(c)
+			}
+		}
+		if n > uint64(len(b)-w) {
+			return io.ErrUnexpectedEOF
+		}
+		b = b[w+int(n):]
+	}
+	return nil
 }
 
 // load is Load without the validating walk.
@@ -907,10 +956,9 @@ func syncDir(dir string) {
 
 // LoadFile reads a snapshot from a file path.
 func (s *Store) LoadFile(path string) error {
-	f, err := os.Open(path)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return s.Load(f)
+	return s.loadBytes(b)
 }

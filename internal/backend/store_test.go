@@ -57,36 +57,6 @@ func TestIngestAggregatesAcrossAPs(t *testing.T) {
 	}
 }
 
-func TestIngestDeduplicatesBySeq(t *testing.T) {
-	s := NewStore()
-	r := usageReport("AP-1", 5, clientA, "YouTube", 10, 100)
-	s.Ingest(r)
-	s.Ingest(r) // redelivered after a poller crash
-	ing, dup := s.Stats()
-	if ing != 1 || dup != 1 {
-		t.Errorf("ingests/dupes = %d/%d", ing, dup)
-	}
-	u := appOf(s.Clients()[0], "YouTube")
-	if u.DownBytes != 100 {
-		t.Errorf("double-counted: %d", u.DownBytes)
-	}
-	// A later seq from the same device is accepted.
-	s.Ingest(usageReport("AP-1", 6, clientA, "YouTube", 10, 100))
-	if u := appOf(s.Clients()[0], "YouTube"); u.DownBytes != 200 {
-		t.Errorf("later seq lost: %d", u.DownBytes)
-	}
-}
-
-func TestIngestSeqZeroAlwaysAccepted(t *testing.T) {
-	s := NewStore()
-	s.Ingest(usageReport("AP-1", 0, clientA, "X", 1, 1))
-	s.Ingest(usageReport("AP-1", 0, clientA, "X", 1, 1))
-	ing, _ := s.Stats()
-	if ing != 2 {
-		t.Errorf("unsequenced ingests = %d", ing)
-	}
-}
-
 func TestClientOSInference(t *testing.T) {
 	s := NewStore()
 	fp, _ := apps.DHCPFingerprintFor(apps.OSiOS)
@@ -203,45 +173,6 @@ func TestStoreConcurrentIngest(t *testing.T) {
 		if appOf(c, "Facebook").DownBytes != 1000 {
 			t.Errorf("client %v bytes = %d", c.MAC, appOf(c, "Facebook").DownBytes)
 		}
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	s := NewStore()
-	s.Ingest(usageReport("AP-1", 1, clientA, "Netflix", 100, 1000))
-	s.Ingest(&telemetry.Report{
-		Serial: "AP-1", SeqNo: 2,
-		LinkWindows: []telemetry.LinkWindow{{Peer: peerB, Band: dot11.Band5, Sent: 20, Delivered: 20}},
-		Neighbors:   []telemetry.NeighborRecord{{BSSID: peerB, SSID: "x", Band: dot11.Band24, Channel: 6}},
-	})
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	s2 := NewStore()
-	if err := s2.Load(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if s2.NumClients() != 1 {
-		t.Errorf("loaded clients = %d", s2.NumClients())
-	}
-	if len(s2.Links()) != 1 {
-		t.Errorf("loaded links = %d", len(s2.Links()))
-	}
-	if len(s2.Neighbors("AP-1")) != 1 {
-		t.Errorf("loaded neighbors = %d", len(s2.Neighbors("AP-1")))
-	}
-	// Dedup state survives: replaying seq 2 is dropped.
-	s2.Ingest(&telemetry.Report{Serial: "AP-1", SeqNo: 2})
-	if _, dup := s2.Stats(); dup != 1 {
-		t.Error("dedup state lost across save/load")
-	}
-}
-
-func TestLoadGarbage(t *testing.T) {
-	s := NewStore()
-	if err := s.Load(bytes.NewReader([]byte("not a gob"))); err == nil {
-		t.Error("garbage snapshot accepted")
 	}
 }
 

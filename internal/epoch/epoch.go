@@ -27,18 +27,5 @@ func (e Epoch) String() string {
 	}
 }
 
-// YearsSince2014 returns the elapsed time since January 2014 in years,
-// used by growth models.
-func (e Epoch) YearsSince2014() float64 {
-	switch e {
-	case Jul2014:
-		return 0.5
-	case Jan2015:
-		return 1
-	default:
-		return 0
-	}
-}
-
 // WeekSeconds is the length of one measurement week.
 const WeekSeconds = 7 * 24 * 3600

@@ -76,9 +76,6 @@ var envParams = map[Environment]pathLossParams{
 // the environment.
 func (e Environment) ShadowSigmaDB() float64 { return envParams[e].shadowDB }
 
-// PathLossExponent returns the log-distance exponent for the environment.
-func (e Environment) PathLossExponent() float64 { return envParams[e].exponent }
-
 // PathLossDB returns the median path loss in dB over the given distance
 // in meters for a carrier in the given band, using the log-distance model
 // with a 1 m free-space reference. The 5 GHz band sees roughly 6-7 dB

@@ -60,9 +60,6 @@ func (s *Source) Float64() float64 { return s.r.Float64() }
 // IntN returns a uniform int in [0,n). It panics if n <= 0.
 func (s *Source) IntN(n int) int { return s.r.IntN(n) }
 
-// Int64N returns a uniform int64 in [0,n). It panics if n <= 0.
-func (s *Source) Int64N(n int64) int64 { return s.r.Int64N(n) }
-
 // Uint64 returns a uniform 64-bit value.
 func (s *Source) Uint64() uint64 { return s.r.Uint64() }
 
@@ -112,17 +109,6 @@ func (s *Source) Pareto(xm, alpha float64) float64 {
 		u = s.r.Float64()
 	}
 	return xm / math.Pow(u, 1/alpha)
-}
-
-// Rayleigh returns a Rayleigh-distributed value with scale sigma. The
-// Rayleigh distribution models the envelope of non-line-of-sight
-// multipath fading.
-func (s *Source) Rayleigh(sigma float64) float64 {
-	u := s.r.Float64()
-	for u == 0 {
-		u = s.r.Float64()
-	}
-	return sigma * math.Sqrt(-2*math.Log(u))
 }
 
 // RicianPowerDB returns the instantaneous fading gain in dB for a Rician
@@ -210,9 +196,6 @@ func (s *Source) Zipf(n int, sExp float64) int {
 
 // Perm returns a random permutation of [0,n).
 func (s *Source) Perm(n int) []int { return s.r.Perm(n) }
-
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (s *Source) Shuffle(n int, swap func(i, j int)) { s.r.Shuffle(n, swap) }
 
 // Categorical draws an index from the (unnormalized) weight vector.
 // It panics if weights is empty or sums to a non-positive value.

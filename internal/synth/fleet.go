@@ -140,9 +140,6 @@ type Fleet struct {
 // Classifier returns the shared compiled rule engine.
 func (f *Fleet) Classifier() *apps.Classifier { return f.classifier }
 
-// Root returns the fleet's root randomness source.
-func (f *Fleet) Root() *rng.Source { return f.root }
-
 // clientGrowth is the fleet-wide client growth from Jan 2014 to Jan
 // 2015 (+37%, Table 3).
 const clientGrowth = 1.37

@@ -39,9 +39,6 @@ type Agent struct {
 	// Health, when set, receives the agent's reconnect and error
 	// counters. Safe to share one instance across a fleet.
 	Health *HarvestHealth
-	// Metrics, when attached (NewAgentMetrics), counts dials, retries,
-	// backoff waits, and queue pressure. The zero value is a no-op.
-	Metrics AgentMetrics
 	// Wire is the maximum wire version the agent announces (WireV2 opts
 	// into delta-coded batch frames); zero or WireV1 keeps the legacy
 	// per-report protocol byte-identical. The backend clamps the session
@@ -138,12 +135,10 @@ func (a *Agent) Enqueue(r *Report) {
 	}
 	q.enqUS = time.Now().UnixMicro()
 	a.queue = append(a.queue, q)
-	a.Metrics.Enqueued.Inc()
 	if a.QueueLimit > 0 && len(a.queue) > a.QueueLimit {
 		over := len(a.queue) - a.QueueLimit
 		a.dropLocked(over)
 		a.dropped += over
-		a.Metrics.Dropped.Add(int64(over))
 	}
 }
 
@@ -306,7 +301,6 @@ func (a *Agent) LoadQueue(r io.Reader) error {
 		a.queue = nil
 		a.dropped += lostCount
 		a.mu.Unlock()
-		a.Metrics.Dropped.Add(int64(lostCount))
 		return nil
 	}
 	if _, err := io.ReadFull(r, hdr); err != nil {
@@ -347,7 +341,6 @@ func (a *Agent) LoadQueue(r io.Reader) error {
 	defer a.mu.Unlock()
 	a.queue = queue
 	a.dropped = snap.Dropped + lost
-	a.Metrics.Dropped.Add(int64(lost))
 	if snap.Seq > a.seq {
 		a.seq = snap.Seq
 	}
@@ -395,7 +388,6 @@ func (a *Agent) ServeConn(conn net.Conn) error {
 			if err := t.WriteFrame(append([]byte{frameBatch}, a.buildBatch(int(m.Max), fault)...)); err != nil {
 				return err
 			}
-			a.Metrics.BatchesSent.Inc()
 		case frameAck:
 			a.drop(int(m.Count))
 		default:
@@ -420,20 +412,14 @@ func (a *Agent) buildBatch(max int, fault string) []byte {
 	if maxAge == 0 {
 		maxAge = 30 * time.Second
 	}
-	aged := false
 	if max > 0 && time.Now().UnixMicro()-a.queue[0].enqUS > maxAge.Microseconds() {
-		aged = true
 		budget = 0 // age override: drain at full poll width
 	}
 	be := NewBatchEncoder(budget)
 	for _, q := range a.queue[:max] {
 		if !be.Add(q.r) {
-			a.Metrics.BatchSizeFlushes.Inc()
 			break
 		}
-	}
-	if aged && be.Len() > 0 {
-		a.Metrics.BatchAgeFlushes.Inc()
 	}
 	spans := a.spanEventsLocked(be.Len(), fault)
 	depth := len(a.queue) - be.Len()
@@ -490,7 +476,6 @@ func (a *Agent) runReconnect(addrs []string, stop <-chan struct{}) {
 			return
 		default:
 		}
-		a.Metrics.Dials.Inc()
 		dial := a.Dial
 		if dial == nil {
 			dial = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
@@ -520,11 +505,8 @@ func (a *Agent) runReconnect(addrs []string, stop <-chan struct{}) {
 		if a.Health != nil {
 			a.Health.Observe(err)
 		}
-		a.Metrics.Retries.Inc()
 		// Sleep backoff scaled by a jitter factor in [0.5, 1.5).
 		wait := time.Duration(float64(backoff) * (0.5 + jitter.Float64()))
-		a.Metrics.BackoffWaits.Inc()
-		a.Metrics.BackoffUS.Add(wait.Microseconds())
 		select {
 		case <-stop:
 			return

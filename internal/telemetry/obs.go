@@ -44,43 +44,6 @@ func NewHarvestMetrics(reg *obs.Registry) HarvestMetrics {
 	}
 }
 
-// AgentMetrics counts the device side: connection attempts, retries,
-// backoff waits, and queue pressure. Shareable across a fleet of
-// agents like HarvestMetrics.
-type AgentMetrics struct {
-	// Dials counts connection attempts; Retries the sessions that ended
-	// in error and triggered backoff.
-	Dials, Retries *obs.Counter
-	// BackoffWaits counts backoff sleeps; BackoffUS accumulates the
-	// total time slept, microseconds.
-	BackoffWaits, BackoffUS *obs.Counter
-	// Enqueued counts reports queued for upload; Dropped the ones lost
-	// to queue overflow.
-	Enqueued, Dropped *obs.Counter
-	// BatchesSent counts v2 batch frames shipped. BatchSizeFlushes
-	// counts batches closed because the next report would have burst the
-	// size budget; BatchAgeFlushes counts batches where queue age
-	// overrode that budget to drain a backlog (the adaptive batcher's
-	// two flush signals).
-	BatchesSent, BatchSizeFlushes, BatchAgeFlushes *obs.Counter
-}
-
-// NewAgentMetrics registers the agent counters ("agent.*") on reg. A
-// nil registry yields all-nil (no-op) metrics.
-func NewAgentMetrics(reg *obs.Registry) AgentMetrics {
-	return AgentMetrics{
-		Dials:            reg.Counter("agent.dials"),
-		Retries:          reg.Counter("agent.retries"),
-		BackoffWaits:     reg.Counter("agent.backoff_waits"),
-		BackoffUS:        reg.Counter("agent.backoff_us"),
-		Enqueued:         reg.Counter("agent.enqueued"),
-		Dropped:          reg.Counter("agent.dropped"),
-		BatchesSent:      reg.Counter("agent.batches_sent"),
-		BatchSizeFlushes: reg.Counter("agent.batch_size_flushes"),
-		BatchAgeFlushes:  reg.Counter("agent.batch_age_flushes"),
-	}
-}
-
 // RegisterHealth folds a HarvestHealth counter block into reg as func
 // gauges ("harvest.reconnects", "harvest.mac_failures",
 // "harvest.corrupt_frames", "harvest.timeouts", "harvest.queue_drops"),
