@@ -23,7 +23,7 @@ import (
 // queryNetworks answers "networks": the network IDs this shard holds,
 // one decimal ID per line — the rebalance coordinator's discovery set.
 func (d *daemon) queryNetworks(w *bufio.Writer, _, _ []string) error {
-	for _, id := range d.store.Networks(backend.NetworkOfSerial) {
+	for _, id := range d.store.Networks() {
 		fmt.Fprintf(w, "%d\n", id)
 	}
 	return nil
@@ -38,7 +38,7 @@ func (d *daemon) queryExtract(w *bufio.Writer, args, _ []string) error {
 	if err != nil {
 		return err
 	}
-	slice := d.store.ExtractNetworks(backend.IDSet(ids), backend.NetworkOfSerial)
+	slice := d.store.ExtractNetworks(backend.IDSet(ids))
 	return cluster.WriteSnapshotLines(w, slice)
 }
 
@@ -87,7 +87,7 @@ func (d *daemon) queryDrop(w *bufio.Writer, args, _ []string) error {
 			return err
 		}
 	} else {
-		nets, entries = d.store.Drop(args[0], ids, backend.NetworkOfSerial)
+		nets, entries = d.store.Drop(args[0], ids)
 	}
 	fmt.Fprintf(w, "dropped networks=%d entries=%d\n", nets, entries)
 	return nil
@@ -113,7 +113,7 @@ func (d *daemon) queryAbsorb(w *bufio.Writer, args, payload []string) error {
 	if d.durable != nil {
 		applied, err = d.durable.AbsorbSnapshot(token, ids, raw)
 	} else {
-		applied, err = d.store.Absorb(token, ids, bytes.NewReader(raw), backend.NetworkOfSerial)
+		applied, err = d.store.Absorb(token, ids, bytes.NewReader(raw))
 	}
 	if err != nil {
 		return err

@@ -229,7 +229,7 @@ func TestRebalanceEveryFault(t *testing.T) {
 					t.Fatalf("converged digest %s (degraded=%v, %v), want %s", dig.Digest, dig.Degraded, err, want)
 				}
 				for i, d := range c.daemons {
-					for _, id := range d.store.Networks(backend.NetworkOfSerial) {
+					for _, id := range d.store.Networks() {
 						if newMap.Shard(id) != i {
 							t.Fatalf("network %d on shard %d, home %d", id, i, newMap.Shard(id))
 						}

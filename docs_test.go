@@ -162,11 +162,9 @@ func TestFlagsDoc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The header still names scripts/flagdoc, the command this test
-	// replaced, so that the move left the reference unchanged.
 	var b bytes.Buffer
 	b.WriteString("# CLI flag reference\n\n" +
-		"<!-- Generated by scripts/flagdoc. Do not edit: run `make docs-gen` after changing a flag. -->\n\n" +
+		"<!-- Generated by `make docs-gen`. Do not edit: run it after changing a flag. -->\n\n" +
 		"Defaults are shown as their source expressions, so values like\n" +
 		"`runtime.GOMAXPROCS(0)` stay symbolic instead of baking in one\n" +
 		"machine's core count. Flags appear in declaration order.\n")

@@ -24,7 +24,9 @@ import (
 //
 // Set-like fields (user agents, DHCP fingerprints) are sorted into the
 // dump because their in-memory order depends on which AP's report
-// arrived first when several APs see one client.
+// arrived first when several APs see one client. Clients are dumped by
+// MAC; one MAC reported under two networks is two aggregates, dumped
+// in network ID order with the unparseable serials' last.
 //
 // The dump is of a capture, so it describes the store between two
 // reports, and ingest waits only for the capture, not for the hashing.

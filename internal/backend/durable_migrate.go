@@ -92,7 +92,7 @@ func (d *DurableStore) AbsorbSnapshot(token string, ids []uint64, slice []byte) 
 	}
 	var applyErr error
 	if err := d.logged([][]byte{encodeMigrationRecord(recAbsorb, token, ids, slice)}, func() {
-		applied, applyErr = d.Store.Absorb(token, ids, bytes.NewReader(slice), NetworkOfSerial)
+		applied, applyErr = d.Store.Absorb(token, ids, bytes.NewReader(slice))
 	}); err != nil {
 		return false, err
 	}
@@ -103,7 +103,7 @@ func (d *DurableStore) AbsorbSnapshot(token string, ids []uint64, slice []byte) 
 // token, Store.Drop's contract).
 func (d *DurableStore) DropNetworks(token string, ids []uint64) (networks, entries int, err error) {
 	err = d.logged([][]byte{encodeMigrationRecord(recDrop, token, ids, nil)}, func() {
-		networks, entries = d.Store.Drop(token, ids, NetworkOfSerial)
+		networks, entries = d.Store.Drop(token, ids)
 	})
 	return networks, entries, err
 }
@@ -124,10 +124,10 @@ func (d *DurableStore) UnpartNetworks(ids []uint64) error {
 func (d *DurableStore) applyMigration(m migration) error {
 	switch m.kind {
 	case recAbsorb:
-		_, err := d.Store.Absorb(m.token, m.ids, bytes.NewReader(m.slice), NetworkOfSerial)
+		_, err := d.Store.Absorb(m.token, m.ids, bytes.NewReader(m.slice))
 		return err
 	case recDrop:
-		d.Store.Drop(m.token, m.ids, NetworkOfSerial)
+		d.Store.Drop(m.token, m.ids)
 	case recPart:
 		d.Store.Part(m.ids)
 	case recUnpart:

@@ -3,10 +3,15 @@ package backend
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
+
+	"wlanscale/internal/dot11"
+	"wlanscale/internal/telemetry"
 )
 
 // networkOfSerialSplit is NetworkOfSerial written with strings.Split,
@@ -134,5 +139,71 @@ func TestDurableReplaySkipsHugeMigrationCount(t *testing.T) {
 	}
 	if got, want := d2.Digest(), volatileDigest(reports); got != want {
 		t.Fatalf("recovered digest != control\n got %s\nwant %s", got, want)
+	}
+}
+
+// extractBenchStore holds networks 1..nets, each of 16 APs reporting
+// twice with 8 clients of 3 apps and two radios.
+func extractBenchStore(tb testing.TB, nets int) *Store {
+	tb.Helper()
+	s := NewStore()
+	for n := 1; n <= nets; n++ {
+		for ap := 0; ap < 16; ap++ {
+			for seq := uint64(1); seq <= 2; seq++ {
+				r := &telemetry.Report{
+					Serial: fmt.Sprintf("Q2EX-%04d-%04d", n, ap), SeqNo: seq, Timestamp: 1_400_000_000 + seq*300,
+					Radios: []telemetry.RadioStats{
+						{Band: dot11.Band24, Channel: 6, CycleUS: 1_000_000, RxClearUS: 200_000, Rx11US: 150_000, TxUS: 20_000},
+						{Band: dot11.Band5, Channel: 36, CycleUS: 1_000_000, RxClearUS: 100_000, Rx11US: 80_000, TxUS: 30_000},
+					},
+				}
+				for k := 0; k < 8; k++ {
+					r.Clients = append(r.Clients, telemetry.ClientRecord{
+						MAC: dot11.MAC{0xac, 0xe0, byte(n >> 8), byte(n), byte(ap), byte(k)}, Band: dot11.Band5, RSSIdB: 30,
+						Apps: []telemetry.AppUsageRecord{{App: "dns", UpBytes: seq, Flows: 1}, {App: "http", DownBytes: seq * 9, Flows: 1}, {App: "tls", UpBytes: seq}},
+					})
+				}
+				s.Ingest(r)
+			}
+		}
+	}
+	if got := len(s.Networks()); got != nets {
+		tb.Fatalf("bench store holds %d networks, want %d", got, nets)
+	}
+	return s
+}
+
+// BenchmarkExtractNetworks moves one network out of a store holding 1
+// and 100 of them: what it costs should not depend on the others.
+func BenchmarkExtractNetworks(b *testing.B) {
+	for _, nets := range []int{1, 100} {
+		b.Run(fmt.Sprintf("resident=%d", nets), func(b *testing.B) {
+			s, ids := extractBenchStore(b, nets), IDSet([]uint64{1})
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s.ExtractNetworks(ids)
+			}
+		})
+	}
+}
+
+// TestExtractCostIsPerNetwork: extracting one network allocates at most
+// twice as many bytes with 100 networks resident as with only it.
+func TestExtractCostIsPerNetwork(t *testing.T) {
+	bytesPerExtract := func(s *Store) uint64 {
+		const calls = 4
+		ids := IDSet([]uint64{1})
+		s.ExtractNetworks(ids)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range calls {
+			s.ExtractNetworks(ids)
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / calls
+	}
+	one, hundred := bytesPerExtract(extractBenchStore(t, 1)), bytesPerExtract(extractBenchStore(t, 100))
+	if hundred > 2*one {
+		t.Fatalf("extracting one network allocates %d B with 100 resident, %d B with 1; want at most twice", hundred, one)
 	}
 }

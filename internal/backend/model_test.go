@@ -1,9 +1,9 @@
 package backend
 
 import (
+	"cmp"
 	"maps"
 	"slices"
-	"sort"
 	"sync"
 
 	"wlanscale/internal/dot11"
@@ -20,9 +20,12 @@ import (
 //     neighbors overwrite by BSSID, a client takes the latest band, RSSI
 //     and capabilities, its sets grow and its app totals add up. Merge
 //     folds a partial the same way without dedup; marks take the maximum.
-//   - A network owns what its serials key and the clients whose lowest
-//     parseable AP serial is its. Extract copies that, with no
-//     bookkeeping or counters. Absorb of a new token replaces the
+//   - A client is keyed by (network, MAC): the network of the AP that
+//     reported it, so a MAC reported under two networks is two clients.
+//     A network owns what its serials key and its clients; serials no
+//     network parses own theirs together, and never as a network.
+//     Extract copies a network's entries, with no bookkeeping or
+//     counters. Absorb of a new token replaces the
 //     networks with the slice, unparts them and keeps the token; a known
 //     token changes nothing. Drop deletes them and forgets the token.
 //   - Stats counts the reports folded in since the store was built or
@@ -30,7 +33,7 @@ import (
 //     zero and a recovered durable store counts only its WAL replay.
 type model struct {
 	mu             sync.Mutex
-	clients        map[dot11.MAC]*modelClient
+	clients        map[clientKey]*modelClient
 	seen           map[string]uint64
 	radio          map[string][]RadioSample
 	scans          map[string][]ScanPoint
@@ -42,7 +45,15 @@ type model struct {
 	ingests, dupes int
 }
 
-// modelClient is one client MAC with every set kept as a map.
+// clientKey keys a client: the network whose AP reported it (ok false
+// for a serial no network parses) and its MAC.
+type clientKey struct {
+	net uint64
+	ok  bool
+	mac dot11.MAC
+}
+
+// modelClient is one client with every set kept as a map.
 type modelClient struct {
 	band               dot11.Band
 	rssi               int32
@@ -53,19 +64,19 @@ type modelClient struct {
 
 func newModel() *model {
 	return &model{
-		clients: map[dot11.MAC]*modelClient{}, seen: map[string]uint64{},
+		clients: map[clientKey]*modelClient{}, seen: map[string]uint64{},
 		radio: map[string][]RadioSample{}, scans: map[string][]ScanPoint{},
 		crashes: map[string][]telemetry.CrashRecord{}, neighbors: map[string]map[dot11.BSSID]NeighborEntry{},
 		links: map[LinkKey]*LinkSeries{}, absorbed: map[string]bool{}, parted: map[uint64]bool{},
 	}
 }
 
-// client returns mac's client with its latest band, RSSI and caps set.
-func (m *model) client(mac dot11.MAC, band dot11.Band, rssi int32, caps dot11.Capabilities) *modelClient {
-	c, ok := m.clients[mac]
+// client returns k's client with its latest band, RSSI and caps set.
+func (m *model) client(k clientKey, band dot11.Band, rssi int32, caps dot11.Capabilities) *modelClient {
+	c, ok := m.clients[k]
 	if !ok {
 		c = &modelClient{apps: map[string]telemetry.AppUsageRecord{}, uas: map[string]bool{}, fps: map[string]bool{}, apSerial: map[string]bool{}}
-		m.clients[mac] = c
+		m.clients[k] = c
 	}
 	c.band, c.rssi, c.caps = band, rssi, caps
 	return c
@@ -74,16 +85,6 @@ func (m *model) client(mac dot11.MAC, band dot11.Band, rssi int32, caps dot11.Ca
 func (c *modelClient) addApp(a telemetry.AppUsageRecord) {
 	t := c.apps[a.App]
 	c.apps[a.App] = telemetry.AppUsageRecord{App: a.App, UpBytes: t.UpBytes + a.UpBytes, DownBytes: t.DownBytes + a.DownBytes, Flows: t.Flows + a.Flows}
-}
-
-// network is the network of the client's lowest parseable AP serial.
-func (c *modelClient) network() (uint64, bool) {
-	for _, serial := range sortedKeys(c.apSerial) {
-		if id, ok := NetworkOfSerial(serial); ok {
-			return id, true
-		}
-	}
-	return 0, false
 }
 
 func (m *model) ingest(r *telemetry.Report) {
@@ -115,8 +116,9 @@ func (m *model) ingest(r *telemetry.Report) {
 	for _, n := range r.Neighbors {
 		m.setNeighbor(r.Serial, NeighborEntry{BSSID: n.BSSID, SSID: n.SSID, Band: n.Band, Channel: n.Channel, RSSIdB: n.RSSIdB, Vendor: n.Vendor})
 	}
+	net, ok := NetworkOfSerial(r.Serial)
 	for _, cr := range r.Clients {
-		c := m.client(cr.MAC, cr.Band, cr.RSSIdB, cr.Caps)
+		c := m.client(clientKey{net, ok, cr.MAC}, cr.Band, cr.RSSIdB, cr.Caps)
 		c.apSerial[r.Serial] = true
 		for _, ua := range cr.UserAgents {
 			c.uas[ua] = true
@@ -150,8 +152,8 @@ func (m *model) setNeighbor(serial string, n NeighborEntry) {
 func (m *model) merge(p *model) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for mac, pc := range p.clients {
-		c := m.client(mac, pc.band, pc.rssi, pc.caps)
+	for k, pc := range p.clients {
+		c := m.client(k, pc.band, pc.rssi, pc.caps)
 		maps.Copy(c.apSerial, pc.apSerial)
 		maps.Copy(c.uas, pc.uas)
 		maps.Copy(c.fps, pc.fps)
@@ -214,7 +216,7 @@ func (m *model) sweep(gone func(id uint64, ok bool) bool) (networks, entries int
 	maps.DeleteFunc(m.crashes, func(s string, _ []telemetry.CrashRecord) bool { return bySerial(s) })
 	maps.DeleteFunc(m.neighbors, func(s string, _ map[dot11.BSSID]NeighborEntry) bool { return bySerial(s) })
 	maps.DeleteFunc(m.links, func(k LinkKey, _ *LinkSeries) bool { return bySerial(k.From) })
-	maps.DeleteFunc(m.clients, func(_ dot11.MAC, c *modelClient) bool { return del(c.network()) })
+	maps.DeleteFunc(m.clients, func(k clientKey, _ *modelClient) bool { return del(k.net, k.ok) })
 	return len(hit), entries
 }
 
@@ -279,13 +281,28 @@ func (m *model) networks() []uint64 {
 	return out
 }
 
-// digest renders m as a snapshot and hashes it with fmtDigest.
+// digest renders m as a snapshot and hashes it with fmtDigest. Clients
+// sort by MAC, then network, those of no network last.
 func (m *model) digest() string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	snap := &snapshot{Seen: m.seen, Radio: m.radio, Scans: m.scans, Crashes: m.crashes, Neighbors: m.neighbors, Links: m.links}
-	for mac, c := range m.clients {
-		agg := ClientAggregate{MAC: mac, Band: c.band, RSSIdB: c.rssi, Caps: c.caps, UserAgents: sortedKeys(c.uas), APs: sortedKeys(c.apSerial)}
+	var keys []clientKey
+	for k := range m.clients {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, func(a, b clientKey) int {
+		if a.mac != b.mac {
+			return cmp.Compare(a.mac.Uint64(), b.mac.Uint64())
+		}
+		if a.ok != b.ok {
+			return map[bool]int{true: -1, false: 1}[a.ok]
+		}
+		return cmp.Compare(a.net, b.net)
+	})
+	for _, k := range keys {
+		c := m.clients[k]
+		agg := ClientAggregate{MAC: k.mac, Band: c.band, RSSIdB: c.rssi, Caps: c.caps, UserAgents: sortedKeys(c.uas), APs: sortedKeys(c.apSerial)}
 		for _, fp := range sortedKeys(c.fps) {
 			agg.DHCPFingerprints = append(agg.DHCPFingerprints, []byte(fp))
 		}
@@ -294,6 +311,5 @@ func (m *model) digest() string {
 		}
 		snap.ClientList = append(snap.ClientList, agg)
 	}
-	sort.Slice(snap.ClientList, func(i, j int) bool { return snap.ClientList[i].MAC.Uint64() < snap.ClientList[j].MAC.Uint64() })
 	return fmtDigest(snap)
 }

@@ -34,6 +34,8 @@ import (
 //	opTear        Load of a torn Save fails          reopen with CrashPlan(seed b, horizon a),
 //	                                                 recover from the tear at GOMAXPROCS c
 //	opJunk        Load of garbage fails              append a record nothing decodes
+//	opRoam        opIngest of reports a and of their copies sent from network
+//	              1+c&3's AP: the same clients, reported under two networks
 const (
 	opIngest = iota
 	opFrame
@@ -47,6 +49,7 @@ const (
 	opReboot
 	opTear
 	opJunk
+	opRoam
 	numOps
 )
 
@@ -194,7 +197,7 @@ func (r *opRun) check(s *Store, m *model) {
 	if got, want := s.PartedIDs(), sortedIDs(m.parted); !slices.Equal(got, want) {
 		r.fatalf("PartedIDs %v, model %v", got, want)
 	}
-	if got, want := s.Networks(NetworkOfSerial), m.networks(); !slices.Equal(got, want) {
+	if got, want := s.Networks(), m.networks(); !slices.Equal(got, want) {
 		r.fatalf("Networks %v, model %v", got, want)
 	}
 	for _, tok := range opTokens {
@@ -233,14 +236,20 @@ func idsOf(a byte) []uint64 {
 // reportsOf reads a report spec: 1+a>>6 reports from AP a>>2&3 of
 // network 1+a&3, where network 4 stands for a serial no network parses.
 // Their seqnos follow mode a>>4&3: the device's next (0 and 1), its
-// last again (2) or zero (3). b and c seed the contents.
-func (r *opRun) reportsOf(a, b, c byte) []*telemetry.Report {
+// last again (2) or zero (3). b and c seed the contents. A nonzero home
+// sends them from that network's AP instead, with the clients of
+// network 1+a&3.
+func (r *opRun) reportsOf(a, b, c byte, home int) []*telemetry.Report {
 	net, ap := 1+int(a&3), int(a>>2&3)
+	if home == 0 {
+		home = net
+	}
 	src := rand.New(rand.NewSource(int64(b)<<8 | int64(c)))
 	var out []*telemetry.Report
 	for i := 0; i <= int(a>>6); i++ {
 		rep := randomReport(src, net, ap, 0)
-		if net == 4 {
+		rep.Serial = fmt.Sprintf("Q2RN-%04d-%04d", home, ap)
+		if home == 4 {
 			rep.Serial = fmt.Sprintf("AP-%d", ap)
 		}
 		switch a >> 4 & 3 {
@@ -285,9 +294,11 @@ func (r *opRun) step(kind int, a, b, c byte) {
 	ids, tok := idsOf(a), opTokens[int(b)%len(opTokens)]
 	switch kind {
 	case opIngest, opFrame, opMerge:
-		r.ingest(kind, r.reportsOf(a, b, c), c)
+		r.ingest(kind, r.reportsOf(a, b, c, 0), c)
+	case opRoam:
+		r.ingest(opIngest, append(r.reportsOf(a, b, c, 0), r.reportsOf(a, b, c, 1+int(c&3))...), c)
 	case opExtract:
-		slice := r.s.ExtractNetworks(IDSet(ids), NetworkOfSerial)
+		slice := r.s.ExtractNetworks(IDSet(ids))
 		want := r.m.extract(ids)
 		r.check(slice, want)
 		var buf bytes.Buffer
@@ -306,7 +317,7 @@ func (r *opRun) step(kind int, a, b, c byte) {
 		var n, e, gn, ge int
 		var err error
 		if r.d == nil {
-			gn, ge = r.s.Drop(tok, ids, NetworkOfSerial)
+			gn, ge = r.s.Drop(tok, ids)
 		} else {
 			gn, ge, err = r.d.DropNetworks(tok, ids)
 		}
@@ -421,7 +432,7 @@ func (r *opRun) absorb(k keptSlice, tok string, torn bool) {
 	var applied bool
 	var err error
 	if r.d == nil {
-		applied, err = r.s.Absorb(tok, k.ids, bytes.NewReader(gob), NetworkOfSerial)
+		applied, err = r.s.Absorb(tok, k.ids, bytes.NewReader(gob))
 	} else {
 		applied, err = r.d.AbsorbSnapshot(tok, k.ids, gob)
 	}
@@ -454,7 +465,7 @@ func (r *opRun) logged(recs []record, err error, viaStore bool) bool {
 		if !fired || at < r.appended || at >= r.appended+len(recs) {
 			r.fatalf("tore with plan fired=%t at %d, %d records appended before the op's %d", fired, at, r.appended, len(recs))
 		}
-		if viaStore && (!r.d.Degraded() || !errors.Is(r.d.IngestBatch(r.reportsOf(0x30, 0, 0), nil), ErrDegraded)) {
+		if viaStore && (!r.d.Degraded() || !errors.Is(r.d.IngestBatch(r.reportsOf(0x30, 0, 0, 0), nil), ErrDegraded)) {
 			r.fatalf("a torn append left the store accepting batches")
 		}
 		r.records = append(r.records, recs[:at-r.appended]...)

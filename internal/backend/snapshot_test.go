@@ -75,7 +75,7 @@ func TestSnapshotNeverTearsAReport(t *testing.T) {
 		}
 		for _, c := range got.Clients() {
 			serial := c.APs[0]
-			seen := got.seen[serial]
+			seen := got.lookup(serial).seen[serial]
 			if flows := uint64(appOf(c, "a").Flows); flows != seen {
 				t.Fatalf("snapshot %d: serial %s seen=%d but client %s has %d flows", i, serial, seen, c.MAC, flows)
 			}
@@ -379,7 +379,7 @@ func TestDigestByteStream(t *testing.T) {
 			s.Ingest(randomReport(src, net, ap, seq[key]))
 		}
 		check(fmt.Sprintf("seed %d", seed), s)
-		s.DeleteNetworks(IDSet([]uint64{2, 3}), NetworkOfSerial)
+		s.DeleteNetworks(IDSet([]uint64{2, 3}))
 		check(fmt.Sprintf("seed %d after delete", seed), s)
 	}
 }

@@ -2,6 +2,7 @@ package backend
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/gob"
 	"fmt"
 	"io"
@@ -142,17 +143,6 @@ func (l *LinkSeries) MeanDelivery() float64 {
 	return d / s
 }
 
-// Ratios returns the per-window delivery ratios.
-func (l *LinkSeries) Ratios() []float64 {
-	out := make([]float64, len(l.Sent))
-	for i := range l.Sent {
-		if l.Sent[i] > 0 {
-			out[i] = float64(l.Deliver[i]) / float64(l.Sent[i])
-		}
-	}
-	return out
-}
-
 // RadioSample is one stored counter snapshot.
 type RadioSample struct {
 	Timestamp uint64
@@ -182,20 +172,22 @@ type NeighborEntry struct {
 	Vendor  string
 }
 
-// Store is the backend datastore. It is safe for concurrent use: one
-// RWMutex guards every data map. Mutators (Ingest, Merge, install,
-// DeleteNetworks) and capture hold it exclusively for one whole report,
-// partial or copy, so a capture is a cut between reports; readers hold
-// it shared.
+// Store is the backend datastore, partitioned by network: each network
+// a device serial names (NetworkOfSerial) owns one partition holding
+// its devices' series and the clients its APs reported, and one more
+// partition holds the keys of serials no network parses. A client is
+// keyed by (network, MAC), so a MAC reported under two networks is two
+// aggregates. Partitions are created on first write; one with no keyed
+// entry is not a network the store holds.
+//
+// The store is safe for concurrent use: one RWMutex guards every
+// partition. Mutators (Ingest, Merge, install, DeleteNetworks) and
+// capture hold it exclusively for one whole report, partial or copy, so
+// a capture is a cut between reports; readers hold it shared.
 type Store struct {
-	mu        sync.RWMutex
-	clients   map[dot11.MAC]*ClientAggregate
-	seen      map[string]uint64 // highest seq per serial
-	radio     map[string][]RadioSample
-	scans     map[string][]ScanPoint
-	neighbors map[string]map[dot11.BSSID]NeighborEntry
-	crashes   map[string][]telemetry.CrashRecord
-	links     map[LinkKey]*LinkSeries
+	mu       sync.RWMutex
+	parts    map[uint64]*partition
+	unparsed *partition // nil until a serial no network parses writes
 
 	ingests atomic.Int64
 	dupes   atomic.Int64
@@ -220,11 +212,95 @@ type Store struct {
 	tracer *trace.Tracer
 }
 
+// partition is one network's share of the store.
+type partition struct {
+	clients   map[dot11.MAC]*ClientAggregate
+	seen      map[string]uint64 // highest seq per serial
+	radio     map[string][]RadioSample
+	scans     map[string][]ScanPoint
+	neighbors map[string]map[dot11.BSSID]NeighborEntry
+	crashes   map[string][]telemetry.CrashRecord
+	links     map[LinkKey]*LinkSeries
+}
+
+func newPartition() *partition {
+	return &partition{
+		clients: make(map[dot11.MAC]*ClientAggregate), seen: make(map[string]uint64),
+		radio: make(map[string][]RadioSample), scans: make(map[string][]ScanPoint),
+		neighbors: make(map[string]map[dot11.BSSID]NeighborEntry), crashes: make(map[string][]telemetry.CrashRecord),
+		links: make(map[LinkKey]*LinkSeries),
+	}
+}
+
+// entries counts the partition's keyed entries.
+func (p *partition) entries() int {
+	return len(p.clients) + len(p.seen) + len(p.radio) + len(p.scans) + len(p.neighbors) + len(p.crashes) + len(p.links)
+}
+
 // NewStore creates an empty store.
 func NewStore() *Store {
-	s := &Store{}
-	s.install(&snapshot{})
-	return s
+	return &Store{parts: make(map[uint64]*partition)}
+}
+
+// partFor returns network id's partition, or for !ok the unparsed
+// serials', creating it.
+func (s *Store) partFor(id uint64, ok bool) *partition {
+	p := s.unparsed
+	if ok {
+		p = s.parts[id]
+	}
+	if p == nil {
+		p = newPartition()
+		if ok {
+			s.parts[id] = p
+		} else {
+			s.unparsed = p
+		}
+	}
+	return p
+}
+
+// lookup returns the partition that owns serial's keys; one the store
+// lacks reads as empty.
+func (s *Store) lookup(serial string) *partition {
+	p := s.unparsed
+	if id, ok := NetworkOfSerial(serial); ok {
+		p = s.parts[id]
+	}
+	if p == nil {
+		return &partition{}
+	}
+	return p
+}
+
+// each calls f on every partition, in no particular order.
+func (s *Store) each(f func(*partition)) {
+	for _, p := range s.parts {
+		f(p)
+	}
+	if s.unparsed != nil {
+		f(s.unparsed)
+	}
+}
+
+// sorted returns the partitions of the networks in ids, or of every
+// network and then the unparsed serials' for nil ids, in network order.
+func (s *Store) sorted(ids map[uint64]bool) []*partition {
+	keys := make([]uint64, 0, len(s.parts))
+	for id := range s.parts {
+		if ids == nil || ids[id] {
+			keys = append(keys, id)
+		}
+	}
+	slices.Sort(keys)
+	out := make([]*partition, len(keys), len(keys)+1)
+	for i, id := range keys {
+		out[i] = s.parts[id]
+	}
+	if ids == nil && s.unparsed != nil {
+		out = append(out, s.unparsed)
+	}
+	return out
 }
 
 // Ingest merges one report. Re-delivered reports (same serial, seqno not
@@ -236,12 +312,13 @@ func (s *Store) Ingest(r *telemetry.Report) {
 	defer sp.End()
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	p := s.partFor(NetworkOfSerial(r.Serial))
 	if r.SeqNo != 0 {
-		if hw, ok := s.seen[r.Serial]; ok && r.SeqNo <= hw {
+		if hw, ok := p.seen[r.Serial]; ok && r.SeqNo <= hw {
 			s.dupes.Add(1)
 			return
 		}
-		s.seen[r.Serial] = r.SeqNo
+		p.seen[r.Serial] = r.SeqNo
 	}
 
 	for _, rs := range r.Radios {
@@ -249,7 +326,7 @@ func (s *Store) Ingest(r *telemetry.Report) {
 		if cyc == 0 {
 			continue
 		}
-		s.radio[r.Serial] = append(s.radio[r.Serial], RadioSample{
+		p.radio[r.Serial] = append(p.radio[r.Serial], RadioSample{
 			Timestamp: r.Timestamp,
 			Band:      rs.Band,
 			Channel:   rs.Channel,
@@ -260,16 +337,16 @@ func (s *Store) Ingest(r *telemetry.Report) {
 	}
 	for _, l := range r.LinkWindows {
 		k := LinkKey{From: r.Serial, To: l.Peer, Band: l.Band}
-		series, ok := s.links[k]
+		series, ok := p.links[k]
 		if !ok {
 			series = &LinkSeries{Key: k}
-			s.links[k] = series
+			p.links[k] = series
 		}
 		series.Sent = append(series.Sent, l.Sent)
 		series.Deliver = append(series.Deliver, l.Delivered)
 	}
 	for _, sc := range r.ScanSamples {
-		s.scans[r.Serial] = append(s.scans[r.Serial], ScanPoint{
+		p.scans[r.Serial] = append(p.scans[r.Serial], ScanPoint{
 			Timestamp: r.Timestamp,
 			Band:      sc.Band,
 			Channel:   sc.Channel,
@@ -278,13 +355,13 @@ func (s *Store) Ingest(r *telemetry.Report) {
 		})
 	}
 	if len(r.Crashes) > 0 {
-		s.crashes[r.Serial] = append(s.crashes[r.Serial], r.Crashes...)
+		p.crashes[r.Serial] = append(p.crashes[r.Serial], r.Crashes...)
 	}
 	for _, n := range r.Neighbors {
-		m, ok := s.neighbors[r.Serial]
+		m, ok := p.neighbors[r.Serial]
 		if !ok {
 			m = make(map[dot11.BSSID]NeighborEntry)
-			s.neighbors[r.Serial] = m
+			p.neighbors[r.Serial] = m
 		}
 		m[n.BSSID] = NeighborEntry{
 			BSSID: n.BSSID, SSID: n.SSID, Band: n.Band,
@@ -293,10 +370,10 @@ func (s *Store) Ingest(r *telemetry.Report) {
 	}
 
 	for _, c := range r.Clients {
-		agg, ok := s.clients[c.MAC]
+		agg, ok := p.clients[c.MAC]
 		if !ok {
 			agg = &ClientAggregate{MAC: c.MAC}
-			s.clients[c.MAC] = agg
+			p.clients[c.MAC] = agg
 		}
 		agg.Band = c.Band
 		agg.RSSIdB = c.RSSIdB
@@ -363,16 +440,40 @@ func (c *ClientAggregate) addFP(fp []byte) {
 
 // Merge folds a partial store into s. The caller hands over ownership
 // of p: the parallel epoch pipeline builds one partial per network and
-// merges them in network-index order. Every fold below touches only its
+// merges them in network-index order. A partition s lacks is adopted
+// whole; one s has is folded key by key. Every fold touches only its
 // own key, so the result does not depend on p's map iteration order.
 func (s *Store) Merge(p *Store) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for mac, agg := range p.clients {
-		dst, ok := s.clients[mac]
+	for id, src := range p.parts {
+		s.parts[id] = s.parts[id].fold(src)
+	}
+	s.unparsed = s.unparsed.fold(p.unparsed)
+
+	// Migration bookkeeping folds as a union: a merged view is "parted"
+	// or "already absorbed" if any contributing partial was.
+	p.migMu.Lock()
+	absorbed, parted := maps.Clone(p.absorbed), maps.Clone(p.parted)
+	p.migMu.Unlock()
+	s.migMu.Lock()
+	s.absorbed, s.parted = union(s.absorbed, absorbed), union(s.parted, parted)
+	s.migMu.Unlock()
+
+	s.ingests.Add(p.ingests.Load())
+	s.dupes.Add(p.dupes.Load())
+}
+
+// fold merges src's entries into p, adopting what p lacks, and returns
+// p, or src itself when p is nil.
+func (p *partition) fold(src *partition) *partition {
+	if p == nil || src == nil {
+		return cmp.Or(p, src)
+	}
+	for mac, agg := range src.clients {
+		dst, ok := p.clients[mac]
 		if !ok {
-			// First sighting: adopt the partial's aggregate wholesale.
-			s.clients[mac] = agg
+			p.clients[mac] = agg
 			continue
 		}
 		dst.Band = agg.Band
@@ -389,59 +490,47 @@ func (s *Store) Merge(p *Store) {
 		}
 		dst.foldApps(agg.Apps)
 	}
-	for serial, seq := range p.seen {
-		if seq > s.seen[serial] {
-			s.seen[serial] = seq
+	for serial, seq := range src.seen {
+		if seq > p.seen[serial] {
+			p.seen[serial] = seq
 		}
 	}
-	for serial, v := range p.radio {
-		s.radio[serial] = append(s.radio[serial], v...)
+	for serial, v := range src.radio {
+		p.radio[serial] = append(p.radio[serial], v...)
 	}
-	for serial, v := range p.scans {
-		s.scans[serial] = append(s.scans[serial], v...)
+	for serial, v := range src.scans {
+		p.scans[serial] = append(p.scans[serial], v...)
 	}
-	for serial, v := range p.crashes {
-		s.crashes[serial] = append(s.crashes[serial], v...)
+	for serial, v := range src.crashes {
+		p.crashes[serial] = append(p.crashes[serial], v...)
 	}
-	for serial, src := range p.neighbors {
-		m, ok := s.neighbors[serial]
+	for serial, m := range src.neighbors {
+		dst, ok := p.neighbors[serial]
 		if !ok {
-			s.neighbors[serial] = src
+			p.neighbors[serial] = m
 			continue
 		}
-		for bssid, e := range src {
-			m[bssid] = e
-		}
+		maps.Copy(dst, m)
 	}
-	for k, src := range p.links {
-		series, ok := s.links[k]
+	for k, l := range src.links {
+		series, ok := p.links[k]
 		if !ok {
-			s.links[k] = src
+			p.links[k] = l
 			continue
 		}
-		series.Sent = append(series.Sent, src.Sent...)
-		series.Deliver = append(series.Deliver, src.Deliver...)
+		series.Sent = append(series.Sent, l.Sent...)
+		series.Deliver = append(series.Deliver, l.Deliver...)
 	}
+	return p
+}
 
-	// Migration bookkeeping folds as a union: a merged view is "parted"
-	// or "already absorbed" if any contributing partial was.
-	p.migMu.Lock()
-	tokens := make([]string, 0, len(p.absorbed))
-	for tok := range p.absorbed {
-		tokens = append(tokens, tok)
+// union adds b's entries to a, made if a is nil and b is not empty.
+func union[K comparable](a, b map[K]bool) map[K]bool {
+	if a == nil && len(b) > 0 {
+		a = make(map[K]bool, len(b))
 	}
-	ids := make([]uint64, 0, len(p.parted))
-	for id := range p.parted {
-		ids = append(ids, id)
-	}
-	p.migMu.Unlock()
-	for _, tok := range tokens {
-		s.MarkAbsorbed(tok)
-	}
-	s.Part(ids)
-
-	s.ingests.Add(p.ingests.Load())
-	s.dupes.Add(p.dupes.Load())
+	maps.Copy(a, b)
+	return a
 }
 
 func sortedKeys[V any](m map[string]V) []string {
@@ -473,27 +562,63 @@ func (s *Store) Stats() (ingests, dupes int) {
 	return int(s.ingests.Load()), int(s.dupes.Load())
 }
 
-// NumClients returns the number of distinct client MACs.
+// NumClients returns the number of client aggregates: distinct MACs
+// per network.
 func (s *Store) NumClients() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.clients)
+	n := 0
+	s.each(func(p *partition) { n += len(p.clients) })
+	return n
 }
 
-// Clients returns the aggregates explicitly sorted by MAC. The sort is
-// load-bearing: downstream table rows must not depend on map iteration
-// order. The aggregates are the live ones, so a caller that reads them
-// while reports are still arriving races with Ingest; AppTotals is the
-// live-safe summary.
+// Clients returns the aggregates explicitly sorted by MAC, then by
+// network (see sortByMAC). The sort is load-bearing: downstream table
+// rows must not depend on map iteration order. The aggregates are the
+// live ones, so a caller that reads them while reports are still
+// arriving races with Ingest; AppTotals is the live-safe summary.
 func (s *Store) Clients() []*ClientAggregate {
+	var out []*ClientAggregate
 	s.mu.RLock()
-	out := make([]*ClientAggregate, 0, len(s.clients))
-	for _, c := range s.clients {
-		out = append(out, c)
+	for _, p := range s.sorted(nil) {
+		for _, c := range p.clients {
+			out = append(out, c)
+		}
 	}
 	s.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].MAC.Uint64() < out[j].MAC.Uint64() })
+	sortByMAC(out, func(c **ClientAggregate) dot11.MAC { return (*c).MAC })
 	return out
+}
+
+// sortByMAC sorts list by MAC. Callers append the partitions' clients
+// in network order, unparsed serials' last, and equal MACs (one MAC
+// reported under two networks) keep that order. It sorts (MAC,
+// position) keys and then moves each element once, which is cheaper
+// than moving aggregates around inside a comparison sort.
+func sortByMAC[T any](list []T, mac func(*T) dot11.MAC) {
+	type key struct {
+		mac uint64
+		at  int
+	}
+	keys := make([]key, len(list))
+	for i := range list {
+		keys[i] = key{mac(&list[i]).Uint64(), i}
+	}
+	slices.SortFunc(keys, func(a, b key) int { return cmp.Or(cmp.Compare(a.mac, b.mac), cmp.Compare(a.at, b.at)) })
+	// Position i takes the element at keys[i].at: follow each cycle of
+	// the permutation once, marking the positions it fills.
+	for i := range keys {
+		if keys[i].at < 0 {
+			continue
+		}
+		first, j := list[i], i
+		for keys[j].at != i {
+			from := keys[j].at
+			list[j], keys[j].at = list[from], -1
+			j = from
+		}
+		list[j], keys[j].at = first, -1
+	}
 }
 
 // AppTotal is one application's traffic summed over every client.
@@ -510,18 +635,20 @@ func (s *Store) AppTotals() []AppTotal {
 	idx := make(map[string]int)
 	var out []AppTotal
 	s.mu.RLock()
-	for _, c := range s.clients {
-		for _, rec := range c.Apps {
-			i, ok := idx[rec.App]
-			if !ok {
-				i = len(out)
-				idx[rec.App] = i
-				out = append(out, AppTotal{App: rec.App})
+	s.each(func(p *partition) {
+		for _, c := range p.clients {
+			for _, rec := range c.Apps {
+				i, ok := idx[rec.App]
+				if !ok {
+					i = len(out)
+					idx[rec.App] = i
+					out = append(out, AppTotal{App: rec.App})
+				}
+				out[i].Bytes += rec.UpBytes + rec.DownBytes
+				out[i].Clients++
 			}
-			out[i].Bytes += rec.UpBytes + rec.DownBytes
-			out[i].Clients++
 		}
-	}
+	})
 	s.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Bytes != out[j].Bytes {
@@ -534,13 +661,29 @@ func (s *Store) AppTotals() []AppTotal {
 
 // Links returns every stored link series, sorted for determinism.
 func (s *Store) Links() []*LinkSeries {
+	var out []*LinkSeries
 	s.mu.RLock()
-	out := make([]*LinkSeries, 0, len(s.links))
-	for _, l := range s.links {
-		out = append(out, l)
-	}
+	s.each(func(p *partition) {
+		for _, l := range p.links {
+			out = append(out, l)
+		}
+	})
 	s.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return lessLinkKey(out[i].Key, out[j].Key) })
+	return out
+}
+
+// serials returns the serials that key the map field picks, sorted.
+func serials[V any](s *Store, field func(*partition) map[string]V) []string {
+	var out []string
+	s.mu.RLock()
+	s.each(func(p *partition) {
+		for serial := range field(p) {
+			out = append(out, serial)
+		}
+	})
+	s.mu.RUnlock()
+	sort.Strings(out)
 	return out
 }
 
@@ -548,63 +691,29 @@ func (s *Store) Links() []*LinkSeries {
 func (s *Store) RadioSeries(serial string) []RadioSample {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.radio[serial]
+	return s.lookup(serial).radio[serial]
 }
 
 // RadioSerials returns the serials with radio samples, sorted.
 func (s *Store) RadioSerials() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return sortedKeys(s.radio)
-}
-
-// ScanSeries returns a device's stored scan points.
-func (s *Store) ScanSeries(serial string) []ScanPoint {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.scans[serial]
-}
-
-// ScanSerials returns the serials with scan data, sorted.
-func (s *Store) ScanSerials() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return sortedKeys(s.scans)
-}
-
-// Neighbors returns a device's deduplicated neighbor table, sorted by
-// BSSID.
-func (s *Store) Neighbors(serial string) []NeighborEntry {
-	s.mu.RLock()
-	m := s.neighbors[serial]
-	out := make([]NeighborEntry, 0, len(m))
-	for _, n := range m {
-		out = append(out, n)
-	}
-	s.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].BSSID.Uint64() < out[j].BSSID.Uint64() })
-	return out
+	return serials(s, func(p *partition) map[string][]RadioSample { return p.radio })
 }
 
 // NeighborSerials returns the serials with neighbor tables, sorted.
 func (s *Store) NeighborSerials() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return sortedKeys(s.neighbors)
+	return serials(s, func(p *partition) map[string]map[dot11.BSSID]NeighborEntry { return p.neighbors })
 }
 
 // Crashes returns a device's stored crash records.
 func (s *Store) Crashes(serial string) []telemetry.CrashRecord {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.crashes[serial]
+	return s.lookup(serial).crashes[serial]
 }
 
 // CrashSerials returns the serials with crash reports, sorted.
 func (s *Store) CrashSerials() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return sortedKeys(s.crashes)
+	return serials(s, func(p *partition) map[string][]telemetry.CrashRecord { return p.crashes })
 }
 
 // NeighborCount returns the size of a device's deduplicated neighbor
@@ -612,7 +721,7 @@ func (s *Store) CrashSerials() []string {
 func (s *Store) NeighborCount(serial string) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.neighbors[serial])
+	return len(s.lookup(serial).neighbors[serial])
 }
 
 // snapshot is a point-in-time copy of the store: what capture returns,
@@ -620,7 +729,8 @@ func (s *Store) NeighborCount(serial string) int {
 // the gob-persisted form.
 type snapshot struct {
 	Seen map[string]uint64
-	// ClientList is sorted by MAC.
+	// ClientList is sorted by MAC, then by network ID, with clients of
+	// serials no network parses last (sortByMAC).
 	ClientList []ClientAggregate
 	Links      map[LinkKey]*LinkSeries
 	Radio      map[string][]RadioSample
@@ -654,9 +764,10 @@ type legacyClient struct {
 	APs              map[string]bool
 }
 
-// capture copies the store as it stands between two reports. The lock
-// is held exclusively only for the copy, which is O(keys) — it touches
-// no sample and no app record:
+// capture copies the store as it stands between two reports, all
+// partitions flattened into one snapshot. The lock is held exclusively
+// only for the copy, which is O(keys) — it touches no sample and no app
+// record:
 //
 //   - Radio, scan and crash series, link Sent/Deliver, user agents and
 //     fingerprints are append-only, so capture takes their slice headers
@@ -674,57 +785,70 @@ type legacyClient struct {
 //
 // Hashing, encoding and file I/O then run on the returned value with
 // no lock held.
-func (s *Store) capture() *snapshot {
+func (s *Store) capture() *snapshot { return s.captureOf(nil) }
+
+// captureOf is capture of the networks in ids only, without the
+// migration bookkeeping, or of the whole store for nil ids.
+func (s *Store) captureOf(ids map[uint64]bool) *snapshot {
 	s.mu.Lock()
 	sp := obs.StartSpan(s.holdDur)
+	parts := s.sorted(ids)
+	var nClients, nSeen, nLinks, nRadio, nScans, nNeighbors, nCrashes int
+	for _, p := range parts {
+		nClients, nSeen, nLinks = nClients+len(p.clients), nSeen+len(p.seen), nLinks+len(p.links)
+		nRadio, nScans, nNeighbors, nCrashes = nRadio+len(p.radio), nScans+len(p.scans), nNeighbors+len(p.neighbors), nCrashes+len(p.crashes)
+	}
 	snap := &snapshot{
-		Seen:       maps.Clone(s.seen),
-		ClientList: make([]ClientAggregate, 0, len(s.clients)),
-		Links:      make(map[LinkKey]*LinkSeries, len(s.links)),
-		Radio:      make(map[string][]RadioSample, len(s.radio)),
-		Scans:      make(map[string][]ScanPoint, len(s.scans)),
-		Neighbors:  make(map[string]map[dot11.BSSID]NeighborEntry, len(s.neighbors)),
-		Crashes:    make(map[string][]telemetry.CrashRecord, len(s.crashes)),
+		Seen:       make(map[string]uint64, nSeen),
+		ClientList: make([]ClientAggregate, 0, nClients),
+		Links:      make(map[LinkKey]*LinkSeries, nLinks),
+		Radio:      make(map[string][]RadioSample, nRadio),
+		Scans:      make(map[string][]ScanPoint, nScans),
+		Neighbors:  make(map[string]map[dot11.BSSID]NeighborEntry, nNeighbors),
+		Crashes:    make(map[string][]telemetry.CrashRecord, nCrashes),
 	}
-	for _, c := range s.clients {
-		c.appsShared = true
-		cp := *c
-		cp.Apps = slices.Clip(c.Apps)
-		cp.UserAgents = slices.Clip(c.UserAgents)
-		cp.DHCPFingerprints = slices.Clip(c.DHCPFingerprints)
-		snap.ClientList = append(snap.ClientList, cp)
+	links := make([]LinkSeries, 0, nLinks)
+	for _, p := range parts {
+		for _, c := range p.clients {
+			c.appsShared = true
+			cp := *c
+			cp.Apps = slices.Clip(c.Apps)
+			cp.UserAgents = slices.Clip(c.UserAgents)
+			cp.DHCPFingerprints = slices.Clip(c.DHCPFingerprints)
+			snap.ClientList = append(snap.ClientList, cp)
+		}
+		maps.Copy(snap.Seen, p.seen)
+		for k, l := range p.links {
+			links = append(links, LinkSeries{Key: k, Sent: slices.Clip(l.Sent), Deliver: slices.Clip(l.Deliver)})
+			snap.Links[k] = &links[len(links)-1]
+		}
+		for k, v := range p.radio {
+			snap.Radio[k] = slices.Clip(v)
+		}
+		for k, v := range p.scans {
+			snap.Scans[k] = slices.Clip(v)
+		}
+		for k, v := range p.crashes {
+			snap.Crashes[k] = slices.Clip(v)
+		}
+		for k, m := range p.neighbors {
+			snap.Neighbors[k] = maps.Clone(m)
+		}
 	}
-	links := make([]LinkSeries, 0, len(s.links))
-	for k, l := range s.links {
-		links = append(links, LinkSeries{Key: k, Sent: slices.Clip(l.Sent), Deliver: slices.Clip(l.Deliver)})
-		snap.Links[k] = &links[len(links)-1]
+	if ids == nil {
+		s.migMu.Lock()
+		if len(s.absorbed) > 0 {
+			snap.Absorbed = maps.Clone(s.absorbed)
+		}
+		if len(s.parted) > 0 {
+			snap.Parted = maps.Clone(s.parted)
+		}
+		s.migMu.Unlock()
 	}
-	for k, v := range s.radio {
-		snap.Radio[k] = slices.Clip(v)
-	}
-	for k, v := range s.scans {
-		snap.Scans[k] = slices.Clip(v)
-	}
-	for k, v := range s.crashes {
-		snap.Crashes[k] = slices.Clip(v)
-	}
-	for k, m := range s.neighbors {
-		snap.Neighbors[k] = maps.Clone(m)
-	}
-	s.migMu.Lock()
-	if len(s.absorbed) > 0 {
-		snap.Absorbed = maps.Clone(s.absorbed)
-	}
-	if len(s.parted) > 0 {
-		snap.Parted = maps.Clone(s.parted)
-	}
-	s.migMu.Unlock()
 	s.mu.Unlock()
 	sp.End()
 
-	sort.Slice(snap.ClientList, func(i, j int) bool {
-		return snap.ClientList[i].MAC.Uint64() < snap.ClientList[j].MAC.Uint64()
-	})
+	sortByMAC(snap.ClientList, func(c *ClientAggregate) dot11.MAC { return c.MAC })
 	return snap
 }
 
@@ -853,22 +977,25 @@ func (s *Store) load(r io.Reader) error {
 }
 
 // install replaces the store contents with snap's, taking ownership of
-// everything snap references. Absent maps become empty ones.
+// everything snap references. Each key goes to the partition of its
+// serial's network, and each client to its network (networkOfClient).
 func (s *Store) install(snap *snapshot) {
-	clients := make(map[dot11.MAC]*ClientAggregate, len(snap.ClientList))
+	n := NewStore()
 	for i := range snap.ClientList {
 		c := &snap.ClientList[i]
-		clients[c.MAC] = c
+		n.partFor(networkOfClient(c)).clients[c.MAC] = c
 	}
+	for k, l := range snap.Links {
+		n.partFor(NetworkOfSerial(k.From)).links[k] = l
+	}
+	spread(n, snap.Seen, func(p *partition) map[string]uint64 { return p.seen })
+	spread(n, snap.Radio, func(p *partition) map[string][]RadioSample { return p.radio })
+	spread(n, snap.Scans, func(p *partition) map[string][]ScanPoint { return p.scans })
+	spread(n, snap.Neighbors, func(p *partition) map[string]map[dot11.BSSID]NeighborEntry { return p.neighbors })
+	spread(n, snap.Crashes, func(p *partition) map[string][]telemetry.CrashRecord { return p.crashes })
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.clients = clients
-	s.seen = orEmpty(snap.Seen)
-	s.links = orEmpty(snap.Links)
-	s.radio = orEmpty(snap.Radio)
-	s.scans = orEmpty(snap.Scans)
-	s.neighbors = orEmpty(snap.Neighbors)
-	s.crashes = orEmpty(snap.Crashes)
+	s.parts, s.unparsed = n.parts, n.unparsed
 	s.ingests.Store(0)
 	s.dupes.Store(0)
 	s.migMu.Lock()
@@ -876,12 +1003,12 @@ func (s *Store) install(snap *snapshot) {
 	s.migMu.Unlock()
 }
 
-// orEmpty returns m, or a new empty map when m is nil.
-func orEmpty[K comparable, V any](m map[K]V) map[K]V {
-	if m == nil {
-		return make(map[K]V)
+// spread files each entry of a serial-keyed snapshot map m in field of
+// the partition that owns its serial.
+func spread[V any](s *Store, m map[string]V, field func(*partition) map[string]V) {
+	for serial, v := range m {
+		field(s.partFor(NetworkOfSerial(serial)))[serial] = v
 	}
-	return m
 }
 
 // MergeSnapshot folds a gob snapshot into the store without resetting

@@ -1,7 +1,6 @@
 package backend
 
 import (
-	"bytes"
 	"sync"
 	"testing"
 
@@ -95,9 +94,8 @@ func TestLinkSeriesAccumulation(t *testing.T) {
 	if got := l.MeanDelivery(); got != 36.0/60.0 {
 		t.Errorf("mean delivery = %v", got)
 	}
-	ratios := l.Ratios()
-	if ratios[0] != 11.0/20 || ratios[2] != 13.0/20 {
-		t.Errorf("ratios = %v", ratios)
+	if l.Deliver[0] != 11 || l.Deliver[2] != 13 {
+		t.Errorf("delivered = %v", l.Deliver)
 	}
 }
 
@@ -120,15 +118,15 @@ func TestRadioAndScanSeries(t *testing.T) {
 	if rs[0].Busy != 0.25 || rs[0].Decodable != 0.2 {
 		t.Errorf("sample = %+v", rs[0])
 	}
-	sc := s.ScanSeries("AP-9")
-	if len(sc) != 1 || sc[0].Busy != 0.05 {
+	snap := s.capture()
+	if sc := snap.Scans["AP-9"]; len(sc) != 1 || sc[0].Busy != 0.05 {
 		t.Errorf("scan = %+v", sc)
 	}
 	if got := s.RadioSerials(); len(got) != 1 || got[0] != "AP-9" {
 		t.Errorf("serials = %v", got)
 	}
-	if got := s.ScanSerials(); len(got) != 1 {
-		t.Errorf("scan serials = %v", got)
+	if len(snap.Scans) != 1 {
+		t.Errorf("scan serials = %v", sortedKeys(snap.Scans))
 	}
 }
 
@@ -140,12 +138,12 @@ func TestNeighborDeduplication(t *testing.T) {
 	s.Ingest(&telemetry.Report{Serial: "AP-1", SeqNo: 1, Neighbors: []telemetry.NeighborRecord{n}})
 	n.RSSIdB = 25 // later observation updates in place
 	s.Ingest(&telemetry.Report{Serial: "AP-1", SeqNo: 2, Neighbors: []telemetry.NeighborRecord{n}})
-	got := s.Neighbors("AP-1")
+	got := s.capture().Neighbors["AP-1"]
 	if len(got) != 1 {
 		t.Fatalf("neighbors = %d", len(got))
 	}
-	if got[0].RSSIdB != 25 {
-		t.Errorf("neighbor not updated: %+v", got[0])
+	if got[peerB].RSSIdB != 25 {
+		t.Errorf("neighbor not updated: %+v", got[peerB])
 	}
 	if len(s.NeighborSerials()) != 1 {
 		t.Error("neighbor serials wrong")
@@ -173,32 +171,6 @@ func TestStoreConcurrentIngest(t *testing.T) {
 		if appOf(c, "Facebook").DownBytes != 1000 {
 			t.Errorf("client %v bytes = %d", c.MAC, appOf(c, "Facebook").DownBytes)
 		}
-	}
-}
-
-func TestAnonymizerStability(t *testing.T) {
-	a := NewAnonymizer([]byte("secret"))
-	m1 := a.MAC(clientA)
-	m2 := a.MAC(clientA)
-	if m1 != m2 {
-		t.Error("pseudonym not stable")
-	}
-	if m1 == a.MAC(peerB) {
-		t.Error("distinct MACs collide")
-	}
-	b := NewAnonymizer([]byte("other-secret"))
-	if m1 == b.MAC(clientA) {
-		t.Error("pseudonym independent of key")
-	}
-	if a.SSID("corp") == a.SSID("guest") {
-		t.Error("SSIDs collide")
-	}
-	if a.Serial("Q2XX-1") == "" {
-		t.Error("empty serial pseudonym")
-	}
-	// The raw identifier must not appear in the pseudonym.
-	if bytes.Contains([]byte(m1), clientA[:]) {
-		t.Error("MAC bytes leak into pseudonym")
 	}
 }
 

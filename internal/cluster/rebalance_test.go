@@ -156,7 +156,7 @@ func TestRebalanceDigestEquivalence(t *testing.T) {
 
 			// Moved networks are gone from their sources...
 			for i, s := range oldStores {
-				for _, id := range s.Networks(backend.NetworkOfSerial) {
+				for _, id := range s.Networks() {
 					if moved[id] {
 						t.Fatalf("moved network %d still on source shard %d", id, i)
 					}

@@ -59,13 +59,13 @@ func serveStore(ln net.Listener, shard int, s *backend.Store) {
 			return WriteSnapshotLines(w, s)
 		}},
 		{Name: "networks", Run: func(w *bufio.Writer, _, _ []string) error {
-			for _, id := range s.Networks(backend.NetworkOfSerial) {
+			for _, id := range s.Networks() {
 				fmt.Fprintf(w, "%d\n", id)
 			}
 			return nil
 		}},
 		{Name: "extract", Usage: "IDS", MinArgs: 1, Run: withIDs(0, func(w *bufio.Writer, _ []string, ids []uint64, _ []string) error {
-			return WriteSnapshotLines(w, s.ExtractNetworks(backend.IDSet(ids), backend.NetworkOfSerial))
+			return WriteSnapshotLines(w, s.ExtractNetworks(backend.IDSet(ids)))
 		})},
 		{Name: "part", Usage: "IDS", MinArgs: 1, Run: withIDs(0, func(w *bufio.Writer, _ []string, ids []uint64, _ []string) error {
 			s.Part(ids)
@@ -78,7 +78,7 @@ func serveStore(ln net.Listener, shard int, s *backend.Store) {
 			return nil
 		})},
 		{Name: "drop", Usage: "TOKEN IDS", MinArgs: 2, Run: withIDs(1, func(w *bufio.Writer, args []string, ids []uint64, _ []string) error {
-			nets, entries := s.Drop(args[0], ids, backend.NetworkOfSerial)
+			nets, entries := s.Drop(args[0], ids)
 			fmt.Fprintf(w, "dropped networks=%d entries=%d\n", nets, entries)
 			return nil
 		})},
@@ -87,7 +87,7 @@ func serveStore(ln net.Listener, shard int, s *backend.Store) {
 			if err != nil {
 				return err
 			}
-			applied, err := s.Absorb(args[0], ids, raw, backend.NetworkOfSerial)
+			applied, err := s.Absorb(args[0], ids, raw)
 			switch {
 			case err != nil:
 				return err

@@ -137,9 +137,6 @@ type Fleet struct {
 	apIndex    map[*ap.AP]apLocation
 }
 
-// Classifier returns the shared compiled rule engine.
-func (f *Fleet) Classifier() *apps.Classifier { return f.classifier }
-
 // clientGrowth is the fleet-wide client growth from Jan 2014 to Jan
 // 2015 (+37%, Table 3).
 const clientGrowth = 1.37

@@ -377,13 +377,6 @@ func (l *Log) Segments() int {
 	return l.segments
 }
 
-// Err returns the sticky failure, if the write path has failed.
-func (l *Log) Err() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.failed
-}
-
 // Append appends one record and returns its LSN. The record has
 // reached the kernel (write(2) completed) when Append returns; whether
 // it has reached stable storage depends on the fsync policy.
