@@ -42,6 +42,8 @@ func (d *daemon) commands() []queryproto.Command {
 			Help: "One machine-readable key=value line of the per-shard dashboard signals merakireport -watch renders."},
 		{Name: "digest", Run: d.queryDigest,
 			Help: "The canonical SHA-256 of the full store state."},
+		{Name: "digests", Usage: "[IDS]", Run: d.queryDigests,
+			Help: "One `ID HEX` line per partition holding data — the comma-separated networks IDS, or every network and then `- HEX` for the serials no network parses — whose composition is `digest`. What the scatter-gather router merges the cluster digest from and the rebalance coordinator's verify gate compares."},
 		{Name: "checkpoint", Run: d.queryCheckpoint,
 			Help: "Write a checkpoint now (durable daemons) and report its LSN."},
 		{Name: "snapshot", Run: d.querySnapshot,
@@ -51,7 +53,7 @@ func (d *daemon) commands() []queryproto.Command {
 		{Name: "networks", Run: d.queryNetworks,
 			Help: "The network IDs this shard holds, one per line — the rebalance coordinator's discovery set."},
 		{Name: "extract", Usage: "IDS", MinArgs: 1, Run: d.queryExtract,
-			Help: "A consistent snapshot of just the comma-separated networks IDS, encoded like `snapshot`."},
+			Help: "A consistent snapshot of just the comma-separated networks IDS, encoded like `snapshot`; `-` in IDS adds the serials no network parses."},
 		{Name: "part", Usage: "IDS", MinArgs: 1, Run: d.queryPart(true),
 			Help: "Mark the networks as mid-migration: their reports are refused so devices requeue."},
 		{Name: "unpart", Usage: "IDS", MinArgs: 1, Run: d.queryPart(false),
@@ -178,6 +180,10 @@ func (d *daemon) queryAlerts(w *bufio.Writer, _, _ []string) error {
 func (d *daemon) queryDigest(w *bufio.Writer, _, _ []string) error {
 	fmt.Fprintln(w, d.store.Digest())
 	return nil
+}
+
+func (d *daemon) queryDigests(w *bufio.Writer, args, _ []string) error {
+	return cluster.WriteDigestLines(w, d.store, args)
 }
 
 func (d *daemon) queryCheckpoint(w *bufio.Writer, _, _ []string) error {

@@ -653,11 +653,11 @@ func (d *daemon) acceptQueries(ln net.Listener) {
 // queryFanout answers "fanout <cmd>": scatter <cmd> across every
 // configured shard (-peers) and gather the answers. "fanout digest" is
 // special-cased to the merged cluster digest — first line the digest
-// hex, second line the health summary — because digests cannot be
-// concatenated, only merged. Any other command returns each shard's
-// response under a "[shard N addr]" header; a dead shard contributes
-// an ERR line instead of sinking the whole query, so operators get
-// partial answers during an outage rather than none.
+// hex, second line the health summary — because the shards' digests
+// cannot be concatenated, only composed. Any other command returns
+// each shard's response under a "[shard N addr]" header; a dead shard
+// contributes an ERR line instead of sinking the whole query, so
+// operators get partial answers during an outage rather than none.
 func (d *daemon) queryFanout(w *bufio.Writer, args, _ []string) error {
 	if d.router == nil {
 		return errNoPeers

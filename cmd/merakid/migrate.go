@@ -30,16 +30,11 @@ func (d *daemon) queryNetworks(w *bufio.Writer, _, _ []string) error {
 }
 
 // queryExtract answers "extract IDS": a consistent snapshot of just
-// those networks (a capture filtered by network, encoded with no lock
-// held), in the same base64-line encoding as "snapshot" (chunked, so an
+// those partitions (copied under the lock, encoded with no lock held),
+// in the same base64-line encoding as "snapshot" (chunked, so an
 // arbitrarily large slice never exceeds the line-protocol width).
 func (d *daemon) queryExtract(w *bufio.Writer, args, _ []string) error {
-	ids, err := cluster.ParseIDList(args[0])
-	if err != nil {
-		return err
-	}
-	slice := d.store.ExtractNetworks(backend.IDSet(ids))
-	return cluster.WriteSnapshotLines(w, slice)
+	return cluster.WriteExtractLines(w, d.store, args[0])
 }
 
 // queryPart answers "part IDS" (part true) and "unpart IDS": mark or

@@ -3,8 +3,12 @@ package backend
 import (
 	"fmt"
 	"io"
+	"maps"
 	"slices"
 	"sort"
+
+	"wlanscale/internal/dot11"
+	"wlanscale/internal/obs"
 )
 
 // This file is the store half of live shard rebalancing: extracting a
@@ -36,18 +40,78 @@ func (s *Store) Networks(_ ...func(string) (uint64, bool)) []uint64 {
 
 // ExtractNetworks returns a fresh store holding everything the store
 // has for the given networks — the migration slice a source shard
-// exports. It is a capture of their partitions alone, so the slice is
-// a consistent view between two reports even on a live daemon, ingest
-// waits only for copying those partitions, and the caller encodes the
-// slice with no lock held. The slice shares the append-only series
+// exports. It copies their partitions alone under the lock, so the
+// slice is a consistent view between two reports even on a live
+// daemon, ingest waits only for those copies, and the caller encodes
+// the slice with no lock held. The slice shares the append-only series
 // with the live store under capture's cap-clamp rule. Migration
 // bookkeeping is data, not payload — the slice carries none of it.
 // ids is a set as IDSet builds it, never nil. The trailing argument is
 // ignored (see Networks).
 func (s *Store) ExtractNetworks(ids map[uint64]bool, _ ...func(string) (uint64, bool)) *Store {
-	slice := &Store{}
-	slice.install(s.captureOf(ids))
+	return s.ExtractPartitions(ids, false)
+}
+
+// ExtractPartitions is ExtractNetworks that also copies, when unparsed
+// is set, the partition of the serials no network parses: a cluster
+// digest folds that partition when two shards hold one.
+func (s *Store) ExtractPartitions(ids map[uint64]bool, unparsed bool) *Store {
+	slice := NewStore()
+	s.mu.Lock()
+	sp := obs.StartSpan(s.holdDur)
+	take := func(p *partition) *partition {
+		if p == nil || p.entries() == 0 {
+			return nil
+		}
+		slice.clients.Add(int64(len(p.clients)))
+		return p.clone()
+	}
+	for id := range ids {
+		if p := take(s.parts[id]); p != nil {
+			slice.parts[id] = p
+		}
+	}
+	if unparsed {
+		slice.unparsed = take(s.unparsed)
+	}
+	s.mu.Unlock()
+	sp.End()
 	return slice
+}
+
+// clone returns a new partition holding p's entries, copied by
+// capture's rules: clients by copyClient, series as cap-clamped
+// headers, dedup marks and neighbor tables by value.
+func (p *partition) clone() *partition {
+	c := &partition{
+		clients: make(map[dot11.MAC]*ClientAggregate, len(p.clients)), seen: maps.Clone(p.seen),
+		radio: clipped(p.radio), scans: clipped(p.scans), crashes: clipped(p.crashes),
+		neighbors: make(map[string]map[dot11.BSSID]NeighborEntry, len(p.neighbors)),
+		links:     make(map[LinkKey]*LinkSeries, len(p.links)), gen: 1,
+	}
+	aggs := make([]ClientAggregate, 0, len(p.clients))
+	for mac, a := range p.clients {
+		aggs = append(aggs, copyClient(a))
+		c.clients[mac] = &aggs[len(aggs)-1]
+	}
+	for serial, m := range p.neighbors {
+		c.neighbors[serial] = maps.Clone(m)
+	}
+	links := make([]LinkSeries, 0, len(p.links))
+	for k, l := range p.links {
+		links = append(links, LinkSeries{Key: k, Sent: slices.Clip(l.Sent), Deliver: slices.Clip(l.Deliver)})
+		c.links[k] = &links[len(links)-1]
+	}
+	return c
+}
+
+// clipped copies a series map, each series cap-clamped.
+func clipped[V any](m map[string][]V) map[string][]V {
+	out := make(map[string][]V, len(m))
+	for serial, v := range m {
+		out[serial] = slices.Clip(v)
+	}
+	return out
 }
 
 // DeleteNetworks removes the partitions of the given networks and
@@ -66,6 +130,7 @@ func (s *Store) DeleteNetworks(ids map[uint64]bool) (networks, entries int) {
 				networks++
 				entries += n
 			}
+			s.clients.Add(-int64(len(p.clients)))
 			delete(s.parts, id)
 		}
 	}

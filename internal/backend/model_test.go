@@ -14,7 +14,8 @@ import (
 // reference FuzzStoreOps holds Store and DurableStore to: one mutex and
 // plain maps, no copy-on-write, interning or partitions, and no call into
 // the store's fold or capture code, so a defect there cannot hide in the
-// model too. Its digest is fmtDigest's. The rules it states:
+// model too. Its digest composes fmtPart's per network. The rules it
+// states:
 //   - Ingest drops a report whose nonzero seqno is at or below its
 //     serial's mark (a dupe) and folds the rest in: series append,
 //     neighbors overwrite by BSSID, a client takes the latest band, RSSI
@@ -281,25 +282,37 @@ func (m *model) networks() []uint64 {
 	return out
 }
 
-// digest renders m as a snapshot and hashes it with fmtDigest. Clients
-// sort by MAC, then network, those of no network last.
+// digest renders m's entries as one snapshot per partition — a client
+// goes with its key's network, a serial's entries with its network — and
+// composes their fmtPart sums with fmtCompose.
 func (m *model) digest() string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	snap := &snapshot{Seen: m.seen, Radio: m.radio, Scans: m.scans, Crashes: m.crashes, Neighbors: m.neighbors, Links: m.links}
+	parts := map[partKey]*snapshot{}
+	of := func(serial string) *snapshot { return share(parts, partOf(serial)) }
+	for serial, v := range m.seen {
+		of(serial).Seen[serial] = v
+	}
+	for serial, v := range m.radio {
+		of(serial).Radio[serial] = v
+	}
+	for serial, v := range m.scans {
+		of(serial).Scans[serial] = v
+	}
+	for serial, v := range m.crashes {
+		of(serial).Crashes[serial] = v
+	}
+	for serial, v := range m.neighbors {
+		of(serial).Neighbors[serial] = v
+	}
+	for k, l := range m.links {
+		of(k.From).Links[k] = l
+	}
 	var keys []clientKey
 	for k := range m.clients {
 		keys = append(keys, k)
 	}
-	slices.SortFunc(keys, func(a, b clientKey) int {
-		if a.mac != b.mac {
-			return cmp.Compare(a.mac.Uint64(), b.mac.Uint64())
-		}
-		if a.ok != b.ok {
-			return map[bool]int{true: -1, false: 1}[a.ok]
-		}
-		return cmp.Compare(a.net, b.net)
-	})
+	slices.SortFunc(keys, func(a, b clientKey) int { return cmp.Compare(a.mac.Uint64(), b.mac.Uint64()) })
 	for _, k := range keys {
 		c := m.clients[k]
 		agg := ClientAggregate{MAC: k.mac, Band: c.band, RSSIdB: c.rssi, Caps: c.caps, UserAgents: sortedKeys(c.uas), APs: sortedKeys(c.apSerial)}
@@ -309,7 +322,8 @@ func (m *model) digest() string {
 		for _, name := range sortedKeys(c.apps) {
 			agg.Apps = append(agg.Apps, c.apps[name])
 		}
-		snap.ClientList = append(snap.ClientList, agg)
+		sh := share(parts, partKey{k.net, k.ok})
+		sh.ClientList = append(sh.ClientList, agg)
 	}
-	return fmtDigest(snap)
+	return fmtCompose(parts)
 }

@@ -61,11 +61,11 @@ var opTokens = []string{"tok-0", "tok-1", "tok-2"}
 // FuzzStoreOps decodes its input into an op sequence over a small fleet
 // of three networks and runs it twice, each time beside a fresh model:
 // once on a Store and once on a DurableStore. After every op the
-// store's digest, Stats, PartedIDs, Networks and absorbed tokens must be
-// the model's; so must what an op returns, every extracted slice, and
-// every recovery's RecoveryStats the records the model says the WAL
-// holds above its checkpoint and the skipped and torn counts of a bare
-// wal.Open and Replay. A CrashPlan tear keeps the whole records below
+// store's digest, NumClients, Stats, PartedIDs, Networks and absorbed
+// tokens must be the model's; so must what an op returns, every
+// extracted slice, and every recovery's RecoveryStats the records the
+// model says the WAL holds above its checkpoint and the skipped and torn
+// counts of a bare wal.Open and Replay. A CrashPlan tear keeps the whole records below
 // the index CrashPlan.Fired reports, as recovery does (see logged).
 //
 // The named scripts below and crashScript run as tests of their own, so
@@ -190,6 +190,9 @@ func (r *opRun) check(s *Store, m *model) {
 	r.t.Helper()
 	if got, want := s.Digest(), m.digest(); got != want {
 		r.fatalf("digest %s, model %s", got, want)
+	}
+	if got, want := s.NumClients(), len(m.clients); got != want {
+		r.fatalf("NumClients %d, model %d", got, want)
 	}
 	if ingests, dupes := s.Stats(); ingests != m.ingests || dupes != m.dupes {
 		r.fatalf("Stats %d/%d, model %d/%d", ingests, dupes, m.ingests, m.dupes)

@@ -3,6 +3,7 @@ package backend
 import (
 	"bytes"
 	"cmp"
+	"crypto/sha256"
 	"encoding/gob"
 	"fmt"
 	"io"
@@ -189,6 +190,9 @@ type Store struct {
 	parts    map[uint64]*partition
 	unparsed *partition // nil until a serial no network parses writes
 
+	// clients counts the aggregates of every partition. The mutators keep
+	// it under mu; NumClients reads it with no lock.
+	clients atomic.Int64
 	ingests atomic.Int64
 	dupes   atomic.Int64
 
@@ -221,6 +225,14 @@ type partition struct {
 	neighbors map[string]map[dot11.BSSID]NeighborEntry
 	crashes   map[string][]telemetry.CrashRecord
 	links     map[LinkKey]*LinkSeries
+
+	// gen is the partition's generation: every change to its content
+	// (Ingest, fold) moves it, and install builds new partitions. sum is
+	// the digest of the content at generation sumGen (see Digest), so
+	// the cached sum is valid while sumGen == gen. A new partition starts
+	// at generation 1 with no sum.
+	gen, sumGen uint64
+	sum         [sha256.Size]byte
 }
 
 func newPartition() *partition {
@@ -228,7 +240,7 @@ func newPartition() *partition {
 		clients: make(map[dot11.MAC]*ClientAggregate), seen: make(map[string]uint64),
 		radio: make(map[string][]RadioSample), scans: make(map[string][]ScanPoint),
 		neighbors: make(map[string]map[dot11.BSSID]NeighborEntry), crashes: make(map[string][]telemetry.CrashRecord),
-		links: make(map[LinkKey]*LinkSeries),
+		links: make(map[LinkKey]*LinkSeries), gen: 1,
 	}
 }
 
@@ -283,21 +295,19 @@ func (s *Store) each(f func(*partition)) {
 	}
 }
 
-// sorted returns the partitions of the networks in ids, or of every
-// network and then the unparsed serials' for nil ids, in network order.
-func (s *Store) sorted(ids map[uint64]bool) []*partition {
+// sorted returns the partitions of every network and then the unparsed
+// serials', in network order.
+func (s *Store) sorted() []*partition {
 	keys := make([]uint64, 0, len(s.parts))
 	for id := range s.parts {
-		if ids == nil || ids[id] {
-			keys = append(keys, id)
-		}
+		keys = append(keys, id)
 	}
 	slices.Sort(keys)
 	out := make([]*partition, len(keys), len(keys)+1)
 	for i, id := range keys {
 		out[i] = s.parts[id]
 	}
-	if ids == nil && s.unparsed != nil {
+	if s.unparsed != nil {
 		out = append(out, s.unparsed)
 	}
 	return out
@@ -320,6 +330,7 @@ func (s *Store) Ingest(r *telemetry.Report) {
 		}
 		p.seen[r.Serial] = r.SeqNo
 	}
+	p.gen++
 
 	for _, rs := range r.Radios {
 		cyc := float64(rs.CycleUS)
@@ -374,6 +385,7 @@ func (s *Store) Ingest(r *telemetry.Report) {
 		if !ok {
 			agg = &ClientAggregate{MAC: c.MAC}
 			p.clients[c.MAC] = agg
+			s.clients.Add(1)
 		}
 		agg.Band = c.Band
 		agg.RSSIdB = c.RSSIdB
@@ -447,9 +459,9 @@ func (s *Store) Merge(p *Store) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for id, src := range p.parts {
-		s.parts[id] = s.parts[id].fold(src)
+		s.parts[id] = s.fold(s.parts[id], src)
 	}
-	s.unparsed = s.unparsed.fold(p.unparsed)
+	s.unparsed = s.fold(s.unparsed, p.unparsed)
 
 	// Migration bookkeeping folds as a union: a merged view is "parted"
 	// or "already absorbed" if any contributing partial was.
@@ -465,15 +477,22 @@ func (s *Store) Merge(p *Store) {
 }
 
 // fold merges src's entries into p, adopting what p lacks, and returns
-// p, or src itself when p is nil.
-func (p *partition) fold(src *partition) *partition {
-	if p == nil || src == nil {
-		return cmp.Or(p, src)
+// p, or src itself when p is nil. An adopted partition keeps its cached
+// sum, which describes its content still.
+func (s *Store) fold(p, src *partition) *partition {
+	switch {
+	case src == nil:
+		return p
+	case p == nil:
+		s.clients.Add(int64(len(src.clients)))
+		return src
 	}
+	p.gen++
 	for mac, agg := range src.clients {
 		dst, ok := p.clients[mac]
 		if !ok {
 			p.clients[mac] = agg
+			s.clients.Add(1)
 			continue
 		}
 		dst.Band = agg.Band
@@ -542,14 +561,9 @@ func sortedKeys[V any](m map[string]V) []string {
 	return out
 }
 
-func lessLinkKey(a, b LinkKey) bool {
-	if a.From != b.From {
-		return a.From < b.From
-	}
-	if a.Band != b.Band {
-		return a.Band < b.Band
-	}
-	return a.To.Uint64() < b.To.Uint64()
+// compareLinkKey orders links by reporting serial, band, then peer.
+func compareLinkKey(a, b LinkKey) int {
+	return cmp.Or(strings.Compare(a.From, b.From), cmp.Compare(a.Band, b.Band), cmp.Compare(a.To.Uint64(), b.To.Uint64()))
 }
 
 // Stats returns how many reports were folded in and how many were
@@ -563,14 +577,8 @@ func (s *Store) Stats() (ingests, dupes int) {
 }
 
 // NumClients returns the number of client aggregates: distinct MACs
-// per network.
-func (s *Store) NumClients() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	n := 0
-	s.each(func(p *partition) { n += len(p.clients) })
-	return n
-}
+// per network. It reads a count the mutators keep, with no lock.
+func (s *Store) NumClients() int { return int(s.clients.Load()) }
 
 // Clients returns the aggregates explicitly sorted by MAC, then by
 // network (see sortByMAC). The sort is load-bearing: downstream table
@@ -580,7 +588,7 @@ func (s *Store) NumClients() int {
 func (s *Store) Clients() []*ClientAggregate {
 	var out []*ClientAggregate
 	s.mu.RLock()
-	for _, p := range s.sorted(nil) {
+	for _, p := range s.sorted() {
 		for _, c := range p.clients {
 			out = append(out, c)
 		}
@@ -669,7 +677,7 @@ func (s *Store) Links() []*LinkSeries {
 		}
 	})
 	s.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return lessLinkKey(out[i].Key, out[j].Key) })
+	slices.SortFunc(out, func(a, b *LinkSeries) int { return compareLinkKey(a.Key, b.Key) })
 	return out
 }
 
@@ -783,16 +791,13 @@ type legacyClient struct {
 //   - What is left is copied: one struct per client, the dedup marks
 //     and the small neighbor tables, which later reports overwrite.
 //
-// Hashing, encoding and file I/O then run on the returned value with
-// no lock held.
-func (s *Store) capture() *snapshot { return s.captureOf(nil) }
-
-// captureOf is capture of the networks in ids only, without the
-// migration bookkeeping, or of the whole store for nil ids.
-func (s *Store) captureOf(ids map[uint64]bool) *snapshot {
+// Encoding and file I/O then run on the returned value with no lock
+// held. Digest and ExtractNetworks copy partitions by the same rules
+// (copyClient).
+func (s *Store) capture() *snapshot {
 	s.mu.Lock()
 	sp := obs.StartSpan(s.holdDur)
-	parts := s.sorted(ids)
+	parts := s.sorted()
 	var nClients, nSeen, nLinks, nRadio, nScans, nNeighbors, nCrashes int
 	for _, p := range parts {
 		nClients, nSeen, nLinks = nClients+len(p.clients), nSeen+len(p.seen), nLinks+len(p.links)
@@ -810,12 +815,7 @@ func (s *Store) captureOf(ids map[uint64]bool) *snapshot {
 	links := make([]LinkSeries, 0, nLinks)
 	for _, p := range parts {
 		for _, c := range p.clients {
-			c.appsShared = true
-			cp := *c
-			cp.Apps = slices.Clip(c.Apps)
-			cp.UserAgents = slices.Clip(c.UserAgents)
-			cp.DHCPFingerprints = slices.Clip(c.DHCPFingerprints)
-			snap.ClientList = append(snap.ClientList, cp)
+			snap.ClientList = append(snap.ClientList, copyClient(c))
 		}
 		maps.Copy(snap.Seen, p.seen)
 		for k, l := range p.links {
@@ -835,21 +835,31 @@ func (s *Store) captureOf(ids map[uint64]bool) *snapshot {
 			snap.Neighbors[k] = maps.Clone(m)
 		}
 	}
-	if ids == nil {
-		s.migMu.Lock()
-		if len(s.absorbed) > 0 {
-			snap.Absorbed = maps.Clone(s.absorbed)
-		}
-		if len(s.parted) > 0 {
-			snap.Parted = maps.Clone(s.parted)
-		}
-		s.migMu.Unlock()
+	s.migMu.Lock()
+	if len(s.absorbed) > 0 {
+		snap.Absorbed = maps.Clone(s.absorbed)
 	}
+	if len(s.parted) > 0 {
+		snap.Parted = maps.Clone(s.parted)
+	}
+	s.migMu.Unlock()
 	s.mu.Unlock()
 	sp.End()
 
 	sortByMAC(snap.ClientList, func(c *ClientAggregate) dot11.MAC { return c.MAC })
 	return snap
+}
+
+// copyClient copies c as a capture takes it: c's app totals become
+// shared copy-on-write, and the copy's append-only slices are
+// cap-clamped.
+func copyClient(c *ClientAggregate) ClientAggregate {
+	c.appsShared = true
+	cp := *c
+	cp.Apps = slices.Clip(c.Apps)
+	cp.UserAgents = slices.Clip(c.UserAgents)
+	cp.DHCPFingerprints = slices.Clip(c.DHCPFingerprints)
+	return cp
 }
 
 // Save writes a gob snapshot of the store as it stands between two
@@ -993,9 +1003,12 @@ func (s *Store) install(snap *snapshot) {
 	spread(n, snap.Scans, func(p *partition) map[string][]ScanPoint { return p.scans })
 	spread(n, snap.Neighbors, func(p *partition) map[string]map[dot11.BSSID]NeighborEntry { return p.neighbors })
 	spread(n, snap.Crashes, func(p *partition) map[string][]telemetry.CrashRecord { return p.crashes })
+	clients := 0
+	n.each(func(p *partition) { clients += len(p.clients) })
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.parts, s.unparsed = n.parts, n.unparsed
+	s.clients.Store(int64(clients))
 	s.ingests.Store(0)
 	s.dupes.Store(0)
 	s.migMu.Lock()
@@ -1013,15 +1026,13 @@ func spread[V any](s *Store, m map[string]V, field func(*partition) map[string]V
 
 // MergeSnapshot folds a gob snapshot into the store without resetting
 // what it already holds — the merging counterpart to Load. The
-// scatter-gather router uses it to rebuild a cluster-wide view: each
-// shard's snapshot decodes into a scratch store and merges through the
-// same deterministic path the parallel epoch pipeline uses, so the
-// merged digest is independent of fetch order. Ingestion counters from
-// the snapshot are not recovered (the snapshot format predates them);
-// digests never include counters, so equivalence is unaffected. The
-// snapshot is one a cluster peer captured itself, so it skips Load's
-// validating walk, which would add a pass over megabytes to every
-// merged digest.
+// scatter-gather router uses it to fold a network two shards hold: each
+// shard's extract decodes into a scratch store and merges through the
+// same deterministic path the parallel epoch pipeline uses. Ingestion
+// counters from the snapshot are not recovered (the snapshot format
+// predates them); digests never include counters, so equivalence is
+// unaffected. The snapshot is one a cluster peer captured itself, so it
+// skips Load's validating walk.
 func (s *Store) MergeSnapshot(r io.Reader) error {
 	tmp := NewStore()
 	if err := tmp.load(r); err != nil {

@@ -21,11 +21,12 @@
 // jittered capped retries, and degrades gracefully — a down shard
 // yields a per-shard error while the others' data still comes back,
 // flagged Degraded so the caller knows the answer is partial.
-// MergedStore/MergedDigest pull each live shard's gob snapshot and
-// fold them through backend.Store.Merge; because shards own disjoint
-// networks (hence disjoint serials and client MACs), the merged digest
-// of a healthy cluster is byte-identical to the digest a single
-// daemon fed the same reports would produce — the equivalence the
-// cluster and cmd/merakid subprocess tests pin across seeds and wire
-// versions.
+// MergedDigest composes the live shards' per-network digest lines (the
+// "digests" query), folding a network only where two shards hold it;
+// because a store digest is itself composed per network and shards own
+// disjoint networks (hence disjoint serials and client MACs), the
+// merged digest of a healthy cluster is byte-identical to the digest a
+// single daemon fed the same reports would produce — the equivalence
+// the cluster and cmd/merakid subprocess tests pin across seeds and
+// wire versions.
 package cluster

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -204,5 +205,55 @@ func TestClusterDigestEquivalence(t *testing.T) {
 					seed, wire, dig.Digest, want)
 			}
 		}
+	}
+}
+
+// TestMergedDigestFoldsSharedPartitions: a partition two shards list —
+// network 100's reports split between them, as mid-cutover, and a serial
+// no network parses reporting to both — is fetched from each shard and
+// folded in shard order, so the merged digest still equals that of one
+// store fed shard 0's reports and then shard 1's.
+func TestMergedDigestFoldsSharedPartitions(t *testing.T) {
+	src := rng.New(9).Split("shared-partitions")
+	var fed [2][]*telemetry.Report
+	for i, st := range clusterReports(9, 4) {
+		for j, r := range st.Reports {
+			shard := i / 2 % 2
+			if st.NetID == 100 {
+				shard = j * 2 / len(st.Reports)
+			}
+			fed[shard] = append(fed[shard], r)
+		}
+	}
+	for seq := uint64(1); seq <= 8; seq++ {
+		r := clusterReport(100, 0, seq, src)
+		r.Serial = "LOOSE-AP"
+		fed[(seq-1)/4] = append(fed[(seq-1)/4], r)
+	}
+	control := backend.NewStore()
+	stores := []*backend.Store{backend.NewStore(), backend.NewStore()}
+	for shard, reports := range fed {
+		for _, r := range reports {
+			stores[shard].Ingest(r)
+			control.Ingest(r)
+		}
+	}
+	r, _ := serveShards(t, stores)
+	for _, rep := range r.Fanout("digests") {
+		held := map[string]bool{}
+		for _, ln := range rep.Lines {
+			key, _, _ := strings.Cut(ln, " ")
+			held[key] = true
+		}
+		if !held["100"] || !held[backend.UnparsedPartition] {
+			t.Fatalf("shard %d does not hold both shared partitions: %v", rep.Shard, rep.Lines)
+		}
+	}
+	dig, err := r.MergedDigest()
+	if err != nil || dig.Degraded {
+		t.Fatalf("merged digest: %+v, %v", dig, err)
+	}
+	if want := control.Digest(); dig.Digest != want {
+		t.Fatalf("merged digest %s, one store fed the same reports %s", dig.Digest, want)
 	}
 }

@@ -31,12 +31,12 @@ import (
 //     and token-deduplicated: a destination SIGKILLed mid-migration
 //     replays to exactly what it acknowledged, and re-pushing the
 //     same token is a no-op.
-//  4. verify — the digest of the moved slice re-extracted from the
-//     destinations must equal the digest of what the sources
-//     exported. On mismatch the absorbed copies are dropped, sources
-//     un-parted, and the run fails without having destroyed anything.
-//     (Full-topology digests cannot gate here: non-moved networks
-//     keep ingesting mid-harvest.)
+//  4. verify — for each pair, the destination's per-network digest
+//     lines ("digests IDS") for the moved networks must equal the
+//     parted source's. On mismatch the absorbed copies are dropped,
+//     sources un-parted, and the run fails without having destroyed
+//     anything. (Full-topology digests cannot gate here: non-moved
+//     networks keep ingesting mid-harvest.)
 //  5. cut over — only after the verify gate do sources drop their
 //     moved networks. Sources stay parted for the moved set, so
 //     old-map agents that have not re-routed yet cannot resurrect a
@@ -74,9 +74,10 @@ type RebalanceReport struct {
 	Transfers            []Transfer
 	// MovedNetworks counts networks that changed homes this run.
 	MovedNetworks int
-	// SliceDigest is the canonical digest of the moved slice — equal
-	// on the source side and the destination side, that equality being
-	// the cutover gate.
+	// SliceDigest is the canonical digest of the moved slice — what a
+	// store holding only the moved networks would digest to. Its
+	// per-network lines are equal on the source side and the
+	// destination side, that equality being the cutover gate.
 	SliceDigest string
 	// Full is the merged digest over the new topology after cutover.
 	Full Digest
@@ -130,6 +131,25 @@ func ParseIDList(s string) ([]uint64, error) {
 		ids = append(ids, id)
 	}
 	return ids, nil
+}
+
+// ParsePartitionList is ParseIDList for the "extract" and "digests"
+// operands, which may also name backend.UnparsedPartition ("-"), the
+// partition of the serials no network parses.
+func ParsePartitionList(s string) (ids []uint64, unparsed bool, err error) {
+	var nets []string
+	for _, p := range strings.Split(s, ",") {
+		if strings.TrimSpace(p) == backend.UnparsedPartition {
+			unparsed = true
+		} else {
+			nets = append(nets, p)
+		}
+	}
+	if len(nets) == 0 {
+		return nil, true, nil
+	}
+	ids, err = ParseIDList(strings.Join(nets, ","))
+	return ids, unparsed, err
 }
 
 // shardReply converts a Reply into (lines, error), folding daemon-side
@@ -231,18 +251,20 @@ func Rebalance(oldAddrs, newAddrs []string, o RebalanceOptions) (*RebalanceRepor
 
 	// 3–6. Part every source's moved set so the slices stop changing,
 	// extract each pair's slice, absorb it into its destination under a
-	// per-pair dedup token, and re-extract it there for the verify gate:
-	// one table of shard exchanges, run in that order. A step that
-	// changes a shard arms its undo before it runs — a shard can apply a
-	// command and then lose the reply — and on any failure the armed
-	// undos run in reverse: absorbed copies dropped, sources un-parted.
+	// per-pair dedup token, and read both sides' per-network digests for
+	// the verify gate: one table of shard exchanges, run in that order. A
+	// step that changes a shard arms its undo before it runs — a shard
+	// can apply a command and then lose the reply — and on any failure
+	// the armed undos run in reverse: absorbed copies dropped, sources
+	// un-parted.
 	var parts, extracts, absorbs, verifies []*step
 	for _, src := range srcs {
 		ids := idList(bySrc[src])
 		parts = append(parts, &step{name: "part", r: oldR, shard: src, cmd: "part " + ids, undo: "unpart " + ids})
 	}
-	pre, post := backend.NewStore(), backend.NewStore()
-	for _, t := range rep.Transfers {
+	srcSums := make([][]string, len(rep.Transfers))
+	dstSums := make([][]string, len(rep.Transfers))
+	for k, t := range rep.Transfers {
 		ids := idList(t.Networks)
 		pair := fmt.Sprintf("%s.s%dd%d %s", token, t.Src, t.Dst, ids)
 		absorb := &step{name: "absorb", r: newR, shard: t.Dst, cmd: "absorb " + pair, undo: "drop " + pair,
@@ -252,17 +274,17 @@ func Rebalance(oldAddrs, newAddrs []string, o RebalanceOptions) (*RebalanceRepor
 			}}
 		extracts = append(extracts, &step{name: "extract", r: oldR, shard: t.Src, cmd: "extract " + ids,
 			then: func(lines []string) error {
-				if err := mergeSnapshotLines(pre, lines); err != nil {
-					return err
-				}
 				absorb.payload = lines
 				o.logf("rebalance: extracted %d network(s) from shard %d for shard %d (%d lines)",
 					len(t.Networks), t.Src, t.Dst, len(lines))
 				return nil
 			}})
 		absorbs = append(absorbs, absorb)
-		verifies = append(verifies, &step{name: "verify", r: newR, shard: t.Dst, cmd: "extract " + ids,
-			then: func(lines []string) error { return mergeSnapshotLines(post, lines) }})
+		verifies = append(verifies,
+			&step{name: "verify", r: oldR, shard: t.Src, cmd: "digests " + ids,
+				then: func(lines []string) error { srcSums[k] = lines; return nil }},
+			&step{name: "verify", r: newR, shard: t.Dst, cmd: "digests " + ids,
+				then: func(lines []string) error { dstSums[k] = lines; return nil }})
 	}
 	var armed []*step
 	fail := func(err error) (*RebalanceReport, error) {
@@ -287,11 +309,20 @@ func Rebalance(oldAddrs, newAddrs []string, o RebalanceOptions) (*RebalanceRepor
 			}
 		}
 	}
-	// The gate: what the destinations now hold for the moved set must
-	// digest identically to what the sources exported.
-	rep.SliceDigest = pre.Digest()
-	if got := post.Digest(); got != rep.SliceDigest {
-		return fail(fmt.Errorf("cluster: verify gate failed: destination slice digest %s != source %s; rolled back (re-run with a fresh token)", got, rep.SliceDigest))
+	// The gate: every moved network must digest on its destination as
+	// it does on its parted source. The pairs' network sets are
+	// disjoint; sorted by ID, the source lines compose to the slice's
+	// digest.
+	var src, dst []string
+	for k := range rep.Transfers {
+		src, dst = append(src, srcSums[k]...), append(dst, dstSums[k]...)
+	}
+	slices.SortFunc(src, byPartition)
+	slices.SortFunc(dst, byPartition)
+	rep.SliceDigest = backend.ComposeDigest(src)
+	if !slices.Equal(src, dst) {
+		return fail(fmt.Errorf("cluster: verify gate failed: destination slice digest %s != source %s; rolled back (re-run with a fresh token)",
+			backend.ComposeDigest(dst), rep.SliceDigest))
 	}
 	o.logf("rebalance: verify gate passed (slice digest %s)", rep.SliceDigest[:12])
 

@@ -277,7 +277,7 @@ func TestRebalanceNeedsEveryShard(t *testing.T) {
 	}
 }
 
-// TestParseIDList covers the daemon-side operand parser.
+// TestParseIDList covers the daemon-side operand parsers.
 func TestParseIDList(t *testing.T) {
 	ids, err := ParseIDList("3,17, 101")
 	if err != nil {
@@ -293,5 +293,14 @@ func TestParseIDList(t *testing.T) {
 	}
 	if got := idList([]uint64{3, 17, 101}); got != "3,17,101" {
 		t.Fatalf("idList = %q", got)
+	}
+	for in, want := range map[string]string{"3,-": "[3] true", "-": "[] true", "17": "[17] false"} {
+		ids, unparsed, err := ParsePartitionList(in)
+		if got := fmt.Sprint(ids, " ", unparsed); err != nil || got != want {
+			t.Fatalf("ParsePartitionList(%q) = %s, %v; want %s", in, got, err, want)
+		}
+	}
+	if _, _, err := ParsePartitionList(""); err == nil {
+		t.Fatal(`ParsePartitionList("") accepted`)
 	}
 }

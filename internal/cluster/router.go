@@ -1,8 +1,12 @@
 package cluster
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -227,52 +231,123 @@ var ErrTruncated = queryproto.ErrTruncated
 // errAllDown is returned when no shard answered a merge.
 var errAllDown = errors.New("cluster: every shard is down")
 
-// MergedStore fetches each live shard's snapshot and folds them into
-// one store, merging in shard-index order so the result is
-// deterministic regardless of which fetch finished first. The replies
-// are returned alongside so callers can see which shards contributed;
-// an error is returned only when not a single shard answered.
-func (r *Router) MergedStore() (*backend.Store, []Reply, error) {
-	replies := r.Fanout("snapshot")
-	merged := backend.NewStore()
-	up := 0
+// MergedDigest is the cluster-wide analogue of the merakid "digest"
+// query: the canonical SHA-256 of every live shard's contents merged.
+// Each shard answers "digests" with one line per partition it holds
+// (backend.Store.Digests), so a shard sends 32 bytes per network, not
+// its store. A partition only one shard lists contributes that line as
+// is. A partition several shards list — a network mid-cutover, or
+// serials no network parses that reached two shards — is fetched from
+// each with "extract" and folded in shard order, as merging their
+// stores would fold it, and its line is computed here. On a healthy
+// cluster whose agents route by the shard map, the result is
+// byte-identical to the digest a single daemon fed the same reports
+// would serve — the equivalence the cluster and cmd/merakid subprocess
+// tests pin. With shards down the digest still comes back, flagged
+// Degraded, covering the surviving shards only; a shard whose extract
+// fails counts as down.
+func (r *Router) MergedDigest() (Digest, error) {
+	replies := r.Fanout("digests")
 	for i := range replies {
-		rep := &replies[i]
+		if replies[i].Err == nil {
+			replies[i].Err = checkDigestLines(replies[i])
+		}
+	}
+	for {
+		if NumDown(replies) == len(replies) {
+			return Digest{Shards: len(r.Shards), Down: DownShards(replies), Degraded: true}, errAllDown
+		}
+		digest, bad, err := r.compose(replies)
+		if err != nil {
+			replies[bad].Err = err
+			continue
+		}
+		return Digest{
+			Digest:   digest,
+			Shards:   len(r.Shards),
+			Down:     DownShards(replies),
+			Degraded: NumDown(replies) > 0,
+		}, nil
+	}
+}
+
+// checkDigestLines fails a "digests" reply that is an ERR line or holds
+// a line other than "<id> <hex>" or "- <hex>".
+func checkDigestLines(rep Reply) error {
+	lines, err := shardReply(rep)
+	if err != nil {
+		return err
+	}
+	for _, ln := range lines {
+		key, sum, _ := strings.Cut(ln, " ")
+		if _, err := strconv.ParseUint(key, 10, 64); (err != nil && key != backend.UnparsedPartition) || len(sum) != 64 {
+			return fmt.Errorf("shard %d (%s): bad digests line %q", rep.Shard, rep.Addr, ln)
+		}
+	}
+	return nil
+}
+
+// byPartition orders digests lines as Store.Digests does: by network
+// ID, with the line of the serials no network parses last.
+func byPartition(a, b string) int {
+	ka, _, _ := strings.Cut(a, " ")
+	kb, _, _ := strings.Cut(b, " ")
+	x, errA := strconv.ParseUint(ka, 10, 64)
+	y, errB := strconv.ParseUint(kb, 10, 64)
+	if (errA == nil) != (errB == nil) {
+		if errA == nil {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Compare(x, y)
+}
+
+// compose merges the live shards' digest lines into the cluster digest,
+// fetching and folding the partitions several shards list. When a
+// shard's extract fails it returns that shard and the error instead.
+func (r *Router) compose(replies []Reply) (string, int, error) {
+	owners := make(map[string][]int)
+	sums := make(map[string]string)
+	for i, rep := range replies {
 		if rep.Err != nil {
 			continue
 		}
-		if queryproto.IsErr(rep.Lines) {
-			rep.Err = fmt.Errorf("cluster: shard %d: %s", rep.Shard, rep.Lines[0])
+		for _, ln := range rep.Lines {
+			key, sum, _ := strings.Cut(ln, " ")
+			owners[key] = append(owners[key], i)
+			sums[key] = sum
+		}
+	}
+	shared := make([][]string, len(replies))
+	for key, on := range owners {
+		if len(on) > 1 {
+			for _, i := range on {
+				shared[i] = append(shared[i], key)
+			}
+		}
+	}
+	fold := backend.NewStore()
+	for i, keys := range shared {
+		if len(keys) == 0 {
 			continue
 		}
-		if err := mergeSnapshotLines(merged, rep.Lines); err != nil {
-			rep.Err = err
-			continue
+		ext, err := shardReply(r.queryShard(i, "extract "+strings.Join(keys, ",")))
+		if err == nil {
+			err = mergeSnapshotLines(fold, ext)
 		}
-		up++
+		if err != nil {
+			return "", i, err
+		}
 	}
-	if up == 0 {
-		return nil, replies, errAllDown
+	for _, ln := range fold.Digests(nil, true) {
+		key, sum, _ := strings.Cut(ln, " ")
+		sums[key] = sum
 	}
-	return merged, replies, nil
-}
-
-// MergedDigest is the cluster-wide analogue of the merakid "digest"
-// query: the canonical SHA-256 of every live shard's contents merged.
-// On a healthy cluster whose agents route by the shard map, the result
-// is byte-identical to the digest a single daemon fed the same reports
-// would serve — the equivalence the cluster and cmd/merakid subprocess
-// tests pin. With shards down the digest still comes back, flagged
-// Degraded, covering the surviving shards only.
-func (r *Router) MergedDigest() (Digest, error) {
-	merged, replies, err := r.MergedStore()
-	if err != nil {
-		return Digest{Shards: len(r.Shards), Down: DownShards(replies), Degraded: true}, err
+	lines := make([]string, 0, len(sums))
+	for key, sum := range sums {
+		lines = append(lines, key+" "+sum)
 	}
-	return Digest{
-		Digest:   merged.Digest(),
-		Shards:   len(r.Shards),
-		Down:     DownShards(replies),
-		Degraded: NumDown(replies) > 0,
-	}, nil
+	slices.SortFunc(lines, byPartition)
+	return backend.ComposeDigest(lines), -1, nil
 }

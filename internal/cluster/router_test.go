@@ -64,9 +64,12 @@ func serveStore(ln net.Listener, shard int, s *backend.Store) {
 			}
 			return nil
 		}},
-		{Name: "extract", Usage: "IDS", MinArgs: 1, Run: withIDs(0, func(w *bufio.Writer, _ []string, ids []uint64, _ []string) error {
-			return WriteSnapshotLines(w, s.ExtractNetworks(backend.IDSet(ids)))
-		})},
+		{Name: "digests", Usage: "[IDS]", Run: func(w *bufio.Writer, args, _ []string) error {
+			return WriteDigestLines(w, s, args)
+		}},
+		{Name: "extract", Usage: "IDS", MinArgs: 1, Run: func(w *bufio.Writer, args, _ []string) error {
+			return WriteExtractLines(w, s, args[0])
+		}},
 		{Name: "part", Usage: "IDS", MinArgs: 1, Run: withIDs(0, func(w *bufio.Writer, _ []string, ids []uint64, _ []string) error {
 			s.Part(ids)
 			fmt.Fprintf(w, "parted n=%d\n", len(ids))
@@ -103,7 +106,7 @@ func serveStore(ln net.Listener, shard int, s *backend.Store) {
 
 // serveShards serves each store on a loopback listener and returns the
 // router plus the listeners (close one to take its shard down).
-func serveShards(t *testing.T, stores []*backend.Store) (*Router, []net.Listener) {
+func serveShards(t testing.TB, stores []*backend.Store) (*Router, []net.Listener) {
 	t.Helper()
 	lns := make([]net.Listener, len(stores))
 	addrs := make([]string, len(stores))

@@ -62,6 +62,37 @@ func DecodeSnapshotLines(lines []string) (io.Reader, error) {
 	return bytes.NewReader(raw), nil
 }
 
+// WriteExtractLines answers "extract IDS": the slice of the partitions
+// IDS names (ParsePartitionList), encoded like "snapshot".
+func WriteExtractLines(w io.Writer, s *backend.Store, operand string) error {
+	ids, unparsed, err := ParsePartitionList(operand)
+	if err != nil {
+		return err
+	}
+	return WriteSnapshotLines(w, s.ExtractPartitions(backend.IDSet(ids), unparsed))
+}
+
+// WriteDigestLines answers "digests [IDS]": one Store.Digests line per
+// partition IDS names (ParsePartitionList) that holds data, or per
+// partition of the store with no operand.
+func WriteDigestLines(w io.Writer, s *backend.Store, args []string) error {
+	var ids map[uint64]bool
+	unparsed := true
+	if len(args) > 0 {
+		list, u, err := ParsePartitionList(args[0])
+		if err != nil {
+			return err
+		}
+		ids, unparsed = backend.IDSet(list), u
+	}
+	for _, ln := range s.Digests(ids, unparsed) {
+		if _, err := fmt.Fprintln(w, ln); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // mergeSnapshotLines folds one snapshot or extract reply into dst.
 func mergeSnapshotLines(dst *backend.Store, lines []string) error {
 	raw, err := DecodeSnapshotLines(lines)
