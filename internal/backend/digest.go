@@ -35,19 +35,16 @@ import (
 // arrived first when several APs see one client; clients are dumped by
 // MAC.
 //
-// Each partition caches its sum for its current generation, so Digest
-// hashes only the partitions that changed since the last digest. Ingest
-// waits only for copying those partitions' entries (and the cached sums
-// of the rest), never for hashing: the copy is a cut between two
-// reports, and a sum is stored back only if its partition has not moved
-// since.
+// Ingest waits only for copying the entries (captureSums), never for
+// hashing: the copy is a cut between two reports, and the sums are
+// computed from it with no lock held.
 func (s *Store) Digest() string {
-	c := s.captureSums(nil, true, false)
+	sums := s.captureSums(nil, true)
 	sp := obs.StartSpan(s.digestDur)
 	defer sp.End()
 	d := newDump()
-	for _, ps := range s.finishSums(c, d) {
-		d.b = append(ps.appendLine(d.b), '\n')
+	for i := range hashSums(sums, d) {
+		d.b = append(sums[i].appendLine(d.b), '\n')
 		d.flush()
 	}
 	return d.sum()
@@ -58,17 +55,13 @@ func (s *Store) Digest() string {
 // parses, in Digest's order and format without the newlines. A partition
 // that holds nothing has no line. merakid serves them as the "digests"
 // query, which a cluster composes into its merged digest and the
-// rebalance verify gate compares across shards. Unlike Digest it hashes
-// every partition it lists from the content at the cut, whatever its
-// cached sum, and stores the sums back for Digest; ROADMAP item 3c says
-// why and when that changes.
+// rebalance verify gate compares across shards.
 func (s *Store) Digests(ids map[uint64]bool, unparsed bool) []string {
-	c := s.captureSums(ids, unparsed, true)
+	sums := s.captureSums(ids, unparsed)
 	sp := obs.StartSpan(s.digestDur)
 	defer sp.End()
-	sums := s.finishSums(c, newDump())
 	lines := make([]string, len(sums))
-	for i := range sums {
+	for i := range hashSums(sums, newDump()) {
 		lines[i] = string(sums[i].appendLine(nil))
 	}
 	return lines
@@ -88,13 +81,13 @@ func ComposeDigest(lines []string) string {
 // digest line.
 const UnparsedPartition = "-"
 
-// partSum is one partition's line in a digest.
+// partSum is one partition's line in a digest: the copy of its entries
+// taken under the lock, then their sum.
 type partSum struct {
 	id  uint64
 	ok  bool // false: the partition of serials no network parses
+	v   partView
 	sum [sha256.Size]byte
-	// stale is the partition while its sum is still to be computed.
-	stale *partition
 }
 
 // appendLine appends ps's line, without the newline.
@@ -105,23 +98,6 @@ func (ps *partSum) appendLine(b []byte) []byte {
 		b = append(b, UnparsedPartition...)
 	}
 	return hex.AppendEncode(append(b, ' '), ps.sum[:])
-}
-
-// sumCapture is what a digest takes under the lock: a line for every
-// partition it covers, holding the cached sum where one is valid, and a
-// copy of the entries of each partition whose sum is stale.
-type sumCapture struct {
-	sums  []partSum
-	stale []staleSum
-}
-
-// staleSum is one partition to hash: its line in sums, the partition and
-// the generation its copy was taken at.
-type staleSum struct {
-	at  int
-	p   *partition
-	gen uint64
-	v   partView
 }
 
 // partView is one partition's entries as a digest hashes them: sortable
@@ -141,30 +117,33 @@ type keyed[V any] struct {
 	v      V
 }
 
-// captureSums takes the lines of the networks in ids (every network for
-// nil ids) and, when unparsed is set, of the serials no network parses,
-// treating every one as stale when fresh is set. The lock is held only
-// to read the cached sums and to copy the stale partitions' entries —
-// into one backing array per kind, sized first, so a digest of a
-// thousand stale partitions allocates as few arrays as one of a single
-// partition. Each partition's view is a slice of those arrays.
-func (s *Store) captureSums(ids map[uint64]bool, unparsed, fresh bool) *sumCapture {
+// captureSums copies the entries of the networks in ids (every network
+// for nil ids) and, when unparsed is set, of the serials no network
+// parses, one partSum per partition that holds data. The lock is held
+// only for the copy — into one backing array per kind, sized first, so a
+// digest of a thousand partitions allocates as few arrays as one of a
+// single partition. Each partition's view is a slice of those arrays.
+func (s *Store) captureSums(ids map[uint64]bool, unparsed bool) []partSum {
 	s.mu.Lock()
 	sp := obs.StartSpan(s.holdDur)
 	defer sp.End()
 	defer s.mu.Unlock()
-	c := &sumCapture{sums: make([]partSum, 0, cmp.Or(len(ids), len(s.parts))+1)}
-	nStale := 0
+	sums := make([]partSum, 0, cmp.Or(len(ids), len(s.parts))+1)
+	parts := make([]*partition, 0, cap(sums))
+	var n [7]int
+	nbrs := 0
 	add := func(id uint64, ok bool, p *partition) {
 		if p == nil || p.entries() == 0 {
 			return
 		}
-		ps := partSum{id: id, ok: ok, sum: p.sum}
-		if fresh || p.sumGen != p.gen {
-			ps.stale = p
-			nStale++
+		sums = append(sums, partSum{id: id, ok: ok})
+		parts = append(parts, p)
+		for k, l := range []int{len(p.clients), len(p.seen), len(p.radio), len(p.scans), len(p.crashes), len(p.neighbors), len(p.links)} {
+			n[k] += l
 		}
-		c.sums = append(c.sums, ps)
+		for _, m := range p.neighbors {
+			nbrs += len(m)
+		}
 	}
 	if ids == nil {
 		for id, p := range s.parts {
@@ -178,22 +157,6 @@ func (s *Store) captureSums(ids map[uint64]bool, unparsed, fresh bool) *sumCaptu
 		add(0, false, s.unparsed)
 	}
 
-	c.stale = make([]staleSum, 0, nStale)
-	var n [7]int
-	nbrs := 0
-	for i, ps := range c.sums {
-		p := ps.stale
-		if p == nil {
-			continue
-		}
-		c.stale = append(c.stale, staleSum{at: i, p: p, gen: p.gen})
-		for k, l := range []int{len(p.clients), len(p.seen), len(p.radio), len(p.scans), len(p.crashes), len(p.neighbors), len(p.links)} {
-			n[k] += l
-		}
-		for _, m := range p.neighbors {
-			nbrs += len(m)
-		}
-	}
 	all := partView{
 		clients: make([]ClientAggregate, 0, n[0]), seen: make([]keyed[uint64], 0, n[1]),
 		radio: make([]keyed[[]RadioSample], 0, n[2]), scans: make([]keyed[[]ScanPoint], 0, n[3]),
@@ -201,8 +164,8 @@ func (s *Store) captureSums(ids map[uint64]bool, unparsed, fresh bool) *sumCaptu
 		links: make([]LinkSeries, 0, n[6]),
 	}
 	entries := make([]NeighborEntry, 0, nbrs)
-	for i := range c.stale {
-		p, v := c.stale[i].p, &c.stale[i].v
+	for i, p := range parts {
+		v := &sums[i].v
 		from := len(all.clients)
 		for _, a := range p.clients {
 			all.clients = append(all.clients, copyClient(a))
@@ -227,7 +190,7 @@ func (s *Store) captureSums(ids map[uint64]bool, unparsed, fresh bool) *sumCaptu
 		}
 		v.links = all.links[from:]
 	}
-	return c
+	return sums
 }
 
 // keyedTail appends m's entries to *all and returns them. A series is
@@ -240,24 +203,13 @@ func keyedTail[V any](all *[]keyed[V], m map[string]V) []keyed[V] {
 	return (*all)[from:]
 }
 
-// finishSums hashes the stale partitions of c with no lock held, stores
-// each sum back unless its partition moved meanwhile, and returns c's
-// lines in Digest's order.
-func (s *Store) finishSums(c *sumCapture, d *digestDump) []partSum {
-	for i := range c.stale {
-		st := &c.stale[i]
-		c.sums[st.at].sum = st.v.hash(d)
+// hashSums hashes every partition of sums through d and returns sums in
+// Digest's order.
+func hashSums(sums []partSum, d *digestDump) []partSum {
+	for i := range sums {
+		sums[i].sum = sums[i].v.hash(d)
 	}
-	if len(c.stale) > 0 {
-		s.mu.Lock()
-		for _, st := range c.stale {
-			if st.p.gen == st.gen {
-				st.p.sum, st.p.sumGen = c.sums[st.at].sum, st.gen
-			}
-		}
-		s.mu.Unlock()
-	}
-	slices.SortFunc(c.sums, func(a, b partSum) int {
+	slices.SortFunc(sums, func(a, b partSum) int {
 		switch {
 		case a.ok == b.ok:
 			return cmp.Compare(a.id, b.id)
@@ -266,7 +218,7 @@ func (s *Store) finishSums(c *sumCapture, d *digestDump) []partSum {
 		}
 		return 1
 	})
-	return c.sums
+	return sums
 }
 
 // digestDump feeds a canonical dump to the hash through one buffer that

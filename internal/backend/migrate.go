@@ -87,7 +87,7 @@ func (p *partition) clone() *partition {
 		clients: make(map[dot11.MAC]*ClientAggregate, len(p.clients)), seen: maps.Clone(p.seen),
 		radio: clipped(p.radio), scans: clipped(p.scans), crashes: clipped(p.crashes),
 		neighbors: make(map[string]map[dot11.BSSID]NeighborEntry, len(p.neighbors)),
-		links:     make(map[LinkKey]*LinkSeries, len(p.links)), gen: 1,
+		links:     make(map[LinkKey]*LinkSeries, len(p.links)),
 	}
 	aggs := make([]ClientAggregate, 0, len(p.clients))
 	for mac, a := range p.clients {

@@ -151,81 +151,6 @@ func TestConcurrentSaveLoadIngest(t *testing.T) {
 	}
 }
 
-// TestDigestCacheUnderChurn: digests race Ingest, Merge, Absorb and Drop
-// over four networks. A sum a digest stores back must be that of its
-// partition's content at the generation it copied, so once the churn
-// stops the digest from the cached sums must equal that of a Save→Load
-// copy, which hashes everything afresh. Under -race (make race) it is
-// also the locking proof of the cache.
-func TestDigestCacheUnderChurn(t *testing.T) {
-	const seqs = 150
-	report := func(net, ap int, seq uint64) *telemetry.Report {
-		r := fullReport(net*16+ap, seq)
-		r.Serial = fmt.Sprintf("Q2DC-%04d-%04d", net, ap)
-		return r
-	}
-	s := NewStore()
-	var wg sync.WaitGroup
-	churn := func(f func(seq uint64)) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for seq := uint64(1); seq <= seqs; seq++ {
-				f(seq)
-			}
-		}()
-	}
-	churn(func(seq uint64) {
-		for net := 1; net <= 4; net++ {
-			s.Ingest(report(net, 0, seq))
-		}
-	})
-	churn(func(seq uint64) {
-		p := NewStore()
-		p.Ingest(report(2, 1, seq))
-		s.Merge(p)
-	})
-	churn(func(seq uint64) {
-		var buf bytes.Buffer
-		if err := s.ExtractNetworks(IDSet([]uint64{3})).Save(&buf); err != nil {
-			t.Error(err)
-		}
-		if _, err := s.Absorb(fmt.Sprint("tok-", seq), []uint64{3}, &buf); err != nil {
-			t.Error(err)
-		}
-		if seq%10 == 0 {
-			s.Drop("", []uint64{4})
-		}
-	})
-	stop, stopped := make(chan struct{}), make(chan int)
-	go func() {
-		for n := 0; ; n++ {
-			select {
-			case <-stop:
-				stopped <- n
-				return
-			default:
-				s.Digest()
-			}
-		}
-	}()
-	wg.Wait()
-	close(stop)
-	digests := <-stopped
-
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	fresh := NewStore()
-	if err := fresh.Load(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := s.Digest(), fresh.Digest(); got != want {
-		t.Fatalf("after %d racing digests the cached digest is %s, a fresh copy's %s", digests, got, want)
-	}
-}
-
 // TestLoadIsAtomic: a reader racing Load sees the store wholly before
 // or wholly after it, never half-installed.
 func TestLoadIsAtomic(t *testing.T) {

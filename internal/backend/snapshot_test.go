@@ -447,17 +447,14 @@ func randomReport(src *rand.Rand, net, ap int, seq uint64) *telemetry.Report {
 // TestDigestByteStream holds the strconv-built, per-partition digest to
 // the fmt-based oracle, over an empty store, ten seeded random stores
 // (serials of network 4 unparseable) and each of those after a
-// DeleteNetworks — cold, and again from the cached sums — and holds
-// ComposeDigest of the Digests lines to the same value.
+// DeleteNetworks, and holds ComposeDigest of the Digests lines to the
+// same value.
 func TestDigestByteStream(t *testing.T) {
 	check := func(name string, s *Store) {
 		t.Helper()
 		want := fmtDigest(s.capture())
 		if got := s.Digest(); got != want {
 			t.Fatalf("%s: digest %s, fmt rendering gives %s", name, got, want)
-		}
-		if got := s.Digest(); got != want {
-			t.Fatalf("%s: cached digest %s, fmt rendering gives %s", name, got, want)
 		}
 		if got := ComposeDigest(s.Digests(nil, true)); got != want {
 			t.Fatalf("%s: composed lines give %s, fmt rendering %s", name, got, want)
@@ -488,9 +485,8 @@ func TestDigestByteStream(t *testing.T) {
 // capture-hold sample and one sample of the off-lock work that follows,
 // and on the paced-ops store shape the hold — the only part ingest
 // waits for — is at most a quarter of an encode and a tenth of a whole
-// cold Digest call (every partition changed since the last one, as
-// under paced-ops' ingest). Medians over a few calls, so that one
-// garbage collection landing inside a hold does not decide the outcome.
+// Digest call. Medians over a few calls, so that one garbage collection
+// landing inside a hold does not decide the outcome.
 func TestCaptureHoldObserved(t *testing.T) {
 	s := snapshotBenchStore(t)
 	reg := obs.NewRegistry()
@@ -528,18 +524,10 @@ func TestCaptureHoldObserved(t *testing.T) {
 	if h*4 > e {
 		t.Errorf("Save held the lock %d µs and encoded for %d µs; want a hold under a quarter", h, e)
 	}
-	h, d := medians(digest, func() { s.invalidate(); s.Digest() })
+	h, d := medians(digest, func() { s.Digest() })
 	if h*10 > h+d {
 		t.Errorf("Digest held the lock %d µs of %d µs; want at most a tenth", h, h+d)
 	}
-}
-
-// invalidate drops every partition's cached sum, as a report into each
-// would, so the next digest hashes the whole store.
-func (s *Store) invalidate() {
-	s.mu.Lock()
-	s.each(func(p *partition) { p.gen++ })
-	s.mu.Unlock()
 }
 
 // snapshotBenchStore builds the paced-ops shape: 640 APs × 8 clients
@@ -583,10 +571,7 @@ func snapshotBenchStore(tb testing.TB) *Store {
 // BenchmarkStoreSnapshot measures the three costs of a snapshot on the
 // paced-ops store shape. "hold" reports only the exclusive lock section
 // of a capture (what ingest waits for) as its ns/op; "digest" and
-// "save" are the whole calls, capture included. "digest" is cold: every
-// partition changed since the last digest, as under paced-ops' ingest.
-// "digest-warm" (not gated) digests a store that did not change, from
-// the cached partition sums alone.
+// "save" are the whole calls, capture included.
 func BenchmarkStoreSnapshot(b *testing.B) {
 	s := snapshotBenchStore(b)
 	reg := obs.NewRegistry()
@@ -606,15 +591,6 @@ func BenchmarkStoreSnapshot(b *testing.B) {
 	})
 	b.Run("digest", func(b *testing.B) {
 		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			s.invalidate()
-			s.Digest()
-		}
-	})
-	b.Run("digest-warm", func(b *testing.B) {
-		s.Digest()
-		b.ReportAllocs()
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			s.Digest()
 		}

@@ -3,7 +3,6 @@ package backend
 import (
 	"bytes"
 	"cmp"
-	"crypto/sha256"
 	"encoding/gob"
 	"fmt"
 	"io"
@@ -225,14 +224,6 @@ type partition struct {
 	neighbors map[string]map[dot11.BSSID]NeighborEntry
 	crashes   map[string][]telemetry.CrashRecord
 	links     map[LinkKey]*LinkSeries
-
-	// gen is the partition's generation: every change to its content
-	// (Ingest, fold) moves it, and install builds new partitions. sum is
-	// the digest of the content at generation sumGen (see Digest), so
-	// the cached sum is valid while sumGen == gen. A new partition starts
-	// at generation 1 with no sum.
-	gen, sumGen uint64
-	sum         [sha256.Size]byte
 }
 
 func newPartition() *partition {
@@ -240,7 +231,7 @@ func newPartition() *partition {
 		clients: make(map[dot11.MAC]*ClientAggregate), seen: make(map[string]uint64),
 		radio: make(map[string][]RadioSample), scans: make(map[string][]ScanPoint),
 		neighbors: make(map[string]map[dot11.BSSID]NeighborEntry), crashes: make(map[string][]telemetry.CrashRecord),
-		links: make(map[LinkKey]*LinkSeries), gen: 1,
+		links: make(map[LinkKey]*LinkSeries),
 	}
 }
 
@@ -330,7 +321,6 @@ func (s *Store) Ingest(r *telemetry.Report) {
 		}
 		p.seen[r.Serial] = r.SeqNo
 	}
-	p.gen++
 
 	for _, rs := range r.Radios {
 		cyc := float64(rs.CycleUS)
@@ -477,8 +467,7 @@ func (s *Store) Merge(p *Store) {
 }
 
 // fold merges src's entries into p, adopting what p lacks, and returns
-// p, or src itself when p is nil. An adopted partition keeps its cached
-// sum, which describes its content still.
+// p, or src itself when p is nil.
 func (s *Store) fold(p, src *partition) *partition {
 	switch {
 	case src == nil:
@@ -487,7 +476,6 @@ func (s *Store) fold(p, src *partition) *partition {
 		s.clients.Add(int64(len(src.clients)))
 		return src
 	}
-	p.gen++
 	for mac, agg := range src.clients {
 		dst, ok := p.clients[mac]
 		if !ok {

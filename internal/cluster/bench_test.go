@@ -1,44 +1,17 @@
 package cluster
 
-import (
-	"testing"
-
-	"wlanscale/internal/telemetry"
-)
+import "testing"
 
 // BenchmarkMergedDigest measures Router.MergedDigest over two shards
-// served on loopback with 400 networks (4,000 clients) between them.
-// "cold" changes every partition before each digest — a report with a
-// new seqno into each network, outside the timer — and "warm" digests
-// shards that did not change. The "digests" query hashes every
-// partition it lists whatever its cached sum (Store.Digests), so the
-// two arms cost the same: the merged digest's gain is the protocol's,
-// not the cache's.
+// served on loopback with 400 networks (4,000 clients) between them:
+// each shard hashes its partitions and answers one line per network,
+// and the coordinator composes the lines.
 func BenchmarkMergedDigest(b *testing.B) {
-	streams := clusterReports(1, 400)
-	stores := shardStores(2, streams)
-	r, _ := serveShards(b, stores)
-	m, seq := NewMap(2), uint64(100)
-	touch := func() {
-		seq++
-		for i := 0; i < len(streams); i += 2 {
-			st := streams[i]
-			stores[m.Shard(st.NetID)].Ingest(&telemetry.Report{Serial: st.Serial, SeqNo: seq, Timestamp: seq * 300})
+	r, _ := serveShards(b, shardStores(2, clusterReports(1, 400)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if dig, err := r.MergedDigest(); err != nil || dig.Degraded {
+			b.Fatalf("merged digest: %+v, %v", dig, err)
 		}
 	}
-	digest := func(b *testing.B, cold bool) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if cold {
-				b.StopTimer()
-				touch()
-				b.StartTimer()
-			}
-			if dig, err := r.MergedDigest(); err != nil || dig.Degraded {
-				b.Fatalf("merged digest: %+v, %v", dig, err)
-			}
-		}
-	}
-	b.Run("cold", func(b *testing.B) { digest(b, true) })
-	b.Run("warm", func(b *testing.B) { digest(b, false) })
 }
